@@ -7,14 +7,21 @@ kappa is G^T kappa, constant on cosets of the dual code.
 
 Decoding is the total function "message of a nearest codeword", with ties
 broken toward the lexicographically smallest message (component 0 compared
-first).  Two interchangeable routes compute it: a coset-leader table when the
-redundancy is small, and brute force over all codewords when the dimension
-is small.  Desk scale only; nothing here is meant for n beyond ~24 except
-encoding, syndromes, and coset keys, which stay cheap at any protocol size.
+first).  Two interchangeable routes compute it, and syndrome correction
+likewise: a coset-leader table when the redundancy is small, and brute force
+over all codewords when the dimension is small.  A single LinearCode is desk
+scale (n up to ~25).
+
+Protocol-size codes are BlockCodes: direct sums of small inner codes that
+are built and checked once per process, plus trivial [n, n] and [n, 0]
+codes that act on words directly.  Every BlockCode operation works block by
+block, so building and using one costs time linear in n; the global n-by-k
+generator is assembled only when a caller reads `gen`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -26,6 +33,7 @@ from .gf2 import BitVec, DimensionError, GF2Matrix
 
 LEADER_TABLE_LIMIT = 14  # build syndrome tables up to 2^14 cosets
 BRUTE_FORCE_LIMIT = 22  # enumerate codewords up to 2^22
+INNER_CACHE_LIMIT = 25  # shipped inner codes up to this length are built once
 
 
 class DecodingFailure(RuntimeError):
@@ -42,6 +50,27 @@ def _lex_key(value: int, k: int) -> int:
     for j in range(k):
         out |= ((value >> j) & 1) << (k - 1 - j)
     return out
+
+
+def _split(value: int, widths: list[int]) -> list[int]:
+    """Consecutive fields of a packed word, lowest components first.
+
+    Goes through one bit string, so cutting an n-bit word into many blocks
+    costs time linear in n (shifting the whole int per block would not).
+    """
+    bits = format(value, "b")[::-1]
+    out = []
+    off = 0
+    for w in widths:
+        out.append(int(bits[off : off + w][::-1] or "0", 2))
+        off += w
+    return out
+
+
+def _join(fields: list[int], widths: list[int]) -> int:
+    """Inverse of _split: fields laid out contiguously, the first lowest."""
+    bits = "".join(format(f, f"0{w}b")[::-1] for f, w in zip(fields, widths) if w)
+    return int(bits[::-1] or "0", 2)
 
 
 @dataclass(frozen=True)
@@ -103,17 +132,23 @@ class LinearCode:
     def __init__(self, name: str, gen: GF2Matrix, decoder_radius: int) -> None:
         if gen.rank() != gen.cols:
             raise ValueError("generator columns must be linearly independent")
-        self.name = name
-        self.n = gen.rows
-        self.k = gen.cols
+        self._setup(name, gen.rows, gen.cols, decoder_radius)
         self.gen = gen
+
+    def _setup(self, name: str, n: int, k: int, decoder_radius: int) -> None:
+        self.name = name
+        self.n = n
+        self.k = k
         self.decoder_radius = decoder_radius
-        self._gen_t = gen.transpose()
         self._parity: GF2Matrix | None = None
         self._codewords: list[int] | None = None
         self._leaders: dict[int, list[int]] | None = None
         self._msg_rows: list[int] | None = None
         self._msg_inv: GF2Matrix | None = None
+
+    @functools.cached_property
+    def _gen_t(self) -> GF2Matrix:
+        return self.gen.transpose()
 
     def __repr__(self) -> str:
         return f"LinearCode({self.name!r}, n={self.n}, k={self.k}, t={self.decoder_radius})"
@@ -143,6 +178,20 @@ class LinearCode:
 
     def dual_basis(self) -> list[BitVec]:
         return [self.parity_check().row(i) for i in range(self.n - self.k)]
+
+    def _syndrome_preimage(self, s: int) -> int:
+        """Some n-bit pattern whose syndrome is s.
+
+        Parity row i is the kernel-basis vector of a free column f_i: its
+        highest set bit is f_i (the others sit at pivot columns left of
+        it), and no other row touches f_i.  Setting f_i for every row i
+        named by s therefore gives exactly syndrome s.
+        """
+        e = 0
+        for i, row in enumerate(self.parity_check().row_words):
+            if (s >> i) & 1:
+                e |= 1 << (row.bit_length() - 1)
+        return e
 
     # -- codeword bookkeeping -------------------------------------------------
 
@@ -234,6 +283,22 @@ class LinearCode:
             return self._decode_brute(v)
         raise ValueError(f"code [{self.n},{self.k}] too large for any decode route")
 
+    def _pattern_with_leaders(self, diff: int) -> int:
+        leaders = self.leader_table().get(diff)
+        if leaders is None:
+            raise DecodingFailure("syndrome outside the leader table")
+        return min(leaders, key=lambda p: _lex_key(p, self.n))
+
+    def _pattern_brute(self, diff: int) -> int:
+        """The table's pick without the table: every pattern with syndrome
+        diff is one preimage shifted by a codeword; keep the lightest, then
+        the lexicographically smallest."""
+        base = self._syndrome_preimage(diff)
+        return min(
+            (base ^ cw for cw in self.codewords()),
+            key=lambda p: (p.bit_count(), _lex_key(p, self.n)),
+        )
+
     def correct_with_syndrome(self, v: BitVec, target: BitVec) -> BitVec:
         """Nearest word to v whose syndrome equals target.
 
@@ -247,10 +312,12 @@ class LinearCode:
         diff = (self.syndrome(v) + target).value
         if self.n == self.k:
             return v  # no redundancy, nothing to correct
-        leaders = self.leader_table().get(diff)
-        if leaders is None:
-            raise DecodingFailure("syndrome outside the leader table")
-        e = min(leaders, key=lambda p: _lex_key(p, self.n))
+        if self.n - self.k <= LEADER_TABLE_LIMIT:
+            e = self._pattern_with_leaders(diff)
+        elif self.k <= BRUTE_FORCE_LIMIT:
+            e = self._pattern_brute(diff)
+        else:
+            raise ValueError(f"code [{self.n},{self.k}] too large for any correction route")
         if e.bit_count() > self.decoder_radius:
             raise DecodingFailure(
                 f"nearest pattern weight {e.bit_count()} exceeds radius {self.decoder_radius}"
@@ -266,92 +333,140 @@ class LinearCode:
         return self.name
 
 
-class BlockCode(LinearCode):
-    """Direct sum of small inner codes laid out contiguously.
+class TrivialCode(LinearCode):
+    """[n, n] (every word a codeword) or [n, 0] (only zero).
 
-    Syndromes, decoding, and correction all act blockwise; the generator is
-    the block-diagonal stack, so encoding and coset keys need no special
-    casing.
+    Both act on words directly, so they cost time linear in n at any
+    length; the n-by-n or n-by-0 generator is built only if `gen` is read.
+    """
+
+    def __init__(self, name: str, n: int, full: bool, decoder_radius: int) -> None:
+        self._setup(name, n, n if full else 0, decoder_radius)
+
+    @functools.cached_property
+    def gen(self) -> GF2Matrix:
+        if self.k:
+            return GF2Matrix.identity(self.n)
+        return GF2Matrix.zeros(self.n, 0)
+
+    def _check(self, v: BitVec, n: int) -> None:
+        if v.n != n:
+            raise DimensionError(f"word length {v.n} != {n}")
+
+    def encode(self, y: BitVec) -> BitVec:
+        self._check(y, self.k)
+        return y if self.k else BitVec(self.n, 0)
+
+    def coset_key(self, kappa: BitVec) -> BitVec:
+        self._check(kappa, self.n)
+        return kappa if self.k else BitVec(0, 0)
+
+    def syndrome(self, v: BitVec) -> BitVec:
+        self._check(v, self.n)
+        return BitVec(0, 0) if self.k else v
+
+    def decode(self, v: BitVec) -> BitVec:
+        self._check(v, self.n)
+        return v if self.k else BitVec(0, 0)
+
+
+class BlockCode(LinearCode):
+    """Direct sum of inner codes laid out contiguously.
+
+    Encoding, syndromes, coset keys, decoding and correction all act block
+    by block: each block goes through its inner code and the pieces are laid
+    side by side, block 0 lowest.  Nothing is checked or reduced globally:
+    a direct sum of full-column-rank blocks has full column rank, and every
+    inner code checked its own generator when it was built.  The syndrome of
+    the sum is the inner syndromes in block order, which equals applying the
+    block-diagonal parity check.
     """
 
     def __init__(self, name: str, inners: list[LinearCode]) -> None:
+        self.inners = list(inners)
+        self._n_widths = [c.n for c in self.inners]
+        self._k_widths = [c.k for c in self.inners]
+        self._red_widths = [c.n - c.k for c in self.inners]
+        radius = min((c.decoder_radius for c in self.inners), default=0)
+        self._setup(name, sum(self._n_widths), sum(self._k_widths), radius)
+
+    @functools.cached_property
+    def gen(self) -> GF2Matrix:
+        """Block-diagonal stack of the inner generators."""
         words: list[int] = []
         k_off = 0
-        for c in inners:
-            for i in range(c.n):
-                words.append(c.gen.row_words[i] << k_off)
-            k_off += c.k
-        gen = GF2Matrix(sum(c.n for c in inners), k_off, tuple(words))
-        radius = min((c.decoder_radius for c in inners), default=0)
-        super().__init__(name, gen, radius)
-        self.inners = list(inners)
-
-    def _blocks_of(self, v: BitVec) -> list[BitVec]:
-        out = []
-        off = 0
         for c in self.inners:
-            out.append(BitVec(c.n, (v.value >> off) & ((1 << c.n) - 1)))
-            off += c.n
-        return out
+            words.extend(w << k_off for w in c.gen.row_words)
+            k_off += c.k
+        return GF2Matrix(self.n, self.k, tuple(words))
+
+    def _blockwise(self, method: str, v: BitVec, widths_in, widths_out) -> BitVec:
+        """Apply an inner-code method to every block and lay the results out."""
+        if v.n != sum(widths_in):
+            raise DimensionError(f"word length {v.n} != {sum(widths_in)}")
+        parts = [
+            getattr(c, method)(BitVec(w, b)).value
+            for c, w, b in zip(self.inners, widths_in, _split(v.value, widths_in))
+        ]
+        return BitVec(sum(widths_out), _join(parts, widths_out))
+
+    def encode(self, y: BitVec) -> BitVec:
+        return self._blockwise("encode", y, self._k_widths, self._n_widths)
+
+    def coset_key(self, kappa: BitVec) -> BitVec:
+        return self._blockwise("coset_key", kappa, self._n_widths, self._k_widths)
 
     def syndrome(self, v: BitVec) -> BitVec:
-        if v.n != self.n:
-            raise DimensionError(f"word length {v.n} != {self.n}")
-        parts = [c.syndrome(b) for c, b in zip(self.inners, self._blocks_of(v))]
-        out = BitVec(0, 0)
-        for p in parts:
-            out = out.concat(p)
-        return out
-
-    def _split_syndrome(self, s: BitVec) -> list[BitVec]:
-        out = []
-        off = 0
-        for c in self.inners:
-            red = c.n - c.k
-            out.append(BitVec(red, (s.value >> off) & ((1 << red) - 1)))
-            off += red
-        return out
+        return self._blockwise("syndrome", v, self._n_widths, self._red_widths)
 
     def decode(self, v: BitVec) -> BitVec:
-        if v.n != self.n:
-            raise DimensionError(f"word length {v.n} != {self.n}")
-        msg = BitVec(0, 0)
-        for c, b in zip(self.inners, self._blocks_of(v)):
-            msg = msg.concat(c.decode(b))
-        return msg
+        return self._blockwise("decode", v, self._n_widths, self._k_widths)
 
     def correct_with_syndrome(self, v: BitVec, target: BitVec) -> BitVec:
+        if v.n != self.n:
+            raise DimensionError(f"word length {v.n} != {self.n}")
         if target.n != self.n - self.k:
             raise DimensionError("syndrome length mismatch")
-        out = 0
-        off = 0
-        for i, (c, b, t) in enumerate(
-            zip(self.inners, self._blocks_of(v), self._split_syndrome(target))
-        ):
+        blocks = _split(v.value, self._n_widths)
+        targets = _split(target.value, self._red_widths)
+        fixed = []
+        for i, (c, b, t) in enumerate(zip(self.inners, blocks, targets)):
             try:
-                fixed = c.correct_with_syndrome(b, t)
+                out = c.correct_with_syndrome(BitVec(c.n, b), BitVec(c.n - c.k, t))
             except DecodingFailure as exc:
                 raise DecodingFailure(f"block {i}: {exc}") from exc
-            out |= fixed.value << off
-            off += c.n
-        return BitVec(self.n, out)
+            fixed.append(out.value)
+        return BitVec(self.n, _join(fixed, self._n_widths))
 
 
 # ---------------------------------------------------------------------------
 # shipped constructions
 
 
-def repetition(n: int) -> LinearCode:
-    if n < 1:
-        raise ValueError("repetition length must be positive")
+def _inner(build, param: int, n: int) -> LinearCode:
+    """A shipped inner code, built and checked once per process when short."""
+    if n <= INNER_CACHE_LIMIT:
+        return _cached_inner(build, param)
+    return build(param)
+
+
+@functools.cache
+def _cached_inner(build, param: int) -> LinearCode:
+    return build(param)
+
+
+def _repetition(n: int) -> LinearCode:
     gen = GF2Matrix(n, 1, ((1,) * n))
     return LinearCode(f"repetition:n={n}", gen, (n - 1) // 2)
 
 
-def hamming(m: int) -> LinearCode:
-    """The [2^m - 1, 2^m - 1 - m] single-error-correcting code."""
-    if m < 2:
-        raise ValueError("hamming parameter must be at least 2")
+def repetition(n: int) -> LinearCode:
+    if n < 1:
+        raise ValueError("repetition length must be positive")
+    return _inner(_repetition, n, n)
+
+
+def _hamming(m: int) -> LinearCode:
     n = (1 << m) - 1
     rows = []
     for i in range(m):
@@ -364,14 +479,21 @@ def hamming(m: int) -> LinearCode:
     return LinearCode(f"hamming:n={n}", gen, 1)
 
 
+def hamming(m: int) -> LinearCode:
+    """The [2^m - 1, 2^m - 1 - m] single-error-correcting code."""
+    if m < 2:
+        raise ValueError("hamming parameter must be at least 2")
+    return _inner(_hamming, m, (1 << m) - 1)
+
+
 def identity_code(n: int) -> LinearCode:
     """[n, n]: every word is a codeword; corrects nothing, costs nothing."""
-    return LinearCode(f"identity:n={n}", GF2Matrix.identity(n), 0)
+    return TrivialCode(f"identity:n={n}", n, True, 0)
 
 
 def zero_code(n: int) -> LinearCode:
     """[n, 0]: the syndrome is the whole word, so correction is verbatim."""
-    return LinearCode(f"zero:n={n}", GF2Matrix(n, 0, (0,) * n), n)
+    return TrivialCode(f"zero:n={n}", n, False, n)
 
 
 def random_code(n: int, k: int, seed: int) -> LinearCode:
@@ -390,33 +512,46 @@ def random_code(n: int, k: int, seed: int) -> LinearCode:
     return code
 
 
-def _blocks_with_tail(n: int, inner: LinearCode, tail, name: str) -> BlockCode:
-    count, rem = divmod(n, inner.n)
-    inners = [inner] * count
+def _blocks_with_tail(n: int, inner_n: int, inner, tail, name: str) -> BlockCode:
+    """Whole blocks of the inner code of length inner_n, then a tail code on
+    the rest.  `inner()` builds the inner code; it is not called when no
+    whole block fits, so an oversized inner length costs nothing."""
+    if inner_n < 1:
+        raise ValueError("inner length must be positive")
+    count, rem = divmod(n, inner_n)
+    inners = [inner()] * count if count else []
     if rem:
-        inners = inners + [tail(rem)]
+        inners.append(tail(rem))
     return BlockCode(name, inners)
 
 
 def hamming_blocks(n: int) -> BlockCode:
     """[7,4] blocks with an identity tail; the default key-extraction code."""
-    return _blocks_with_tail(n, hamming(3), identity_code, f"hamming_blocks:n={n}")
+    return _blocks_with_tail(n, 7, lambda: hamming(3), identity_code, f"hamming_blocks:n={n}")
 
 
 def repetition_blocks(n: int, inner: int) -> BlockCode:
     return _blocks_with_tail(
-        n, repetition(inner), identity_code, f"repetition_blocks:n={n},inner={inner}"
+        n,
+        inner,
+        lambda: repetition(inner),
+        identity_code,
+        f"repetition_blocks:n={n},inner={inner}",
     )
 
 
 def rec_hamming(n: int) -> BlockCode:
     """[7,4] blocks with a verbatim tail; for syndrome reconciliation."""
-    return _blocks_with_tail(n, hamming(3), zero_code, f"rec_hamming:n={n}")
+    return _blocks_with_tail(n, 7, lambda: hamming(3), zero_code, f"rec_hamming:n={n}")
 
 
 def rec_repetition(n: int, inner: int) -> BlockCode:
     return _blocks_with_tail(
-        n, repetition(inner), zero_code, f"rec_repetition:n={n},inner={inner}"
+        n,
+        inner,
+        lambda: repetition(inner),
+        zero_code,
+        f"rec_repetition:n={n},inner={inner}",
     )
 
 
@@ -430,14 +565,28 @@ def rec_verbatim(n: int) -> BlockCode:
     return BlockCode(f"rec_verbatim:n={n}", [zero_code(n)])
 
 
-def code_from_descriptor(desc: str) -> LinearCode:
-    """Rebuild a shipped code from its wire descriptor string."""
+def _parse_descriptor(desc: str) -> tuple[str, dict[str, int]]:
     family, _, rest = desc.partition(":")
     params: dict[str, int] = {}
     if rest:
         for part in rest.split(","):
             key, _, val = part.partition("=")
             params[key] = int(val)
+    return family, params
+
+
+def descriptor_length(desc: str) -> int:
+    """Code length n named by a wire descriptor, read without building the
+    code, so a peer's descriptor can be checked before any work is done."""
+    _, params = _parse_descriptor(desc)
+    if "n" not in params:
+        raise ValueError(f"descriptor {desc!r} names no length")
+    return params["n"]
+
+
+def code_from_descriptor(desc: str) -> LinearCode:
+    """Rebuild a shipped code from its wire descriptor string."""
+    family, params = _parse_descriptor(desc)
     try:
         if family == "repetition":
             return repetition(params["n"])

@@ -23,6 +23,7 @@ stay feasible.
 from __future__ import annotations
 
 import collections
+import functools
 import hashlib
 import math
 import random
@@ -35,6 +36,7 @@ from .codes import (
     DecodingFailure,
     LinearCode,
     code_from_descriptor,
+    descriptor_length,
     rec_hamming,
     rec_identity,
     rec_repetition,
@@ -662,7 +664,10 @@ def decode_syndrome(payload: bytes) -> tuple[str, BitVec]:
     (dlen,) = struct.unpack(">H", payload[:2])
     desc = payload[2 : 2 + dlen].decode()
     (bitlen,) = struct.unpack(">I", payload[2 + dlen : 6 + dlen])
-    return desc, BitVec.from_bytes(payload[6 + dlen :], bitlen)
+    body = payload[6 + dlen :]
+    if len(body) != (bitlen + 7) // 8:
+        raise ProtocolError("syndrome length mismatch")
+    return desc, BitVec.from_bytes(body, bitlen)
 
 
 def encode_confirm(mac: bytes) -> bytes:
@@ -785,23 +790,25 @@ def choose_reconciliation_code(
 
     Candidates: no correction at all, single-error blocks of seven,
     odd-length majority blocks, and a verbatim fallback that always works.
-    Leftover tail bits ride along verbatim in every block family.
+    Leftover tail bits ride along verbatim in every block family.  Each
+    candidate's syndrome length tau follows from its shape, so only the
+    pick (the first of the cheapest, in the order above) is built.
     """
     p = min(delta_obs + epsilon, 0.49)
-    candidates: list[tuple[int, LinearCode]] = []
+    candidates = []
     if _block_failure(n, 0, p, 1) <= target_fail:
-        candidates.append((0, rec_identity(n)))
+        candidates.append((0, functools.partial(rec_identity, n)))
     if _block_failure(7, 1, p, n // 7) <= target_fail:
-        candidates.append((3 * (n // 7) + n % 7, rec_hamming(n)))
+        candidates.append((3 * (n // 7) + n % 7, functools.partial(rec_hamming, n)))
     for inner in range(3, 26, 2):
         if inner > n:
             break
         if _block_failure(inner, (inner - 1) // 2, p, n // inner) <= target_fail:
             tau = (inner - 1) * (n // inner) + n % inner
-            candidates.append((tau, rec_repetition(n, inner)))
-    candidates.append((n, rec_verbatim(n)))
-    candidates.sort(key=lambda pair: pair[0])
-    return candidates[0][1]
+            candidates.append((tau, functools.partial(rec_repetition, n, inner)))
+    candidates.append((n, functools.partial(rec_verbatim, n)))
+    _, build = min(candidates, key=lambda pair: pair[0])
+    return build()
 
 
 def randomize_key(y: BitVec, rng) -> tuple[BitVec, BitVec]:
@@ -1083,7 +1090,10 @@ class AliceSession(_Session):
             return self._fail(ABORT_PHASE)
         self._record(TAG_CODE, "bob", msg.payload)
         try:
-            code = code_from_descriptor(msg.payload.decode())
+            desc = msg.payload.decode()
+            if descriptor_length(desc) != self.cfg.n:
+                return self._fail(ABORT_PHASE)
+            code = code_from_descriptor(desc)
         except ValueError:
             return self._fail(ABORT_PHASE)
         if code.n != self.cfg.n:
@@ -1098,10 +1108,12 @@ class AliceSession(_Session):
         if msg.tag != TAG_SYNDROME_ENC:
             return self._fail(ABORT_PHASE)
         self._record(TAG_SYNDROME_ENC, "bob", msg.payload)
-        desc, enc = decode_syndrome(msg.payload)
         try:
+            desc, enc = decode_syndrome(msg.payload)
+            if descriptor_length(desc) != self.cfg.n:
+                return self._fail(ABORT_PHASE)
             rec = code_from_descriptor(desc)
-        except ValueError:
+        except (struct.error, ValueError, ProtocolError):
             return self._fail(ABORT_PHASE)
         if rec.n != self.cfg.n or enc.n != rec.n - rec.k:
             return self._fail(ABORT_PHASE)

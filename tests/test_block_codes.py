@@ -1,0 +1,124 @@
+"""Blockwise code operations against the global generator and parity check,
+the two syndrome-correction routes against each other, and the correction
+promise of every code the reconciliation ladder picks."""
+
+from __future__ import annotations
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qkdlab.codes import (
+    BlockCode,
+    DecodingFailure,
+    hamming,
+    hamming_blocks,
+    identity_code,
+    random_code,
+    repetition,
+    zero_code,
+)
+from qkdlab.gf2 import BitVec
+from qkdlab.protocol import choose_reconciliation_code
+
+INNER_CODES = st.one_of(
+    st.integers(2, 4).map(hamming),
+    st.integers(1, 25).map(repetition),
+    st.integers(1, 6).map(identity_code),
+    st.integers(1, 6).map(zero_code),
+)
+
+
+def _pattern(n: int, positions) -> int:
+    e = 0
+    for p in positions:
+        e |= 1 << p
+    return e
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(INNER_CODES, min_size=1, max_size=6), st.data())
+def test_blockwise_maps_equal_global_matrices(inners, data):
+    code = BlockCode("prop", inners)
+    parity = code.parity_check()
+    word = BitVec(code.n, data.draw(st.integers(0, (1 << code.n) - 1)))
+    msg = BitVec(code.k, data.draw(st.integers(0, (1 << code.k) - 1)))
+    assert code.encode(msg) == code.gen.apply(msg)
+    assert code.coset_key(word) == code.gen.transpose().apply(word)
+    assert code.syndrome(word) == parity.apply(word)
+
+    # noise within every block's radius is undone exactly
+    noise = 0
+    off = 0
+    for c in inners:
+        weight = data.draw(st.integers(0, min(c.decoder_radius, c.n)))
+        spots = data.draw(st.permutations(range(c.n)))[:weight]
+        noise |= _pattern(c.n, spots) << off
+        off += c.n
+    noisy = BitVec(code.n, word.value ^ noise)
+    assert code.correct_with_syndrome(noisy, parity.apply(word)) == word
+
+    # any target: either an abort or a word carrying exactly that syndrome
+    target = BitVec(code.n - code.k, data.draw(st.integers(0, (1 << (code.n - code.k)) - 1)))
+    try:
+        fixed = code.correct_with_syndrome(word, target)
+    except DecodingFailure:
+        return
+    assert parity.apply(fixed) == target
+
+
+def test_correction_routes_agree():
+    rng = random.Random(41)
+    codes = [repetition(n) for n in range(3, 14)]
+    codes += [random_code(n, k, seed=rng.getrandbits(16)) for n, k in [(8, 3), (9, 4), (10, 5)]]
+    for code in codes:
+        for _ in range(60):
+            word = BitVec.random(code.n, rng)
+            target = BitVec.random(code.n - code.k, rng)
+            diff = (code.syndrome(word) + target).value
+            pick = code._pattern_brute(diff)
+            assert pick == code._pattern_with_leaders(diff), code.name
+            assert code.syndrome(BitVec(code.n, pick)).value == diff
+
+
+def test_large_block_code_coset_key_is_blockwise():
+    code = hamming_blocks(16384)
+    assert (code.n, code.k) == (16384, 4 * (16384 // 7) + 16384 % 7)
+    rng = random.Random(5)
+    word = BitVec.random(code.n, rng)
+    key = code.coset_key(word)
+    h7 = hamming(3)
+    for i in (0, 1, 2339):  # first, second and last whole block
+        block = BitVec(7, (word.value >> (7 * i)) & 0x7F)
+        assert (key.value >> (4 * i)) & 0xF == h7.coset_key(block).value
+    assert key.value >> (4 * 2340) == word.value >> (7 * 2340)  # identity tail
+
+
+LADDER_GRID = [
+    (n, delta, eps)
+    for n in (7, 16, 100, 256, 2048)
+    for delta in (0.0, 0.01, 0.05, 0.08, 0.1, 0.15)
+    for eps in (1e-6, 0.001, 0.05, 0.35)
+]
+
+
+@pytest.mark.parametrize("n,delta,eps", LADDER_GRID)
+def test_ladder_pick_corrects_every_pattern_within_radius(n, delta, eps):
+    code = choose_reconciliation_code(n, delta, eps, 1e-4)
+    rng = random.Random(n * 1000 + int(delta * 100) * 10 + int(eps * 1000))
+    radius = code.decoder_radius
+    ball = list(itertools.islice(code.correctable_set(), 201))
+    if len(ball) <= 200:
+        patterns = [x.value for x in ball]
+    else:
+        patterns = [_pattern(n, rng.sample(range(n), rng.randint(0, radius))) for _ in range(30)]
+        # every flip inside one block is the hardest case of a block code
+        width = code.inners[0].n
+        patterns.append(_pattern(n, range(min(radius, width))))
+    for e in patterns:
+        word = BitVec.random(n, rng)
+        noisy = BitVec(n, word.value ^ e)
+        assert code.correct_with_syndrome(noisy, code.syndrome(word)) == word, code.name

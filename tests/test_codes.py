@@ -341,6 +341,8 @@ def test_descriptor_roundtrip():
         repetition_blocks(20, 3),
         rec_hamming(16),
         rec_repetition(22, 5),
+        rec_repetition(60, 17),
+        repetition_blocks(5, 9),
         rec_identity(9),
         rec_verbatim(6),
     ]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -677,6 +678,44 @@ def test_decoding_failure_surfaces_as_reconcile_abort():
         cfg, res.transcript, swap_step="SYNDROME_ENC", swap_payload=forged
     )
     assert alice.abort_reason == ABORT_RECONCILE
+
+
+def test_ladder_codes_beyond_the_leader_table_reconcile():
+    # p = 0.06 + 0.05 makes the ladder pick majority blocks of 17-25 bits,
+    # whose redundancy is past the coset-leader table; correction takes the
+    # codeword-enumeration route instead of raising
+    beyond_table = 0
+    for seed in range(40):
+        cfg = SessionConfig(n=256, epsilon=0.05, seed=seed, channel=DepolarizingChannel(0.06))
+        res = run_protocol(cfg)
+        if res.stats.abort_reason is None:
+            assert res.alice_key is not None and res.alice_key == res.bob_key
+            inner = int(res.stats.rec_descriptor.rsplit("inner=", 1)[1])
+            beyond_table += inner > 15
+    assert beyond_table > 0
+
+
+@pytest.mark.parametrize("desc", ["repetition:n=10000000", "identity:n=70000"])
+@pytest.mark.parametrize("step", ["CODE", "SYNDROME_ENC"])
+def test_oversized_descriptor_aborts_before_building(desc, step):
+    cfg = _noiseless_cfg(seed=13)
+    res = run_protocol(cfg)
+    payload = desc.encode() if step == "CODE" else encode_syndrome(desc, BitVec(8, 0))
+    start = time.perf_counter()
+    alice = _drive_alice_from_transcript(cfg, res.transcript, swap_step=step, swap_payload=payload)
+    assert time.perf_counter() - start < 0.1
+    assert alice.abort_reason == ABORT_PHASE
+
+
+@pytest.mark.parametrize("cut", [lambda p: p[:-1], lambda p: p + b"\x00", lambda p: p[:3]])
+def test_malformed_syndrome_payload_aborts(cut):
+    cfg = _noiseless_cfg(seed=13)
+    res = run_protocol(cfg)
+    genuine = next(r.payload for r in res.transcript.records if r.step == "SYNDROME_ENC")
+    alice = _drive_alice_from_transcript(
+        cfg, res.transcript, swap_step="SYNDROME_ENC", swap_payload=cut(genuine)
+    )
+    assert alice.abort_reason == ABORT_PHASE
 
 
 def test_stats_row_matches_field_order():
