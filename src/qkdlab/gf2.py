@@ -51,14 +51,13 @@ class BitVec:
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> BitVec:
-        value = 0
-        n = 0
+        digits = []
         for b in bits:
             if b not in (0, 1):
                 raise ValueError(f"bit must be 0 or 1, got {b!r}")
-            value |= b << n
-            n += 1
-        return cls(n, value)
+            digits.append("01"[b])
+        # one base-2 parse, component 0 last: linear in n
+        return cls(len(digits), int("".join(reversed(digits)) or "0", 2))
 
     @classmethod
     def from_str(cls, s: str) -> BitVec:
@@ -139,10 +138,11 @@ class BitVec:
         """Move component i to position perm[i]."""
         if len(perm) != self.n or sorted(perm) != list(range(self.n)):
             raise ValueError("not a permutation of the component indices")
-        out = 0
+        bits = format(self.value, "b").zfill(self.n)[::-1]  # component i at index i
+        out = ["0"] * self.n
         for i, p in enumerate(perm):
-            out |= self[i] << p
-        return BitVec(self.n, out)
+            out[p] = bits[i]
+        return BitVec(self.n, int("".join(reversed(out)) or "0", 2))
 
     def concat(self, other: BitVec) -> BitVec:
         """self occupies the low components, other the high ones."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,8 @@ from .gf2 import BitVec
 from .protocol import (
     ABORT_TRANSPORT,
     ROLE_ALICE,
+    SIGNAL_HEAD,
+    STATE_BYTES,
     TAG_QSIGNAL,
     AliceSession,
     BobSession,
@@ -37,6 +40,8 @@ from .protocol import (
     Transcript,
     WireMessage,
     decode_hello,
+    states_from_bytes,
+    states_to_bytes,
     stream_seed,
 )
 
@@ -44,7 +49,7 @@ MAX_FRAME = 1 << 24
 CONNECT_RETRY_DELAY = 0.05
 
 
-def send_frames(sock: socket.socket, messages: list[WireMessage]) -> None:
+def send_frames(sock: socket.socket, messages: Sequence[WireMessage]) -> None:
     parts = []
     for msg in messages:
         body = bytes([msg.tag]) + msg.payload
@@ -216,18 +221,11 @@ def _proxy_channel(mode: str, p: float) -> ChannelModel | None:
 def _transform_signals(
     frames: list[WireMessage], channel: ChannelModel, rng: np.random.Generator
 ) -> list[WireMessage]:
-    heads = [f.payload[:5] for f in frames]
-    blob = b"".join(f.payload[5:] for f in frames)
-    states = (
-        np.frombuffer(blob, dtype=">f8")
-        .astype(np.float64)
-        .view(np.complex128)
-        .reshape(len(frames), 2, 2)
-    )
-    out = channel.apply_batch(states, rng)
-    out_blob = out.reshape(len(frames), 4).view(np.float64).astype(">f8").tobytes()
+    heads = [f.payload[: SIGNAL_HEAD.size] for f in frames]
+    states = states_from_bytes(b"".join(f.payload[SIGNAL_HEAD.size :] for f in frames))
+    out = states_to_bytes(channel.apply_batch(states, rng))
     return [
-        WireMessage(TAG_QSIGNAL, heads[i] + out_blob[64 * i : 64 * (i + 1)])
+        WireMessage(TAG_QSIGNAL, heads[i] + out[STATE_BYTES * i : STATE_BYTES * (i + 1)])
         for i in range(len(frames))
     ]
 

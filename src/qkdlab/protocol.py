@@ -28,6 +28,7 @@ import hashlib
 import math
 import random
 import struct
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,6 +130,50 @@ class WireMessage:
 
     def name(self) -> str:
         return TAG_NAMES.get(self.tag, f"TAG_{self.tag:02X}")
+
+
+SIGNAL_HEAD = struct.Struct(">IB")  # signal index, null flag
+STATE_BYTES = 64  # one 2x2 complex128 density matrix, big-endian
+
+
+def states_from_bytes(blob: bytes) -> np.ndarray:
+    """Signal states packed back to back on the wire, as an (m, 2, 2) array."""
+    flat = np.frombuffer(blob, dtype=">f8").astype(np.float64)
+    return flat.view(np.complex128).reshape(len(blob) // STATE_BYTES, 2, 2)
+
+
+def states_to_bytes(states: np.ndarray) -> bytes:
+    return states.reshape(len(states), 4).view(np.float64).astype(">f8").tobytes()
+
+
+class SignalBurst(Sequence[WireMessage]):
+    """The QSIGNAL messages of one emission, held as a single blob of states.
+
+    Message i carries head (i, 0) and the i-th state.  Messages are made
+    only when read, so a burst of |Omega| signals stays one bytes object
+    until a transport walks it, and the in-process pump can hand the whole
+    blob to the channel at once.
+    """
+
+    def __init__(self, states: bytes) -> None:
+        if len(states) % STATE_BYTES:
+            raise ValueError("signal blob is not a whole number of states")
+        self.states = states
+
+    def __len__(self) -> int:
+        return len(self.states) // STATE_BYTES
+
+    def _message(self, i: int) -> WireMessage:
+        state = self.states[STATE_BYTES * i : STATE_BYTES * (i + 1)]
+        return WireMessage(TAG_QSIGNAL, SIGNAL_HEAD.pack(i, 0) + state)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._message(j) for j in range(len(self))[i]]
+        return self._message(range(len(self))[i])
+
+    def __iter__(self) -> Iterator[WireMessage]:
+        return map(self._message, range(len(self)))
 
 
 # ---------------------------------------------------------------------------
@@ -570,16 +615,16 @@ def decode_hello(payload: bytes) -> dict:
 
 
 def encode_qsignal(index: int, state: np.ndarray) -> bytes:
-    head = struct.pack(">IB", index, 0)
+    head = SIGNAL_HEAD.pack(index, 0)
     body = state.astype(np.complex128).view(np.float64).astype(">f8").tobytes()
     return head + body
 
 
 def decode_qsignal(payload: bytes) -> tuple[int, np.ndarray]:
-    index, flag = struct.unpack(">IB", payload[:5])
+    index, flag = SIGNAL_HEAD.unpack_from(payload)
     if flag != 0:
         raise ProtocolError("unexpected null signal on the wire")
-    flat = np.frombuffer(payload[5:], dtype=">f8").astype(np.float64)
+    flat = np.frombuffer(payload[SIGNAL_HEAD.size :], dtype=">f8").astype(np.float64)
     return index, flat.view(np.complex128).reshape(2, 2)
 
 
@@ -744,17 +789,12 @@ def sift(a_bits, b_symbols, r_mask, n: int, rng) -> SiftResult:
     one -- that opposite basis being what was actually sent there.  Null
     detections match nothing.  Aborts when either set comes up short.
     """
-    test = []
-    candidates = []
-    for i, (a, b, in_r) in enumerate(zip(a_bits, b_symbols, r_mask)):
-        if b == 2:
-            continue
-        if in_r:
-            if a == b:
-                test.append(i)
-        else:
-            if (1 - a) == b:
-                candidates.append(i)
+    m = min(len(a_bits), len(b_symbols), len(r_mask))
+    a = np.asarray(a_bits, dtype=np.int64)[:m]
+    b = np.asarray(b_symbols, dtype=np.int64)[:m]
+    in_r = np.asarray(r_mask, dtype=bool)[:m]
+    test = np.flatnonzero(in_r & (a == b) & (b != 2)).tolist()
+    candidates = np.flatnonzero(~in_r & (1 - a == b) & (b != 2)).tolist()
     if len(test) < n or len(candidates) < n:
         return SiftResult(tuple(test), None, ABORT_SIFT)
     key_set = tuple(sorted(rng.sample(candidates, n)))
@@ -768,7 +808,8 @@ def estimate_error(sender_bits, receiver_bits) -> float:
         raise ValueError("test records differ in length")
     if len(sender_bits) == 0:
         raise ValueError("cannot estimate an error rate from nothing")
-    mism = sum(1 for x, y in zip(sender_bits, receiver_bits) if int(x) != int(y))
+    sent = np.asarray(sender_bits, dtype=np.int64)
+    mism = int(np.count_nonzero(sent != np.asarray(receiver_bits, dtype=np.int64)))
     return mism / len(sender_bits)
 
 
@@ -951,7 +992,7 @@ class _Session:
             return ABORT_VERSION
         return None
 
-    def on_message(self, msg: WireMessage) -> list[WireMessage]:
+    def on_message(self, msg: WireMessage) -> Sequence[WireMessage]:
         if self.terminal:
             return []
         if msg.tag == TAG_ABORT:
@@ -989,7 +1030,7 @@ class AliceSession(_Session):
         self.phase = "hello"
         return [WireMessage(TAG_HELLO, encode_hello(self.cfg, ROLE_ALICE))]
 
-    def _phase_hello(self, msg: WireMessage) -> list[WireMessage]:
+    def _phase_hello(self, msg: WireMessage) -> Sequence[WireMessage]:
         if msg.tag != TAG_HELLO:
             return self._fail(ABORT_PHASE)
         bad = self._check_hello(msg, ROLE_BOB)
@@ -997,7 +1038,7 @@ class AliceSession(_Session):
             return self._fail(bad)
         return self._emit_signals()
 
-    def _emit_signals(self) -> list[WireMessage]:
+    def _emit_signals(self) -> SignalBurst:
         cfg = self.cfg
         m = cfg.omega_size
         src = cfg.source
@@ -1015,13 +1056,8 @@ class AliceSession(_Session):
             [[src.emit(a, g) for g in range(2)] for a in range(2)]
         )
         states = lut[sent_basis, self.g_bits]
-        blob = states.reshape(m, 4).view(np.float64).astype(">f8").tobytes()
-        out = []
-        for i in range(m):
-            head = struct.pack(">IB", i, 0)
-            out.append(WireMessage(TAG_QSIGNAL, head + blob[64 * i : 64 * (i + 1)]))
         self.phase = "await_bases"
-        return out
+        return SignalBurst(states_to_bytes(states))
 
     def _phase_await_bases(self, msg: WireMessage) -> list[WireMessage]:
         if msg.tag != TAG_BASES_B:
@@ -1035,9 +1071,7 @@ class AliceSession(_Session):
         self._record(TAG_BASES_A_AND_R, "alice", payload)
         # T is now public knowledge; S arrives from the peer next
         self.test_set = tuple(
-            i
-            for i in range(self.cfg.omega_size)
-            if self.r_mask[i] and b_symbols[i] == self.a_bits[i]
+            np.flatnonzero((self.r_mask != 0) & (b_symbols == self.a_bits)).tolist()
         )
         self.stats.t_size = len(self.test_set)
         self.phase = "await_subset"
@@ -1048,16 +1082,23 @@ class AliceSession(_Session):
             return self._fail(ABORT_PHASE)
         self._record(TAG_SUBSET_S, "bob", msg.payload)
         mask = decode_mask(msg.payload)
-        key_set = tuple(int(i) for i in np.nonzero(mask)[0])
-        ok = len(key_set) == self.cfg.n and all(
-            not self.r_mask[i] and self.b_symbols[i] == 1 - self.a_bits[i]
-            for i in key_set
+        key_idx = np.flatnonzero(mask)
+        key_set = tuple(key_idx.tolist())
+        ok = (
+            len(key_set) == self.cfg.n
+            and key_idx[-1] < len(self.r_mask)
+            and bool(
+                np.all(
+                    (self.r_mask[key_idx] == 0)
+                    & (self.b_symbols[key_idx] == 1 - self.a_bits[key_idx])
+                )
+            )
         )
         if len(self.test_set) < self.cfg.n or not ok:
             return self._fail(ABORT_SIFT)
         self.key_set = key_set
         self.stats.s_size = len(key_set)
-        g_test = np.array([self.g_bits[i] for i in self.test_set], dtype=np.uint8)
+        g_test = self.g_bits[np.asarray(self.test_set, dtype=np.intp)]
         payload = encode_test_bits(g_test)
         self._record(TAG_TEST_BITS, "alice", payload)
         self.phase = "await_delta"
@@ -1125,7 +1166,7 @@ class AliceSession(_Session):
             return self._fail(ABORT_POOL)
         target = enc + otp
         word = BitVec.from_bits(
-            [int(self.g_bits[i]) for i in self.key_set]
+            self.g_bits[np.asarray(self.key_set, dtype=np.intp)].tolist()
         ).permute(self.perm)
         try:
             self.kappa = rec.correct_with_syndrome(word, target)
@@ -1165,7 +1206,8 @@ class BobSession(_Session):
             stream_seed(cfg.seed, "bob|quantum")
         )
         self._choice_rng = random.Random(stream_seed(cfg.seed, "bob|choice"))
-        self._signal_payloads: list[bytes | None] = [None] * cfg.omega_size
+        self._omega = cfg.omega_size
+        self._signal_payloads: list[bytes | None] = [None] * self._omega
         self._received = 0
         self.b_symbols: np.ndarray | None = None
         self.h_bits: np.ndarray | None = None
@@ -1188,26 +1230,21 @@ class BobSession(_Session):
     def _phase_collect(self, msg: WireMessage) -> list[WireMessage]:
         if msg.tag != TAG_QSIGNAL:
             return self._fail(ABORT_PHASE)
-        index, flag = struct.unpack(">IB", msg.payload[:5])
-        if not 0 <= index < self.cfg.omega_size or flag != 0:
+        index, flag = SIGNAL_HEAD.unpack_from(msg.payload)
+        if not 0 <= index < self._omega or flag != 0:
             return self._fail(ABORT_PHASE)
         if self._signal_payloads[index] is not None:
             return self._fail(ABORT_PHASE)
-        self._signal_payloads[index] = msg.payload[5:]
+        self._signal_payloads[index] = msg.payload[SIGNAL_HEAD.size :]
         self._received += 1
-        if self._received < self.cfg.omega_size:
+        if self._received < self._omega:
             return []
         return self._measure_all()
 
     def _measure_all(self) -> list[WireMessage]:
-        m = self.cfg.omega_size
-        blob = b"".join(self._signal_payloads)  # type: ignore[arg-type]
-        states = (
-            np.frombuffer(blob, dtype=">f8")
-            .astype(np.float64)
-            .view(np.complex128)
-            .reshape(m, 2, 2)
-        )
+        m = self._omega
+        states = states_from_bytes(b"".join(self._signal_payloads))  # type: ignore[arg-type]
+        self._signal_payloads = []  # every state is in `states` now
         rng = self._quantum_rng
         bases = rng.integers(0, 2, size=m).astype(np.uint8)
         outcomes, detected = self.cfg.detector.measure_batch(states, bases, rng)
@@ -1246,7 +1283,7 @@ class BobSession(_Session):
         g_test = decode_test_bits(msg.payload)
         if g_test.size != len(self.test_set):
             return self._fail(ABORT_PHASE)
-        h_test = [int(self.h_bits[i]) for i in self.test_set]
+        h_test = self.h_bits[np.asarray(self.test_set, dtype=np.intp)].tolist()
         delta = estimate_error(g_test.tolist(), h_test)
         self.stats.delta = delta
         proceed = delta <= self.cfg.delta_max
@@ -1275,7 +1312,7 @@ class BobSession(_Session):
         out.append(WireMessage(TAG_CODE, payload))
 
         self.kappa = BitVec.from_bits(
-            [int(self.h_bits[i]) for i in self.key_set]
+            self.h_bits[np.asarray(self.key_set, dtype=np.intp)].tolist()
         ).permute(perm)
         rec = choose_reconciliation_code(
             cfg.n, delta, cfg.epsilon, cfg.rec_target_fail
@@ -1326,25 +1363,11 @@ class ProtocolResult:
         return self.stats.abort_reason is not None
 
 
-def _apply_channel_to_signals(
-    messages: list[WireMessage], channel: ChannelModel, rng: np.random.Generator
-) -> list[WireMessage]:
-    if not messages:
-        return messages
-    heads = [m.payload[:5] for m in messages]
-    blob = b"".join(m.payload[5:] for m in messages)
-    states = (
-        np.frombuffer(blob, dtype=">f8")
-        .astype(np.float64)
-        .view(np.complex128)
-        .reshape(len(messages), 2, 2)
-    )
-    out_states = channel.apply_batch(states, rng)
-    out_blob = out_states.reshape(len(messages), 4).view(np.float64).astype(">f8").tobytes()
-    return [
-        WireMessage(TAG_QSIGNAL, heads[i] + out_blob[64 * i : 64 * (i + 1)])
-        for i in range(len(messages))
-    ]
+def _enqueue(queue: collections.deque, sender: str, messages: Sequence[WireMessage]) -> None:
+    if isinstance(messages, SignalBurst):
+        queue.append((sender, messages))  # one entry; the pump splits it
+    else:
+        queue.extend((sender, m) for m in messages)
 
 
 def run_protocol(cfg: SessionConfig) -> ProtocolResult:
@@ -1354,10 +1377,9 @@ def run_protocol(cfg: SessionConfig) -> ProtocolResult:
     bob = BobSession(cfg)
     eve_rng = np.random.default_rng(stream_seed(cfg.seed, "eve|channel"))
 
-    queue: collections.deque[tuple[str, WireMessage]] = collections.deque(
-        ("alice", m) for m in alice.start()
-    )
-    queue.extend(("bob", m) for m in bob.start())
+    queue: collections.deque = collections.deque()
+    _enqueue(queue, "alice", alice.start())
+    _enqueue(queue, "bob", bob.start())
     guard = 0
     while queue:
         guard += 1
@@ -1365,19 +1387,18 @@ def run_protocol(cfg: SessionConfig) -> ProtocolResult:
             raise ProtocolError("message pump did not terminate")
         sender, msg = queue.popleft()
         receiver = bob if sender == "alice" else alice
-        if msg.tag == TAG_QSIGNAL and sender == "alice":
-            # batch all queued signals through the channel in one shot
-            batch = [msg]
-            while queue and queue[0][1].tag == TAG_QSIGNAL:
-                batch.append(queue.popleft()[1])
-            replies: list[WireMessage] = []
-            for out in _apply_channel_to_signals(batch, cfg.channel, eve_rng):
+        if isinstance(msg, SignalBurst):
+            # the channel acts on the whole burst in one shot; the receiver
+            # still takes the signals one message at a time
+            states = cfg.channel.apply_batch(states_from_bytes(msg.states), eve_rng)
+            replies: Sequence[WireMessage] = []
+            for out in SignalBurst(states_to_bytes(states)):
                 replies = receiver.on_message(out)
                 if replies:
                     break
-            queue.extend((receiver.role_name, m) for m in replies)
+            _enqueue(queue, receiver.role_name, replies)
             continue
-        queue.extend((receiver.role_name, m) for m in receiver.on_message(msg))
+        _enqueue(queue, receiver.role_name, receiver.on_message(msg))
 
     if alice.stats.abort_reason and not bob.stats.abort_reason:
         stats = alice.stats
