@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import qsim
-from .codes import code_from_descriptor
+from .codes import code_from_descriptor, descriptor_length
 from .netchan import eve_proxy, open_listener, serve_party
 from .protocol import (
     STATS_FIELDS,
@@ -316,6 +316,9 @@ def cmd_audit(args) -> int:
     attack = _parse_attack(args.attack)
     descriptor = args.code or f"repetition:n={args.n}"
     try:
+        length = descriptor_length(descriptor)
+        if length != args.n:
+            raise ConfigError(f"code length {length} != --n {args.n}")
         code = code_from_descriptor(descriptor)
     except ValueError as err:
         raise ConfigError(str(err))

@@ -1,14 +1,19 @@
 """Framed TCP transport for the session engine, plus a man-in-the-middle.
 
 Frames are a 4-byte big-endian length followed by one tag byte and the
-payload.  A party pumps its state machine against a single connection; the
-proxy sits between the two sockets, forwarding frames verbatim except for
-quantum signals, which it can transform with any channel model.
+payload; one frame carries one wire message.  The quantum signals travel
+as one burst, chunked into QBURST frames of at most BURST_CHUNK states,
+each headed by its first signal index and the burst length.  A party pumps
+its state machine against a single connection and does nothing else: the
+receiving session itself realizes the configured channel on the whole
+burst, exactly as it does in process.  The proxy sits between the two
+sockets, forwarding frames verbatim except for the signal burst, which it
+can transform with any channel model.
 
-The proxy buffers the full signal burst and transforms it in one batch so
-its random stream is consumed exactly like the in-process pump's; with the
-same master seed, a proxied run and an in-process run produce identical
-transcripts.
+The proxy holds the chunks of the burst until the last one arrives and
+transforms all of it in one batch, so its random stream is consumed
+exactly like the receiver's in-process; with the same master seed, a
+proxied run and an in-process run produce identical transcripts.
 """
 
 from __future__ import annotations
@@ -24,22 +29,19 @@ import numpy as np
 from .gf2 import BitVec
 from .protocol import (
     ABORT_TRANSPORT,
-    ROLE_ALICE,
-    SIGNAL_HEAD,
+    BURST_HEAD,
     STATE_BYTES,
-    TAG_QSIGNAL,
+    TAG_QBURST,
     AliceSession,
     BobSession,
     ChannelModel,
     DepolarizingChannel,
-    IdentityChannel,
     InterceptResendChannel,
     ProtocolError,
     RunStats,
     SessionConfig,
     Transcript,
     WireMessage,
-    decode_hello,
     states_from_bytes,
     states_to_bytes,
     stream_seed,
@@ -128,10 +130,11 @@ def serve_party(
     retrying until the peer is up.  A dropped connection surfaces as a
     transport abort on the surviving side.
 
-    The receiver realizes the config's channel model on the incoming
-    signal burst, in one batch over the same named random stream the
-    in-process pump uses, so a socket run and an in-process run of the
-    same config produce identical transcripts whatever the channel.
+    Frames go to the session as they arrive, the signal burst as its
+    QBURST chunks.  The receiving session realizes the config's channel
+    model on the whole burst, over the same named random stream as in
+    process, so a socket run and an in-process run of the same config
+    produce identical transcripts whatever the channel.
     """
     if role == "alice":
         session: AliceSession | BobSession = AliceSession(cfg)
@@ -151,12 +154,6 @@ def serve_party(
     else:
         raise ValueError(f"unknown role {role!r}")
 
-    expect = 0
-    if role == "bob" and not isinstance(cfg.channel, IdentityChannel):
-        channel_rng = np.random.default_rng(stream_seed(cfg.seed, "eve|channel"))
-        expect = cfg.omega_size
-    pending: list[WireMessage] = []
-
     sock.settimeout(timeout)
     rfile = sock.makefile("rb")
     try:
@@ -169,17 +166,8 @@ def serve_party(
             if frame is None:
                 session._fail(ABORT_TRANSPORT, announce=False)
                 break
-            if expect and frame.tag == TAG_QSIGNAL:
-                pending.append(frame)
-                if len(pending) < expect:
-                    continue
-                frames = _transform_signals(pending, cfg.channel, channel_rng)
-                pending, expect = [], 0
-            else:
-                frames = [frame]
             try:
-                for msg in frames:
-                    send_frames(sock, session.on_message(msg))
+                send_frames(sock, session.on_message(frame))
             except OSError:
                 if not session.terminal:
                     session._fail(ABORT_TRANSPORT, announce=False)
@@ -218,16 +206,22 @@ def _proxy_channel(mode: str, p: float) -> ChannelModel | None:
     raise ValueError(f"unknown proxy mode {mode!r}")
 
 
-def _transform_signals(
-    frames: list[WireMessage], channel: ChannelModel, rng: np.random.Generator
+def _transform_burst(
+    chunks: list[WireMessage], channel: ChannelModel, rng: np.random.Generator
 ) -> list[WireMessage]:
-    heads = [f.payload[: SIGNAL_HEAD.size] for f in frames]
-    states = states_from_bytes(b"".join(f.payload[SIGNAL_HEAD.size :] for f in frames))
-    out = states_to_bytes(channel.apply_batch(states, rng))
-    return [
-        WireMessage(TAG_QSIGNAL, heads[i] + out[STATE_BYTES * i : STATE_BYTES * (i + 1)])
-        for i in range(len(frames))
-    ]
+    """The chunks of one signal burst with `channel` applied to all their
+    states in one batch; heads and chunk sizes stay as sent.  Chunks that
+    do not hold whole states go on unchanged, for the receiver to reject."""
+    bodies = [c.payload[BURST_HEAD.size :] for c in chunks]
+    if any(len(body) % STATE_BYTES for body in bodies):
+        return chunks
+    out = states_to_bytes(channel.apply_batch(states_from_bytes(b"".join(bodies)), rng))
+    transformed, at = [], 0
+    for chunk, body in zip(chunks, bodies):
+        head = chunk.payload[: BURST_HEAD.size]
+        transformed.append(WireMessage(TAG_QBURST, head + out[at : at + len(body)]))
+        at += len(body)
+    return transformed
 
 
 def eve_proxy(
@@ -270,8 +264,8 @@ def eve_proxy(
 
     def a_to_b() -> None:
         rfile = upstream.makefile("rb")
-        expected_signals = None
-        pending: list[WireMessage] = []
+        burst: list[WireMessage] = []  # chunks of the burst in flight
+        held = 0  # states in those chunks
         try:
             while True:
                 try:
@@ -280,27 +274,25 @@ def eve_proxy(
                     frame = None
                 if frame is None:
                     break
-                if frame.tag == TAG_QSIGNAL and channel is not None:
-                    pending.append(frame)
-                    if expected_signals is not None and len(pending) == expected_signals:
-                        out = _transform_signals(pending, channel, rng)
-                        record(">", out)
-                        send_frames(downstream, out)
-                        pending = []
-                    continue
-                if pending:
-                    # burst ended early; transform what arrived
-                    out = _transform_signals(pending, channel, rng)
-                    record(">", out)
-                    send_frames(downstream, out)
-                    pending = []
-                if frame.tag == 0x01 and expected_signals is None:
-                    try:
-                        expected_signals = decode_hello(frame.payload)["omega"]
-                    except Exception:
-                        expected_signals = None
-                record(">", [frame])
-                send_frames(downstream, [frame])
+                if (
+                    channel is not None
+                    and frame.tag == TAG_QBURST
+                    and len(frame.payload) >= BURST_HEAD.size
+                ):
+                    burst.append(frame)
+                    held += (len(frame.payload) - BURST_HEAD.size) // STATE_BYTES
+                    _, total = BURST_HEAD.unpack_from(frame.payload)
+                    if held < total:
+                        continue
+                    out = _transform_burst(burst, channel, rng)
+                    burst, held = [], 0
+                else:
+                    # a burst cut short goes on as it came, for the receiver
+                    # to reject
+                    out = burst + [frame]
+                    burst, held = [], 0
+                record(">", out)
+                send_frames(downstream, out)
         except OSError:
             pass
         finally:

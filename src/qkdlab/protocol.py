@@ -2,11 +2,13 @@
 
 The protocol runs as two message-driven state machines exchanging tagged
 wire messages; the transport (in-process pump here, framed sockets in
-netchan) only moves bytes.  One session: hello exchange, |Omega| signal
-emissions, then the classical announcements in fixed order: Bob's bases;
-Alice's bases and test-half choice R; Bob's key subset S; Alice's test
-bits; Bob's error rate and verdict; Bob's permutation, code choice, and
-encrypted syndrome; a keyed confirmation hash; done or abort.
+netchan) only moves bytes.  One session: hello exchange, the burst of
+|Omega| signal states (QBURST messages of up to BURST_CHUNK states each),
+which the receiver passes through the configured channel in one batch,
+then the classical announcements in fixed order: Bob's bases; Alice's
+bases and test-half choice R; Bob's key subset S; Alice's test bits; Bob's
+error rate and verdict; Bob's permutation, code choice, and encrypted
+syndrome; a keyed confirmation hash; done or abort.
 
 Randomness is split into named streams derived from one master seed
 (emission coins, subset choices, channel noise, detector outcomes, and the
@@ -28,7 +30,7 @@ import hashlib
 import math
 import random
 import struct
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,10 +47,10 @@ from .codes import (
 )
 from .gf2 import BitVec
 
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 TAG_HELLO = 0x01
-TAG_QSIGNAL = 0x02
+TAG_QBURST = 0x02
 TAG_BASES_B = 0x03
 TAG_BASES_A_AND_R = 0x04
 TAG_SUBSET_S = 0x05
@@ -63,7 +65,7 @@ TAG_DONE = 0x0D
 
 TAG_NAMES = {
     TAG_HELLO: "HELLO",
-    TAG_QSIGNAL: "QSIGNAL",
+    TAG_QBURST: "QBURST",
     TAG_BASES_B: "BASES_B",
     TAG_BASES_A_AND_R: "BASES_A_AND_R",
     TAG_SUBSET_S: "SUBSET_S",
@@ -107,6 +109,7 @@ ABORT_POOL = "pool_exhausted"
 ABORT_VERSION = "version_mismatch"
 ABORT_PHASE = "phase_order"
 ABORT_TRANSPORT = "transport_failure"
+ABORT_MALFORMED = "malformed_message"
 
 SOURCE_TOLERANCE = 1e-10
 
@@ -132,8 +135,11 @@ class WireMessage:
         return TAG_NAMES.get(self.tag, f"TAG_{self.tag:02X}")
 
 
-SIGNAL_HEAD = struct.Struct(">IB")  # signal index, null flag
+BURST_HEAD = struct.Struct(">II")  # first signal index, burst length |Omega|
 STATE_BYTES = 64  # one 2x2 complex128 density matrix, big-endian
+# states per QBURST message: 4 MiB of states, so a frame stays well under
+# netchan's 16 MiB cap at any burst length
+BURST_CHUNK = 1 << 16
 
 
 def states_from_bytes(blob: bytes) -> np.ndarray:
@@ -146,34 +152,15 @@ def states_to_bytes(states: np.ndarray) -> bytes:
     return states.reshape(len(states), 4).view(np.float64).astype(">f8").tobytes()
 
 
-class SignalBurst(Sequence[WireMessage]):
-    """The QSIGNAL messages of one emission, held as a single blob of states.
-
-    Message i carries head (i, 0) and the i-th state.  Messages are made
-    only when read, so a burst of |Omega| signals stays one bytes object
-    until a transport walks it, and the in-process pump can hand the whole
-    blob to the channel at once.
-    """
-
-    def __init__(self, states: bytes) -> None:
-        if len(states) % STATE_BYTES:
-            raise ValueError("signal blob is not a whole number of states")
-        self.states = states
-
-    def __len__(self) -> int:
-        return len(self.states) // STATE_BYTES
-
-    def _message(self, i: int) -> WireMessage:
-        state = self.states[STATE_BYTES * i : STATE_BYTES * (i + 1)]
-        return WireMessage(TAG_QSIGNAL, SIGNAL_HEAD.pack(i, 0) + state)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self._message(j) for j in range(len(self))[i]]
-        return self._message(range(len(self))[i])
-
-    def __iter__(self) -> Iterator[WireMessage]:
-        return map(self._message, range(len(self)))
+def encode_qburst(states: bytes) -> list[WireMessage]:
+    """One signal burst (packed states) as QBURST messages of at most
+    BURST_CHUNK states, each headed by its first index and the burst length."""
+    total = len(states) // STATE_BYTES
+    step = BURST_CHUNK * STATE_BYTES
+    return [
+        WireMessage(TAG_QBURST, BURST_HEAD.pack(at // STATE_BYTES, total) + states[at : at + step])
+        for at in range(0, len(states), step)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -586,8 +573,24 @@ def _pack_bits(bits: np.ndarray) -> bytes:
 
 
 def _unpack_bits(blob: bytes, count: int) -> np.ndarray:
+    if len(blob) != (count + 7) // 8:
+        raise ProtocolError(f"{len(blob)} bytes do not hold exactly {count} bits")
     arr = np.frombuffer(blob, dtype=np.uint8)
     return np.unpackbits(arr, count=count, bitorder="little")
+
+
+def _unpack(fmt: str, payload: bytes, offset: int = 0) -> tuple:
+    """struct.unpack_from that reports a payload too short for `fmt` as a
+    ProtocolError, like every other malformed message."""
+    if len(payload) < offset + struct.calcsize(fmt):
+        raise ProtocolError(f"{len(payload)} bytes too short for {fmt!r} at offset {offset}")
+    return struct.unpack_from(fmt, payload, offset)
+
+
+def _unpack_exact(fmt: str, payload: bytes) -> tuple:
+    if len(payload) != struct.calcsize(fmt):
+        raise ProtocolError(f"{len(payload)} bytes, expected {struct.calcsize(fmt)}")
+    return struct.unpack(fmt, payload)
 
 
 def encode_hello(cfg: SessionConfig, role: int) -> bytes:
@@ -603,7 +606,7 @@ def encode_hello(cfg: SessionConfig, role: int) -> bytes:
 
 
 def decode_hello(payload: bytes) -> dict:
-    version, role, n, epsilon, delta_max, omega = struct.unpack(">HBIddI", payload)
+    version, role, n, epsilon, delta_max, omega = _unpack_exact(">HBIddI", payload)
     return {
         "version": version,
         "role": role,
@@ -614,26 +617,12 @@ def decode_hello(payload: bytes) -> dict:
     }
 
 
-def encode_qsignal(index: int, state: np.ndarray) -> bytes:
-    head = SIGNAL_HEAD.pack(index, 0)
-    body = state.astype(np.complex128).view(np.float64).astype(">f8").tobytes()
-    return head + body
-
-
-def decode_qsignal(payload: bytes) -> tuple[int, np.ndarray]:
-    index, flag = SIGNAL_HEAD.unpack_from(payload)
-    if flag != 0:
-        raise ProtocolError("unexpected null signal on the wire")
-    flat = np.frombuffer(payload[SIGNAL_HEAD.size :], dtype=">f8").astype(np.float64)
-    return index, flat.view(np.complex128).reshape(2, 2)
-
-
 def encode_bases_b(symbols: np.ndarray) -> bytes:
     return struct.pack(">I", len(symbols)) + bytes(symbols.astype(np.uint8).tolist())
 
 
 def decode_bases_b(payload: bytes) -> np.ndarray:
-    (count,) = struct.unpack(">I", payload[:4])
+    (count,) = _unpack(">I", payload)
     body = np.frombuffer(payload[4:], dtype=np.uint8)
     if body.size != count:
         raise ProtocolError("basis announcement length mismatch")
@@ -646,7 +635,7 @@ def encode_bases_a_and_r(a_bits: np.ndarray, r_mask: np.ndarray) -> bytes:
 
 
 def decode_bases_a_and_r(payload: bytes) -> tuple[np.ndarray, np.ndarray]:
-    (count,) = struct.unpack(">I", payload[:4])
+    (count,) = _unpack(">I", payload)
     span = (count + 7) // 8
     body = payload[4:]
     if len(body) != 2 * span:
@@ -659,7 +648,7 @@ def encode_mask(mask: np.ndarray) -> bytes:
 
 
 def decode_mask(payload: bytes) -> np.ndarray:
-    (count,) = struct.unpack(">I", payload[:4])
+    (count,) = _unpack(">I", payload)
     return _unpack_bits(payload[4:], count)
 
 
@@ -668,7 +657,7 @@ def encode_test_bits(bits: np.ndarray) -> bytes:
 
 
 def decode_test_bits(payload: bytes) -> np.ndarray:
-    (count,) = struct.unpack(">I", payload[:4])
+    (count,) = _unpack(">I", payload)
     return _unpack_bits(payload[4:], count)
 
 
@@ -677,7 +666,7 @@ def encode_delta(delta: float, proceed: bool) -> bytes:
 
 
 def decode_delta(payload: bytes) -> tuple[float, bool]:
-    delta, flag = struct.unpack(">dB", payload)
+    delta, flag = _unpack_exact(">dB", payload)
     return delta, flag == 1
 
 
@@ -688,7 +677,7 @@ def encode_perm(perm: list[int]) -> bytes:
 
 
 def decode_perm(payload: bytes) -> list[int]:
-    (count,) = struct.unpack(">I", payload[:4])
+    (count,) = _unpack(">I", payload)
     body = payload[4:]
     if len(body) != 2 * count:
         raise ProtocolError("permutation length mismatch")
@@ -706,9 +695,12 @@ def encode_syndrome(descriptor: str, syndrome_enc: BitVec) -> bytes:
 
 
 def decode_syndrome(payload: bytes) -> tuple[str, BitVec]:
-    (dlen,) = struct.unpack(">H", payload[:2])
-    desc = payload[2 : 2 + dlen].decode()
-    (bitlen,) = struct.unpack(">I", payload[2 + dlen : 6 + dlen])
+    (dlen,) = _unpack(">H", payload)
+    (bitlen,) = _unpack(">I", payload, 2 + dlen)
+    try:
+        desc = payload[2 : 2 + dlen].decode()
+    except UnicodeDecodeError:
+        raise ProtocolError("syndrome descriptor is not text") from None
     body = payload[6 + dlen :]
     if len(body) != (bitlen + 7) // 8:
         raise ProtocolError("syndrome length mismatch")
@@ -720,8 +712,10 @@ def encode_confirm(mac: bytes) -> bytes:
 
 
 def decode_confirm(payload: bytes) -> bytes:
-    (length,) = struct.unpack(">B", payload[:1])
-    return payload[1 : 1 + length]
+    (length,) = _unpack(">B", payload)
+    if len(payload) != 1 + length:
+        raise ProtocolError("confirmation tag length mismatch")
+    return payload[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -940,6 +934,7 @@ class _Session:
         self.stats = RunStats(n=cfg.n, epsilon=cfg.epsilon, delta_max=cfg.delta_max)
         self.final_key: BitVec | None = None
         self.abort_reason: str | None = None
+        self.abort_detail: str | None = None
         self.done = False
         self.phase = "hello"
         self.pool = SecretPool(stream_seed(cfg.seed, "pool"), cfg.pool_capacity)
@@ -968,7 +963,7 @@ class _Session:
         return []
 
     def _accept_abort(self, msg: WireMessage) -> list[WireMessage]:
-        reason = msg.payload.decode() or ABORT_TRANSPORT
+        reason = msg.payload.decode(errors="replace") or ABORT_TRANSPORT
         self._record(TAG_ABORT, self.peer_name, msg.payload)
         self.abort_reason = reason
         self.stats.abort_reason = reason
@@ -979,7 +974,7 @@ class _Session:
     def _check_hello(self, msg: WireMessage, expect_role: int) -> str | None:
         try:
             hello = decode_hello(msg.payload)
-        except struct.error:
+        except ProtocolError:
             return ABORT_VERSION
         if hello["version"] != WIRE_VERSION or hello["role"] != expect_role:
             return ABORT_VERSION
@@ -1000,7 +995,11 @@ class _Session:
         handler = getattr(self, f"_phase_{self.phase}", None)
         if handler is None:
             return self._fail(ABORT_PHASE)
-        return handler(msg)
+        try:
+            return handler(msg)
+        except ProtocolError as err:
+            self.abort_detail = f"{msg.name()}: {err}"
+            return self._fail(ABORT_MALFORMED)
 
 
 class AliceSession(_Session):
@@ -1038,7 +1037,7 @@ class AliceSession(_Session):
             return self._fail(bad)
         return self._emit_signals()
 
-    def _emit_signals(self) -> SignalBurst:
+    def _emit_signals(self) -> list[WireMessage]:
         cfg = self.cfg
         m = cfg.omega_size
         src = cfg.source
@@ -1057,7 +1056,7 @@ class AliceSession(_Session):
         )
         states = lut[sent_basis, self.g_bits]
         self.phase = "await_bases"
-        return SignalBurst(states_to_bytes(states))
+        return encode_qburst(states_to_bytes(states))
 
     def _phase_await_bases(self, msg: WireMessage) -> list[WireMessage]:
         if msg.tag != TAG_BASES_B:
@@ -1137,7 +1136,7 @@ class AliceSession(_Session):
             code = code_from_descriptor(desc)
         except ValueError:
             return self._fail(ABORT_PHASE)
-        if code.n != self.cfg.n:
+        if code.n != self.cfg.n or code.descriptor() != desc:
             return self._fail(ABORT_PHASE)
         self.pa_code = code
         self.stats.r = code.k
@@ -1154,9 +1153,9 @@ class AliceSession(_Session):
             if descriptor_length(desc) != self.cfg.n:
                 return self._fail(ABORT_PHASE)
             rec = code_from_descriptor(desc)
-        except (struct.error, ValueError, ProtocolError):
+        except (ValueError, ProtocolError):
             return self._fail(ABORT_PHASE)
-        if rec.n != self.cfg.n or enc.n != rec.n - rec.k:
+        if rec.n != self.cfg.n or rec.descriptor() != desc or enc.n != rec.n - rec.k:
             return self._fail(ABORT_PHASE)
         self.stats.rec_descriptor = desc
         self.stats.tau = enc.n
@@ -1207,7 +1206,7 @@ class BobSession(_Session):
         )
         self._choice_rng = random.Random(stream_seed(cfg.seed, "bob|choice"))
         self._omega = cfg.omega_size
-        self._signal_payloads: list[bytes | None] = [None] * self._omega
+        self._chunks: list[bytes] = []
         self._received = 0
         self.b_symbols: np.ndarray | None = None
         self.h_bits: np.ndarray | None = None
@@ -1228,26 +1227,39 @@ class BobSession(_Session):
         return [WireMessage(TAG_HELLO, encode_hello(self.cfg, ROLE_BOB))]
 
     def _phase_collect(self, msg: WireMessage) -> list[WireMessage]:
-        if msg.tag != TAG_QSIGNAL:
+        """Takes the burst chunk by chunk, in order; any chunk that is not
+        the next non-empty run of whole states of this session's burst is
+        out of order."""
+        if msg.tag != TAG_QBURST or len(msg.payload) < BURST_HEAD.size:
             return self._fail(ABORT_PHASE)
-        index, flag = SIGNAL_HEAD.unpack_from(msg.payload)
-        if not 0 <= index < self._omega or flag != 0:
+        first, total = BURST_HEAD.unpack_from(msg.payload)
+        body = msg.payload[BURST_HEAD.size :]
+        count, partial = divmod(len(body), STATE_BYTES)
+        if (
+            partial
+            or count == 0
+            or first != self._received
+            or total != self._omega
+            or first + count > total
+        ):
             return self._fail(ABORT_PHASE)
-        if self._signal_payloads[index] is not None:
-            return self._fail(ABORT_PHASE)
-        self._signal_payloads[index] = msg.payload[SIGNAL_HEAD.size :]
-        self._received += 1
+        self._chunks.append(body)
+        self._received += count
         if self._received < self._omega:
             return []
         return self._measure_all()
 
     def _measure_all(self) -> list[WireMessage]:
+        """Realizes the configured channel on the whole burst, then measures."""
         m = self._omega
-        states = states_from_bytes(b"".join(self._signal_payloads))  # type: ignore[arg-type]
-        self._signal_payloads = []  # every state is in `states` now
+        cfg = self.cfg
+        states = states_from_bytes(b"".join(self._chunks))
+        self._chunks = []  # every state is in `states` now
+        eve_rng = np.random.default_rng(stream_seed(cfg.seed, "eve|channel"))
+        states = cfg.channel.apply_batch(states, eve_rng)
         rng = self._quantum_rng
         bases = rng.integers(0, 2, size=m).astype(np.uint8)
-        outcomes, detected = self.cfg.detector.measure_batch(states, bases, rng)
+        outcomes, detected = cfg.detector.measure_batch(states, bases, rng)
         self.h_bits = outcomes
         self.b_symbols = np.where(detected, bases, np.uint8(2)).astype(np.uint8)
         payload = encode_bases_b(self.b_symbols)
@@ -1363,23 +1375,16 @@ class ProtocolResult:
         return self.stats.abort_reason is not None
 
 
-def _enqueue(queue: collections.deque, sender: str, messages: Sequence[WireMessage]) -> None:
-    if isinstance(messages, SignalBurst):
-        queue.append((sender, messages))  # one entry; the pump splits it
-    else:
-        queue.extend((sender, m) for m in messages)
-
-
 def run_protocol(cfg: SessionConfig) -> ProtocolResult:
-    """Execute one full session in-process; the configured channel plays
-    the adversary/noise between the two state machines."""
+    """Execute one full session in-process; the receiver realizes the
+    configured channel, which plays the adversary/noise between the two
+    state machines."""
     alice = AliceSession(cfg)
     bob = BobSession(cfg)
-    eve_rng = np.random.default_rng(stream_seed(cfg.seed, "eve|channel"))
 
     queue: collections.deque = collections.deque()
-    _enqueue(queue, "alice", alice.start())
-    _enqueue(queue, "bob", bob.start())
+    queue.extend(("alice", m) for m in alice.start())
+    queue.extend(("bob", m) for m in bob.start())
     guard = 0
     while queue:
         guard += 1
@@ -1387,18 +1392,7 @@ def run_protocol(cfg: SessionConfig) -> ProtocolResult:
             raise ProtocolError("message pump did not terminate")
         sender, msg = queue.popleft()
         receiver = bob if sender == "alice" else alice
-        if isinstance(msg, SignalBurst):
-            # the channel acts on the whole burst in one shot; the receiver
-            # still takes the signals one message at a time
-            states = cfg.channel.apply_batch(states_from_bytes(msg.states), eve_rng)
-            replies: Sequence[WireMessage] = []
-            for out in SignalBurst(states_to_bytes(states)):
-                replies = receiver.on_message(out)
-                if replies:
-                    break
-            _enqueue(queue, receiver.role_name, replies)
-            continue
-        _enqueue(queue, receiver.role_name, receiver.on_message(msg))
+        queue.extend((receiver.role_name, m) for m in receiver.on_message(msg))
 
     if alice.stats.abort_reason and not bob.stats.abort_reason:
         stats = alice.stats

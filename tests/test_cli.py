@@ -307,6 +307,12 @@ def test_audit_rejects_bad_attack_and_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_audit_code_length_must_match_n(capsys):
+    argv = ["audit", "--n", "4", "--attack", "identity", "--code", "repetition:n=9"]
+    assert main(argv) == EXIT_CONFIG
+    assert "code length 9 != --n 4" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # networked subcommands
 

@@ -24,14 +24,22 @@ from qkdlab.netchan import (
 )
 from qkdlab.protocol import (
     ABORT_DELTA,
+    ABORT_PHASE,
     ABORT_TRANSPORT,
     ABORT_VERSION,
+    BURST_CHUNK,
+    ROLE_ALICE,
+    TAG_ABORT,
+    TAG_HELLO,
+    TAG_QBURST,
     DepolarizingChannel,
+    DetectorModel,
     InterceptResendChannel,
     ProtocolError,
     SecretPool,
     SessionConfig,
     WireMessage,
+    encode_hello,
     run_protocol,
     stream_seed,
 )
@@ -181,6 +189,62 @@ def test_depolarize_proxy_reproduces_in_process_noise_exactly():
     assert out["bob"].transcript == ref.transcript
 
 
+@pytest.mark.parametrize(
+    "channel, proxy",
+    [(InterceptResendChannel(), None), (DepolarizingChannel(0.1), dict(mode="depolarize", p=0.1))],
+    ids=["intercept_resend", "depolarizing"],
+)
+def test_two_chunk_burst_same_in_process_over_sockets_and_through_proxy(channel, proxy):
+    detector = DetectorModel(0.3)
+    cfg = SessionConfig(n=2048, epsilon=0.35, seed=2, detector=detector, channel=channel)
+    assert BURST_CHUNK < cfg.omega_size <= 2 * BURST_CHUNK
+    ref = run_protocol(cfg)
+    runs = [_loopback(cfg)]
+    if proxy is not None:
+        clean = SessionConfig(n=2048, epsilon=0.35, seed=2, detector=detector)
+        runs.append(_loopback(clean, proxy=dict(proxy, seed=2)))
+    for out in runs:
+        assert out["alice"].transcript == out["bob"].transcript == ref.transcript
+        assert out["bob"].final_key == ref.bob_key
+        assert out["bob"].abort_reason == ref.stats.abort_reason
+
+
+@pytest.mark.parametrize("payload", [b"\x00" * 5, b"\x00" * 8 + b"\x01" * 63])
+def test_proxy_forwards_a_malformed_burst_for_the_receiver_to_reject(payload):
+    cfg = SessionConfig(n=16, epsilon=0.35, seed=0)
+    bob_listener, eve_listener = open_listener(), open_listener()
+    outcome = {}
+    bob = threading.Thread(
+        target=lambda: outcome.setdefault(
+            "bob", serve_party(cfg, "bob", listener=bob_listener, timeout=10.0)
+        ),
+        daemon=True,
+    )
+    eve = threading.Thread(
+        target=eve_proxy,
+        kwargs=dict(
+            listener=eve_listener,
+            forward=("127.0.0.1", bob_listener.getsockname()[1]),
+            mode="depolarize",
+            timeout=10.0,
+        ),
+        daemon=True,
+    )
+    bob.start()
+    eve.start()
+    with socket.create_connection(eve_listener.getsockname(), timeout=10.0) as sock:
+        hello = WireMessage(TAG_HELLO, encode_hello(cfg, ROLE_ALICE))
+        send_frames(sock, [hello, WireMessage(TAG_QBURST, payload)])
+        rfile = sock.makefile("rb")
+        assert recv_frame(rfile).tag == TAG_HELLO
+        assert recv_frame(rfile) == WireMessage(TAG_ABORT, ABORT_PHASE.encode())
+        rfile.close()
+    bob.join(10.0)
+    eve.join(10.0)
+    assert not bob.is_alive() and not eve.is_alive()
+    assert outcome["bob"].abort_reason == ABORT_PHASE
+
+
 _DYING_PEER = r"""
 import os
 from qkdlab.netchan import open_listener, recv_frame, send_frames
@@ -193,8 +257,7 @@ rfile = sock.makefile("rb")
 recv_frame(rfile)  # the opening announcement
 cfg = SessionConfig(n=64, epsilon=0.35, seed=2)
 send_frames(sock, [WireMessage(0x01, encode_hello(cfg, ROLE_BOB))])
-for _ in range(50):
-    recv_frame(rfile)
+recv_frame(rfile)  # the signal burst, one QBURST frame
 os._exit(1)
 """
 

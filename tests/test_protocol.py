@@ -6,29 +6,43 @@ configured sizes, with fixed seeds throughout; nothing here should flake.
 
 from __future__ import annotations
 
+import collections
+import functools
 import math
 import random
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qkdlab.protocol as protocol_module
 from qkdlab.codes import code_from_descriptor
 from qkdlab.gf2 import BitVec
 from qkdlab.protocol import (
     ABORT_CONFIRM,
     ABORT_DELTA,
+    ABORT_MALFORMED,
     ABORT_PHASE,
     ABORT_POOL,
     ABORT_RECONCILE,
     ABORT_SIFT,
     ABORT_SOURCE,
     ABORT_VERSION,
+    BURST_HEAD,
     ROLE_ALICE,
     ROLE_BOB,
     TAG_ABORT,
+    TAG_BASES_A_AND_R,
+    TAG_BASES_B,
+    TAG_DELTA_DECISION,
+    TAG_HELLO,
+    TAG_NAMES,
     TAG_PERM,
-    TAG_QSIGNAL,
+    TAG_QBURST,
+    TAG_SUBSET_S,
+    TAG_TEST_BITS,
     AliceSession,
     BobSession,
     CustomUnitaryChannel,
@@ -55,14 +69,13 @@ from qkdlab.protocol import (
     decode_delta,
     decode_hello,
     decode_perm,
-    decode_qsignal,
     decode_syndrome,
     encode_bases_a_and_r,
     encode_bases_b,
     encode_delta,
     encode_hello,
     encode_perm,
-    encode_qsignal,
+    encode_qburst,
     encode_syndrome,
     estimate_error,
     randomize_key,
@@ -71,6 +84,8 @@ from qkdlab.protocol import (
     run_protocol3,
     sift,
     source_from_config,
+    states_from_bytes,
+    states_to_bytes,
     stream_seed,
 )
 
@@ -285,14 +300,15 @@ def test_hello_roundtrip():
     assert got["epsilon"] == 0.35 and got["delta_max"] == cfg.delta_max
 
 
-def test_qsignal_roundtrip():
+def test_qburst_roundtrip():
     rng = np.random.default_rng(6)
-    v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    v /= np.linalg.norm(v)
-    state = np.outer(v, v.conj())
-    index, back = decode_qsignal(encode_qsignal(17, state))
-    assert index == 17
-    assert np.max(np.abs(back - state)) < 1e-15
+    v = rng.normal(size=(17, 2)) + 1j * rng.normal(size=(17, 2))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    states = np.einsum("mi,mj->mij", v, v.conj())
+    (msg,) = encode_qburst(states_to_bytes(states))
+    assert msg.tag == TAG_QBURST
+    assert BURST_HEAD.unpack_from(msg.payload) == (0, 17)
+    assert np.array_equal(states_from_bytes(msg.payload[BURST_HEAD.size :]), states)
 
 
 def test_bases_roundtrips():
@@ -638,7 +654,7 @@ def test_out_of_phase_message_aborts():
     assert alice.abort_reason == ABORT_PHASE
     assert out and out[0].tag == TAG_ABORT
     bob = BobSession(cfg)
-    bob.on_message(WireMessage(TAG_QSIGNAL, b"\x00" * 69))
+    bob.on_message(WireMessage(TAG_QBURST, b"\x00" * 72))
     assert bob.abort_reason == ABORT_PHASE
 
 
@@ -716,6 +732,143 @@ def test_malformed_syndrome_payload_aborts(cut):
         cfg, res.transcript, swap_step="SYNDROME_ENC", swap_payload=cut(genuine)
     )
     assert alice.abort_reason == ABORT_PHASE
+
+
+# ---------------------------------------------------------------------------
+# hostile input: every byte string from the peer ends in a named abort
+
+
+def _pump_with(cfg, rewrite):
+    """Run a session in process, handing each message to
+    `rewrite(index, msg)`, which returns the messages delivered in its
+    place.  Returns both sessions once the queue drains."""
+    alice, bob = AliceSession(cfg), BobSession(cfg)
+    queue = collections.deque(("alice", m) for m in alice.start())
+    index = 0
+    while queue:
+        sender, msg = queue.popleft()
+        receiver = bob if sender == "alice" else alice
+        for out in rewrite(index, msg):
+            queue.extend((receiver.role_name, m) for m in receiver.on_message(out))
+        index += 1
+    return alice, bob
+
+
+_FUZZ_CFG = _noiseless_cfg(seed=13)
+
+
+@functools.cache
+def _honest_messages() -> tuple[WireMessage, ...]:
+    sent = []
+    _pump_with(_FUZZ_CFG, lambda i, msg: sent.append(msg) or [msg])
+    return tuple(sent)
+
+
+def test_honest_session_sends_one_burst_message():
+    names = " ".join(m.name() for m in _honest_messages())
+    assert names == (
+        "HELLO HELLO QBURST BASES_B BASES_A_AND_R SUBSET_S TEST_BITS"
+        " DELTA_DECISION PERM CODE SYNDROME_ENC KEY_CONFIRM DONE"
+    )
+
+
+@pytest.mark.parametrize(
+    "tag",
+    [TAG_BASES_B, TAG_BASES_A_AND_R, TAG_SUBSET_S, TAG_TEST_BITS, TAG_DELTA_DECISION, TAG_PERM],
+)
+def test_one_byte_payload_is_a_malformed_message(tag):
+    def rewrite(i, msg):
+        return [WireMessage(tag, b"\x01")] if msg.tag == tag else [msg]
+
+    alice, bob = _pump_with(_FUZZ_CFG, rewrite)
+    assert alice.abort_reason == bob.abort_reason == ABORT_MALFORMED
+    receiver = bob if tag in (TAG_BASES_A_AND_R, TAG_TEST_BITS) else alice
+    assert receiver.abort_detail.startswith(TAG_NAMES[tag] + ":")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    cut=st.integers(1, 80),
+    tail=st.binary(min_size=1, max_size=80),
+    extend=st.booleans(),
+)
+def test_truncated_or_extended_message_ends_in_named_abort(data, cut, tail, extend):
+    honest = _honest_messages()
+    # the last message, DONE, arrives after Alice has finished
+    index = data.draw(st.integers(0, len(honest) - 2), label="index")
+
+    def rewrite(i, msg):
+        if i != index:
+            return [msg]
+        payload = msg.payload + tail if extend else msg.payload[:-cut]
+        return [WireMessage(msg.tag, payload)]
+
+    alice, bob = _pump_with(_FUZZ_CFG, rewrite)
+    if not (alice.terminal or bob.terminal):
+        # a burst cut at a state boundary reads as one still in flight; over
+        # a socket the wait ends in a transport abort
+        assert honest[index].tag == TAG_QBURST and not extend and cut % 64 == 0
+        assert (alice.phase, bob.phase) == ("await_bases", "collect")
+        return
+    assert alice.abort_reason == bob.abort_reason
+    assert alice.abort_reason in (ABORT_PHASE, ABORT_MALFORMED, ABORT_VERSION)
+    assert alice.final_key is None and bob.final_key is None
+
+
+def _burst_rewrite(hostile):
+    return lambda i, msg: hostile(msg) if msg.tag == TAG_QBURST else [msg]
+
+
+def _reheaded(msg, first, total):
+    return WireMessage(TAG_QBURST, BURST_HEAD.pack(first, total) + msg.payload[BURST_HEAD.size :])
+
+
+@pytest.mark.parametrize(
+    "hostile",
+    [
+        lambda m: [_reheaded(m, 1, _FUZZ_CFG.omega_size)],  # wrong first index
+        lambda m: [_reheaded(m, 0, _FUZZ_CFG.omega_size + 1)],  # wrong total
+        lambda m: [WireMessage(TAG_QBURST, m.payload[:-1])],  # a partial state
+        lambda m: [WireMessage(TAG_QBURST, m.payload[: BURST_HEAD.size])],  # empty body
+        lambda m: [WireMessage(TAG_QBURST, m.payload[:5])],  # short head
+        lambda m: [m, m],  # a chunk after the burst is complete
+        lambda m: [WireMessage(TAG_QBURST, m.payload + m.payload[-64:])],  # overrun
+    ],
+    ids=["first", "total", "partial", "empty", "head", "after", "overrun"],
+)
+def test_hostile_burst_chunk_is_out_of_order(hostile):
+    alice, bob = _pump_with(_FUZZ_CFG, _burst_rewrite(hostile))
+    assert alice.abort_reason == bob.abort_reason == ABORT_PHASE
+
+
+def test_repeated_chunk_of_a_chunked_burst_is_out_of_order(monkeypatch):
+    monkeypatch.setattr(protocol_module, "BURST_CHUNK", 16)
+    seen = []
+
+    def hostile(msg):
+        seen.append(msg)
+        return [seen[0]]  # every chunk replaced by the first
+
+    alice, bob = _pump_with(_FUZZ_CFG, _burst_rewrite(hostile))
+    assert alice.abort_reason == bob.abort_reason == ABORT_PHASE
+
+
+@pytest.mark.parametrize("sender", [0, 1])
+def test_version_1_hello_is_a_version_mismatch(sender):
+    def rewrite(i, msg):
+        if i != sender:
+            return [msg]
+        return [WireMessage(TAG_HELLO, (1).to_bytes(2, "big") + msg.payload[2:])]
+
+    alice, bob = _pump_with(_FUZZ_CFG, rewrite)
+    assert alice.abort_reason == bob.abort_reason == ABORT_VERSION
+
+
+def test_abort_with_undecodable_reason_still_aborts():
+    bob = BobSession(_FUZZ_CFG)
+    bob.on_message(WireMessage(TAG_ABORT, b"\xff\xfe"))
+    assert bob.aborted and bob.final_key is None
 
 
 def test_stats_row_matches_field_order():

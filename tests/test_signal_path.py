@@ -1,5 +1,5 @@
-"""The signal path: emission as one burst, vectorized sifting, and the
-linear-time BitVec constructors the key-material steps use.
+"""The signal path: emission as one chunked QBURST burst, vectorized
+sifting, and the linear-time BitVec constructors the key-material steps use.
 
 Each fast route is checked against the element-by-element definition it
 replaces; end-to-end byte equality is covered by the golden transcripts.
@@ -12,19 +12,22 @@ import random
 import numpy as np
 import pytest
 
+from qkdlab import protocol
 from qkdlab.gf2 import BitVec
+from qkdlab.netchan import MAX_FRAME
 from qkdlab.protocol import (
+    BURST_CHUNK,
+    BURST_HEAD,
     ROLE_BOB,
-    SIGNAL_HEAD,
+    STATE_BYTES,
     TAG_HELLO,
-    TAG_QSIGNAL,
+    TAG_QBURST,
     AliceSession,
+    DepolarizingChannel,
     SessionConfig,
-    SignalBurst,
     WireMessage,
-    decode_qsignal,
     encode_hello,
-    encode_qsignal,
+    encode_qburst,
     estimate_error,
     run_protocol,
     sift,
@@ -33,7 +36,7 @@ from qkdlab.protocol import (
 )
 
 
-def _emitted(n: int = 16, seed: int = 5) -> tuple[SessionConfig, SignalBurst]:
+def _emitted(n: int = 16, seed: int = 5) -> tuple[SessionConfig, list[WireMessage]]:
     cfg = SessionConfig(n=n, epsilon=0.35, seed=seed)
     alice = AliceSession(cfg)
     alice.start()
@@ -42,35 +45,47 @@ def _emitted(n: int = 16, seed: int = 5) -> tuple[SessionConfig, SignalBurst]:
 
 def test_burst_messages_are_the_wire_signals():
     cfg, burst = _emitted()
-    assert isinstance(burst, SignalBurst)
-    assert len(burst) == cfg.omega_size
-    for i, msg in enumerate(burst):
-        assert msg.tag == TAG_QSIGNAL
-        index, state = decode_qsignal(msg.payload)
-        assert index == i
-        assert msg.payload == encode_qsignal(i, state)
-        assert msg == burst[i]
+    (msg,) = burst
+    assert msg.tag == TAG_QBURST
+    assert BURST_HEAD.unpack_from(msg.payload) == (0, cfg.omega_size)
+    body = msg.payload[BURST_HEAD.size :]
+    assert len(body) == STATE_BYTES * cfg.omega_size
+    assert encode_qburst(body) == burst
 
 
-def test_burst_indexing_follows_sequence_rules():
-    _, burst = _emitted()
-    m = len(burst)
-    assert burst[-1] == burst[m - 1]
-    assert burst[2:5] == [burst[2], burst[3], burst[4]]
-    assert burst[::-7] == list(burst)[::-7]
-    with pytest.raises(IndexError):
-        burst[m]
-    with pytest.raises(ValueError):
-        SignalBurst(b"\x00" * 65)
+def test_burst_chunks_carry_their_first_index_and_the_burst_length(monkeypatch):
+    _, (msg,) = _emitted()
+    blob = msg.payload[BURST_HEAD.size :]
+    total = len(blob) // STATE_BYTES
+    monkeypatch.setattr(protocol, "BURST_CHUNK", 10)
+    chunks = encode_qburst(blob)
+    assert len(chunks) == -(-total // 10)
+    heads = [BURST_HEAD.unpack_from(c.payload) for c in chunks]
+    assert heads == [(first, total) for first in range(0, total, 10)]
+    assert b"".join(c.payload[BURST_HEAD.size :] for c in chunks) == blob
+    assert all(len(c.payload) <= BURST_HEAD.size + 10 * STATE_BYTES for c in chunks)
+
+
+def test_a_full_chunk_fits_in_one_frame():
+    assert 1 + BURST_HEAD.size + BURST_CHUNK * STATE_BYTES <= MAX_FRAME
+
+
+def test_chunk_size_does_not_change_the_session(monkeypatch):
+    cfg = SessionConfig(n=64, epsilon=0.35, seed=3, channel=DepolarizingChannel(0.1))
+    whole = run_protocol(cfg)
+    monkeypatch.setattr(protocol, "BURST_CHUNK", 7)
+    chunked = run_protocol(cfg)
+    assert chunked.transcript == whole.transcript
+    assert chunked.bob_key == whole.bob_key and chunked.stats.delta == whole.stats.delta
 
 
 def test_state_blob_round_trip():
-    _, burst = _emitted()
-    states = states_from_bytes(burst.states)
-    assert states.shape == (len(burst), 2, 2)
-    assert states_to_bytes(states) == burst.states
-    body = burst[3].payload[SIGNAL_HEAD.size :]
-    assert np.array_equal(states_from_bytes(body)[0], states[3])
+    _, (msg,) = _emitted()
+    blob = msg.payload[BURST_HEAD.size :]
+    states = states_from_bytes(blob)
+    assert states.shape == (len(blob) // STATE_BYTES, 2, 2)
+    assert states_to_bytes(states) == blob
+    assert np.array_equal(states_from_bytes(blob[3 * STATE_BYTES : 4 * STATE_BYTES])[0], states[3])
 
 
 def _sift_by_definition(a_bits, b_symbols, r_mask, n, rng):
