@@ -107,29 +107,27 @@ def empirical_sampling_check(
 ) -> float:
     """Monte-Carlo frequency of the sampling failure event.
 
-    Each trial draws a 2n-bit error pattern with independent per-bit rate
-    delta, splits it at random into a tested half T and a kept half S of n
-    bits each, and records a failure when T shows an error rate at most delta
-    while S carries more than n*(delta+epsilon) errors.  Returns the observed
-    frequency; raises SamplingBoundExceeded if it lands above
-    max(sampling_bound, 10/trials), the analytic envelope padded by the
+    A trial is a 2n-bit error pattern with independent per-bit rate delta,
+    split at random into a tested half T and a kept half S of n bits each;
+    it fails when T shows an error rate at most delta while S carries more
+    than n*(delta+epsilon) errors.  Only the two counts matter, so no
+    pattern is built: a trial draws the total count k ~ Binomial(2n, delta)
+    and T's share t ~ Hypergeometric(k, 2n - k, n), and S gets k - t.  That
+    is the law of shuffling the pattern and cutting it in half: a uniformly
+    random half of any fixed pattern with k errors holds t of them with the
+    hypergeometric probability, and the pattern enters only through k.
+
+    Returns the observed frequency; raises SamplingBoundExceeded if it lands
+    above max(sampling_bound, 10/trials), the analytic envelope padded by the
     resolution floor of the experiment itself.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
     rng = np.random.default_rng(seed)
-    freq_num = 0
-    batch = 20000
-    done = 0
-    while done < trials:
-        m = min(batch, trials - done)
-        bits = (rng.random((m, 2 * n)) < delta).astype(np.uint8)
-        bits = rng.permuted(bits, axis=1)
-        t_err = bits[:, :n].sum(axis=1)
-        s_err = bits[:, n:].sum(axis=1)
-        freq_num += int(((t_err <= delta * n) & (s_err > n * (delta + epsilon))).sum())
-        done += m
-    freq = freq_num / trials
+    k = rng.binomial(2 * n, delta, size=trials)
+    t_err = rng.hypergeometric(k, 2 * n - k, n)
+    s_err = k - t_err
+    freq = int(((t_err <= delta * n) & (s_err > n * (delta + epsilon))).sum()) / trials
     envelope = max(sampling_bound(n, delta, epsilon), 10.0 / trials)
     if freq > envelope:
         raise SamplingBoundExceeded(

@@ -1213,6 +1213,8 @@ class BobSession(_Session):
         self.test_set: tuple[int, ...] = ()
         self.key_set: tuple[int, ...] = ()
         self.kappa: BitVec | None = None
+        # released on DONE: Alice may abort silently on a flipped DELTA_DECISION
+        self._pending_key: BitVec | None = None
 
     def start(self) -> list[WireMessage]:
         return []
@@ -1345,13 +1347,14 @@ class BobSession(_Session):
         payload = encode_confirm(_confirm_mac(confirm_key, self.kappa))
         self._record(TAG_KEY_CONFIRM, "bob", payload)
         out.append(WireMessage(TAG_KEY_CONFIRM, payload))
-        self.final_key = pa.coset_key(self.kappa)
+        self._pending_key = pa.coset_key(self.kappa)
         self.phase = "await_done"
         return out
 
     def _phase_await_done(self, msg: WireMessage) -> list[WireMessage]:
         if msg.tag != TAG_DONE:
             return self._fail(ABORT_PHASE)
+        self.final_key = self._pending_key
         self.done = True
         self.phase = "finished"
         return []

@@ -259,8 +259,11 @@ def error_reversal_check(circuit: KeyCircuit, x: BitVec) -> float:
 
 
 def _signal_permutation_indices(n_total: int, n_s: int, pi) -> np.ndarray:
-    mapping = list(pi) + list(range(n_s, n_total))
-    return qubit_map_indices(n_total, mapping)
+    """qubit_map_indices(n_total, [*pi, n_s, ..., n_total - 1]), from the 2^n_s table."""
+    sig = (1 << n_s) - 1
+    table = qubit_map_indices(n_s, pi)
+    idx = np.arange(1 << n_total, dtype=np.int64)
+    return table[idx & sig] | (idx & ~sig)
 
 
 def symmetrize(
@@ -491,7 +494,8 @@ def audit_protocol3(
             out = np.empty_like(vec)
             out[ext_perm] = vec
             view = out.reshape(1 << n, 1 << r, 1 << n)  # ancillas, Q, S
-            acc += np.einsum("eqs,eps->qp", view, view.conj())
+            m = view.transpose(1, 0, 2).reshape(1 << r, -1)
+            acc += m @ m.conj().T
 
     kept_total /= len(blocks)
     eta = 1.0 - kept_total

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -196,6 +197,33 @@ def test_empirical_check_envelope_grid():
     for n, delta, eps in [(50, 0.25, 0.05), (100, 0.1, 0.03), (200, 0.05, 0.1)]:
         freq = empirical_sampling_check(10_000, n, delta, eps, seed=5)
         assert freq <= max(sampling_bound(n, delta, eps), 10.0 / 10_000)
+
+
+def test_empirical_check_matches_exact_failure_probability():
+    # T and S are independent Bin(n, delta) counts under the sampling model,
+    # so the failure probability is a product of two binomial tails.
+    trials, n, delta, eps = 200_000, 60, 0.15, 0.02
+
+    def pmf(j):
+        return math.comb(n, j) * delta**j * (1 - delta) ** (n - j)
+
+    low = sum(pmf(j) for j in range(n + 1) if j <= delta * n)
+    high = sum(pmf(j) for j in range(n + 1) if j > n * (delta + eps))
+    p = low * high
+    freq = empirical_sampling_check(trials, n, delta, eps, seed=11)
+    assert abs(freq - p) <= 5 * math.sqrt(p * (1 - p) / trials)
+
+
+def test_empirical_check_memory_does_not_grow_with_n():
+    # Two counts per trial: 200 000 trials at n=1024 used to mean 330 MB
+    # batches of per-bit floats.
+    tracemalloc.start()
+    try:
+        empirical_sampling_check(200_000, 1024, 0.05, 0.05, seed=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_empirical_check_domain():

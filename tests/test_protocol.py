@@ -865,6 +865,23 @@ def test_version_1_hello_is_a_version_mismatch(sender):
     assert alice.abort_reason == bob.abort_reason == ABORT_VERSION
 
 
+def test_flipped_delta_decision_leaves_neither_party_a_key(monkeypatch):
+    # Bob proceeds, but the flag reaching Alice says "do not": she aborts
+    # without a word, so Bob never gets DONE and must not release his key.
+    honest = AliceSession.on_message
+
+    def on_message(self, msg):
+        if msg.tag == TAG_DELTA_DECISION:
+            msg = WireMessage(msg.tag, msg.payload[:-1] + bytes([msg.payload[-1] ^ 1]))
+        return honest(self, msg)
+
+    monkeypatch.setattr(AliceSession, "on_message", on_message)
+    res = run_protocol(_noiseless_cfg(seed=3))
+    assert res.alice.abort_reason == ABORT_DELTA
+    assert res.bob.phase == "await_done"
+    assert res.alice_key is None and res.bob_key is None
+
+
 def test_abort_with_undecodable_reason_still_aborts():
     bob = BobSession(_FUZZ_CFG)
     bob.on_message(WireMessage(TAG_ABORT, b"\xff\xfe"))

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from qkdlab.bounds import binary_entropy
-from qkdlab.codes import CorrectableSet, hamming, repetition
+from qkdlab.codes import CorrectableSet, code_from_descriptor, hamming, repetition
 from qkdlab.gf2 import BitVec
 from qkdlab.qsim import (
     DensityMatrix,
     StateVector,
+    _signal_permutation_indices,
     audit_protocol3,
     basis_state,
     build_key_circuit,
@@ -99,6 +100,16 @@ def test_qubit_map_indices():
     assert list(swapped) == [0, 2, 1, 3]
     with pytest.raises(ValueError):
         qubit_map_indices(2, [0, 0])
+
+
+@pytest.mark.parametrize("n_s", range(5))
+@pytest.mark.parametrize("spectators", range(6))
+def test_signal_permutation_indices_keep_the_spectators(n_s, spectators):
+    n_total = n_s + spectators
+    rest = list(range(n_s, n_total))
+    for pi in itertools.permutations(range(n_s)):
+        expect = qubit_map_indices(n_total, list(pi) + rest)
+        assert np.array_equal(_signal_permutation_indices(n_total, n_s, pi), expect)
 
 
 def test_partial_trace_product():
@@ -421,35 +432,62 @@ def test_audit_entropy_floor_fails_only_in_abort_regime():
     assert rep.key_entropy < rep.key_entropy_floor
 
 
-def test_audit_dense_pipeline_cross_check():
-    # Rebuild one audit with plain dense density matrices, starting from a
+# the original hand-checked case, one with complex amplitudes (every shipped
+# attack is real), and the eight audits the benchmark's audit_bounds runs
+DENSE_CROSS_CHECK = [
+    ("rotation:theta=0.5", rotation_attack(0.5), "repetition:n=3"),
+    (
+        "phased_entangle",
+        np.diag(np.exp(1j * np.array([0.0, 0.4, 1.1, 2.0]))) @ entangle_attack(0.6, 0.2),
+        "hamming_blocks:n=4",
+    ),
+    *(
+        (name, attack, desc)
+        for name, attack in (
+            ("identity", identity_attack()),
+            ("rotation:theta=0.3", rotation_attack(0.3)),
+            ("swap", swap_attack()),
+            ("entangle:alpha=0.3,beta=0.2", entangle_attack(0.3, 0.2)),
+        )
+        for desc in ("repetition:n=4", "hamming_blocks:n=4")
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "attack,desc",
+    [case[1:] for case in DENSE_CROSS_CHECK],
+    ids=[f"{name}-{desc}" for name, _, desc in DENSE_CROSS_CHECK],
+)
+def test_audit_dense_pipeline_cross_check(attack, desc):
+    # Rebuild the audit with plain dense density matrices, starting from a
     # hand-assembled product state, and compare eta and rho_Q entry-wise.
-    theta = 0.5
-    code = repetition(3)
-    attack = rotation_attack(theta)
-    rep = audit_protocol3(attack, 3, code)
+    code = code_from_descriptor(desc)
+    rep = audit_protocol3(attack, code.n, code)
 
     chi = attack[:, 0]
-    n, r, total = 3, 1, 7
+    n, r = code.n, code.k
+    total = 2 * n + r
     amps = np.zeros(1 << total, dtype=np.complex128)
     for i in range(1 << total):
-        a = 1.0 / math.sqrt(2)  # ancilla Q in |0>_X
+        a = 1.0 / math.sqrt(1 << r)  # ancilla Q in |0>_X
         for s in range(n):
             s_bit = (i >> s) & 1
             e_bit = (i >> (n + r + s)) & 1
             a *= chi[s_bit + 2 * e_bit]
         amps[i] = a
-    rho = StateVector(amps).density()
+    # Nothing below acts on the adversary's ancillas (the top n qubits), so
+    # trace them out first: rho[a, b] = sum_e psi[e, a] psi[e, b]^*.  That
+    # keeps the [4,4]-code cases at 256x256 instead of 4096x4096.
+    psi = amps.reshape(1 << n, 1 << (n + r))
+    rho = DensityMatrix(psi.T @ psi.conj())
     rho_s = symmetrize(rho, n)
     _, eta = project_correctable(rho_s, code.correctable_set())
     assert abs(eta - rep.eta) < 1e-10
 
     circuit = build_key_circuit(code)
-    idx = np.arange(1 << total, dtype=np.int64)
-    low = idx & ((1 << (n + r)) - 1)
-    ext = circuit.perm[low] | (idx & ~((1 << (n + r)) - 1))
-    rho_out = rho_s.apply_permutation(ext)
-    rho_q = rho_out.partial_trace([n])
+    rho_out = rho_s.apply_permutation(circuit.perm)
+    rho_q = rho_out.partial_trace(range(n, n + r))
     assert np.allclose(rho_q.mat, rep.rho_q, atol=1e-10)
 
 
