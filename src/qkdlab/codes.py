@@ -14,8 +14,10 @@ scale (n up to ~25).
 
 Protocol-size codes are BlockCodes: direct sums of small inner codes that
 are built and checked once per process, plus trivial [n, n] and [n, 0]
-codes that act on words directly.  Every BlockCode operation works block by
-block, so building and using one costs time linear in n; the global n-by-k
+codes that act on words directly.  A BlockCode works on numpy bit arrays,
+one run of equal inner codes at a time: each map is one reshape and one
+mod-2 matmul per run with the inner code's cached generator or parity
+check, so building and using one costs time linear in n; the global n-by-k
 generator is assembled only when a caller reads `gen`.
 """
 
@@ -26,9 +28,10 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .bounds import binary_entropy
+import numpy as np
+
 from .gf2 import BitVec, DimensionError, GF2Matrix
 
 LEADER_TABLE_LIMIT = 14  # build syndrome tables up to 2^14 cosets
@@ -40,37 +43,12 @@ class DecodingFailure(RuntimeError):
     """Syndrome had no error pattern within the decoder radius."""
 
 
-class InfeasibleParameters(ValueError):
-    """No code with the requested rate and correction power at this length."""
-
-
 def _lex_key(value: int, k: int) -> int:
     """Order key under which messages sort lexicographically by component."""
     out = 0
     for j in range(k):
         out |= ((value >> j) & 1) << (k - 1 - j)
     return out
-
-
-def _split(value: int, widths: list[int]) -> list[int]:
-    """Consecutive fields of a packed word, lowest components first.
-
-    Goes through one bit string, so cutting an n-bit word into many blocks
-    costs time linear in n (shifting the whole int per block would not).
-    """
-    bits = format(value, "b")[::-1]
-    out = []
-    off = 0
-    for w in widths:
-        out.append(int(bits[off : off + w][::-1] or "0", 2))
-        off += w
-    return out
-
-
-def _join(fields: list[int], widths: list[int]) -> int:
-    """Inverse of _split: fields laid out contiguously, the first lowest."""
-    bits = "".join(format(f, f"0{w}b")[::-1] for f, w in zip(fields, widths) if w)
-    return int(bits[::-1] or "0", 2)
 
 
 @dataclass(frozen=True)
@@ -143,12 +121,7 @@ class LinearCode:
         self._parity: GF2Matrix | None = None
         self._codewords: list[int] | None = None
         self._leaders: dict[int, list[int]] | None = None
-        self._msg_rows: list[int] | None = None
-        self._msg_inv: GF2Matrix | None = None
-
-    @functools.cached_property
-    def _gen_t(self) -> GF2Matrix:
-        return self.gen.transpose()
+        self._msg_map: GF2Matrix | None = None
 
     def __repr__(self) -> str:
         return f"LinearCode({self.name!r}, n={self.n}, k={self.k}, t={self.decoder_radius})"
@@ -157,24 +130,73 @@ class LinearCode:
         return isinstance(other, LinearCode) and self.gen == other.gen
 
     # -- linear maps ---------------------------------------------------------
+    # Each map cuts the word into one (count, width) bit array per run of
+    # equal inner codes (a plain code is one run of one block), sends every
+    # run through its code's `_rows`, and lays the results out in order.
+
+    @property
+    def _runs(self) -> list[tuple[LinearCode, int]]:
+        return [(self, 1)]
+
+    def _cut(self, v: BitVec, width: Callable[[LinearCode], int]) -> list[np.ndarray]:
+        total = sum(width(c) * count for c, count in self._runs)
+        if v.n != total:
+            raise DimensionError(f"word length {v.n} != {total}")
+        bits, out, off = v.to_array(), [], 0
+        for c, count in self._runs:
+            out.append(bits[off : off + count * width(c)].reshape(count, width(c)))
+            off += count * width(c)
+        return out
+
+    def _map(self, op: str, v: BitVec, width: Callable[[LinearCode], int]) -> BitVec:
+        runs = zip(self._runs, self._cut(v, width))
+        return _lay_out([c._rows(op, blocks) for (c, _), blocks in runs])
+
+    @functools.cached_property
+    def _bit_matrices(self) -> dict[str, np.ndarray]:
+        """Generator and parity check as uint8 arrays, each oriented so that
+        map(block) = block @ matrix mod 2."""
+        gen = _bit_array(self.gen)
+        parity = _bit_array(self.parity_check())
+        return {"encode": gen.T, "coset_key": gen, "syndrome": parity.T}
+
+    def _rows(self, op: str, blocks: np.ndarray) -> np.ndarray:
+        """The map `op` on every row of a (count, width) bit array."""
+        return (blocks @ self._bit_matrices[op]) & 1
 
     def encode(self, y: BitVec) -> BitVec:
         """Codeword G y for a k-bit message."""
-        return self.gen.apply(y)
+        return self._map("encode", y, lambda c: c.k)
 
     def coset_key(self, kappa: BitVec) -> BitVec:
         """k-bit key G^T kappa of an n-bit string; constant on dual cosets."""
-        return self._gen_t.apply(kappa)
+        return self._map("coset_key", kappa, lambda c: c.n)
+
+    def syndrome(self, v: BitVec) -> BitVec:
+        return self._map("syndrome", v, lambda c: c.n)
+
+    def correct_with_syndrome(self, v: BitVec, target: BitVec) -> BitVec:
+        """Nearest word to v whose syndrome equals target.
+
+        Raises DecodingFailure, naming the first block whose implied error
+        pattern falls outside the decoder radius, so a caller can abort
+        instead of silently miscorrecting.
+        """
+        blocks = self._cut(v, lambda c: c.n)
+        runs = zip(self._runs, blocks, self._cut(target, lambda c: c.n - c.k))
+        parts = []
+        first = 0  # index of the run's first block
+        for (c, count), blocks, targets in runs:
+            parts.append(_correct_run(c, blocks, targets, first))
+            first += count
+        return _lay_out(parts)
 
     def parity_check(self) -> GF2Matrix:
         """(n-k)-by-n matrix whose rows span the dual code."""
         if self._parity is None:
-            basis = self._gen_t.kernel_basis()
+            basis = self.gen.transpose().kernel_basis()
             self._parity = GF2Matrix.from_row_vecs(basis, self.n)
         return self._parity
-
-    def syndrome(self, v: BitVec) -> BitVec:
-        return self.parity_check().apply(v)
 
     def dual_basis(self) -> list[BitVec]:
         return [self.parity_check().row(i) for i in range(self.n - self.k)]
@@ -200,7 +222,7 @@ class LinearCode:
         if self._codewords is None:
             if self.k > BRUTE_FORCE_LIMIT:
                 raise ValueError(f"2^{self.k} codewords is beyond enumeration")
-            cols = [self.gen.col(j).value for j in range(self.k)]
+            cols = self.gen.transpose().row_words
             table = [0] * (1 << self.k)
             for m in range(1, 1 << self.k):
                 low = m & -m
@@ -215,11 +237,12 @@ class LinearCode:
 
     def message_of_codeword(self, c: BitVec) -> BitVec:
         """The unique y with G y = c, by inverting k independent rows of G."""
-        if self._msg_rows is None:
-            self._msg_rows = self.gen.independent_rows()
-            sub = GF2Matrix.from_row_vecs([self.gen.row(i) for i in self._msg_rows], self.k)
-            self._msg_inv = sub.inverse()
-        return self._msg_inv.apply(c.select(self._msg_rows))  # type: ignore[union-attr]
+        if self._msg_map is None:
+            rows = self.gen.independent_rows()
+            sub = GF2Matrix.from_row_vecs([self.gen.row(i) for i in rows], self.k)
+            pick = GF2Matrix(self.k, self.n, tuple(1 << i for i in rows))
+            self._msg_map = sub.inverse() @ pick
+        return self._msg_map.apply(c)
 
     # -- decoding --------------------------------------------------------------
 
@@ -230,6 +253,7 @@ class LinearCode:
             if red > LEADER_TABLE_LIMIT:
                 raise ValueError(f"2^{red} cosets is beyond table construction")
             want = 1 << red
+            parity = self.parity_check()
             table: dict[int, tuple[int, list[int]]] = {}
             for w in range(self.n + 1):
                 if len(table) == want:
@@ -238,7 +262,7 @@ class LinearCode:
                     e = 0
                     for p in pos:
                         e |= 1 << p
-                    s = self.syndrome(BitVec(self.n, e)).value
+                    s = parity.apply(BitVec(self.n, e)).value
                     got = table.get(s)
                     if got is None:
                         table[s] = (w, [e])
@@ -248,7 +272,7 @@ class LinearCode:
         return self._leaders
 
     def _decode_with_leaders(self, v: BitVec) -> BitVec:
-        leaders = self.leader_table()[self.syndrome(v).value]
+        leaders = self.leader_table()[self.parity_check().apply(v).value]
         best = None
         for e in leaders:
             m = self.message_of_codeword(BitVec(self.n, v.value ^ e))
@@ -299,19 +323,8 @@ class LinearCode:
             key=lambda p: (p.bit_count(), _lex_key(p, self.n)),
         )
 
-    def correct_with_syndrome(self, v: BitVec, target: BitVec) -> BitVec:
-        """Nearest word to v whose syndrome equals target.
-
-        Raises DecodingFailure when the implied error pattern falls outside
-        the decoder radius, so a caller can abort instead of silently
-        miscorrecting.
-        """
-        if self.k == 0:
-            # Parity check is the identity: the target syndrome names the word.
-            return BitVec(self.n, target.value)
-        diff = (self.syndrome(v) + target).value
-        if self.n == self.k:
-            return v  # no redundancy, nothing to correct
+    def _error_pattern(self, diff: int) -> int:
+        """The lightest pattern with syndrome difference diff, within the radius."""
         if self.n - self.k <= LEADER_TABLE_LIMIT:
             e = self._pattern_with_leaders(diff)
         elif self.k <= BRUTE_FORCE_LIMIT:
@@ -322,7 +335,7 @@ class LinearCode:
             raise DecodingFailure(
                 f"nearest pattern weight {e.bit_count()} exceeds radius {self.decoder_radius}"
             )
-        return BitVec(self.n, v.value ^ e)
+        return e
 
     def correctable_set(self) -> CorrectableSet:
         return CorrectableSet(self.n, max_weight=self.decoder_radius)
@@ -349,46 +362,46 @@ class TrivialCode(LinearCode):
             return GF2Matrix.identity(self.n)
         return GF2Matrix.zeros(self.n, 0)
 
-    def _check(self, v: BitVec, n: int) -> None:
-        if v.n != n:
-            raise DimensionError(f"word length {v.n} != {n}")
-
-    def encode(self, y: BitVec) -> BitVec:
-        self._check(y, self.k)
-        return y if self.k else BitVec(self.n, 0)
-
-    def coset_key(self, kappa: BitVec) -> BitVec:
-        self._check(kappa, self.n)
-        return kappa if self.k else BitVec(0, 0)
-
-    def syndrome(self, v: BitVec) -> BitVec:
-        self._check(v, self.n)
-        return BitVec(0, 0) if self.k else v
-
     def decode(self, v: BitVec) -> BitVec:
-        self._check(v, self.n)
+        if v.n != self.n:
+            raise DimensionError(f"word length {v.n} != {self.n}")
         return v if self.k else BitVec(0, 0)
+
+    def _rows(self, op: str, blocks: np.ndarray) -> np.ndarray:
+        # [n, n] passes words through every map but its empty syndrome;
+        # [n, 0] passes them only into its syndrome, and encodes to zero
+        if (op == "syndrome") != (self.k > 0):
+            return blocks
+        return np.zeros((len(blocks), self.n if op == "encode" else 0), dtype=np.uint8)
 
 
 class BlockCode(LinearCode):
-    """Direct sum of inner codes laid out contiguously.
+    """Direct sum of inner codes laid out contiguously, block 0 lowest.
 
-    Encoding, syndromes, coset keys, decoding and correction all act block
-    by block: each block goes through its inner code and the pieces are laid
-    side by side, block 0 lowest.  Nothing is checked or reduced globally:
-    a direct sum of full-column-rank blocks has full column rank, and every
-    inner code checked its own generator when it was built.  The syndrome of
-    the sum is the inner syndromes in block order, which equals applying the
+    Consecutive blocks that share one inner code object form a run of
+    (inner, count), and every map works run by run on numpy bit arrays: the
+    run's slice of the word is reshaped to (count, inner width) and goes
+    through one mod-2 matmul with the inner code's cached generator or
+    parity check, while trivial runs pass their slice through or zero it.
+    Correction takes every block's syndrome difference in one matmul and
+    resolves each distinct difference once through the inner code's route.
+    Nothing is checked or reduced globally: a direct sum of
+    full-column-rank blocks has full column rank, and every inner code
+    checked its own generator when it was built.  The syndrome of the sum
+    is the inner syndromes in block order, which equals applying the
     block-diagonal parity check.
     """
 
     def __init__(self, name: str, inners: list[LinearCode]) -> None:
         self.inners = list(inners)
-        self._n_widths = [c.n for c in self.inners]
-        self._k_widths = [c.k for c in self.inners]
-        self._red_widths = [c.n - c.k for c in self.inners]
         radius = min((c.decoder_radius for c in self.inners), default=0)
-        self._setup(name, sum(self._n_widths), sum(self._k_widths), radius)
+        n = sum(c.n for c in self.inners)
+        self._setup(name, n, sum(c.k for c in self.inners), radius)
+
+    @functools.cached_property
+    def _runs(self) -> list[tuple[LinearCode, int]]:
+        groups = (list(g) for _, g in itertools.groupby(self.inners, key=id))
+        return [(g[0], len(g)) for g in groups]
 
     @functools.cached_property
     def gen(self) -> GF2Matrix:
@@ -400,43 +413,49 @@ class BlockCode(LinearCode):
             k_off += c.k
         return GF2Matrix(self.n, self.k, tuple(words))
 
-    def _blockwise(self, method: str, v: BitVec, widths_in, widths_out) -> BitVec:
-        """Apply an inner-code method to every block and lay the results out."""
-        if v.n != sum(widths_in):
-            raise DimensionError(f"word length {v.n} != {sum(widths_in)}")
-        parts = [
-            getattr(c, method)(BitVec(w, b)).value
-            for c, w, b in zip(self.inners, widths_in, _split(v.value, widths_in))
-        ]
-        return BitVec(sum(widths_out), _join(parts, widths_out))
-
-    def encode(self, y: BitVec) -> BitVec:
-        return self._blockwise("encode", y, self._k_widths, self._n_widths)
-
-    def coset_key(self, kappa: BitVec) -> BitVec:
-        return self._blockwise("coset_key", kappa, self._n_widths, self._k_widths)
-
-    def syndrome(self, v: BitVec) -> BitVec:
-        return self._blockwise("syndrome", v, self._n_widths, self._red_widths)
-
     def decode(self, v: BitVec) -> BitVec:
-        return self._blockwise("decode", v, self._n_widths, self._k_widths)
-
-    def correct_with_syndrome(self, v: BitVec, target: BitVec) -> BitVec:
+        # Block by block through the inner decoders: only the exact audits
+        # decode, at n <= 4, where cutting the word by shifts costs nothing.
         if v.n != self.n:
             raise DimensionError(f"word length {v.n} != {self.n}")
-        if target.n != self.n - self.k:
-            raise DimensionError("syndrome length mismatch")
-        blocks = _split(v.value, self._n_widths)
-        targets = _split(target.value, self._red_widths)
-        fixed = []
-        for i, (c, b, t) in enumerate(zip(self.inners, blocks, targets)):
-            try:
-                out = c.correct_with_syndrome(BitVec(c.n, b), BitVec(c.n - c.k, t))
-            except DecodingFailure as exc:
-                raise DecodingFailure(f"block {i}: {exc}") from exc
-            fixed.append(out.value)
-        return BitVec(self.n, _join(fixed, self._n_widths))
+        out = off = k_off = 0
+        for c in self.inners:
+            out |= c.decode(BitVec(c.n, (v.value >> off) & ((1 << c.n) - 1))).value << k_off
+            off, k_off = off + c.n, k_off + c.k
+        return BitVec(self.k, out)
+
+
+def _bit_array(m: GF2Matrix) -> np.ndarray:
+    rows = [BitVec(m.cols, w).to_array() for w in m.row_words]
+    return np.array(rows, dtype=np.uint8).reshape(m.rows, m.cols)
+
+
+def _lay_out(parts: list[np.ndarray]) -> BitVec:
+    """Per-run (count, width) bit arrays as one word, block 0 lowest."""
+    return BitVec.from_array(np.concatenate([np.zeros(0, np.uint8), *(p.ravel() for p in parts)]))
+
+
+def _correct_run(c: LinearCode, blocks: np.ndarray, targets: np.ndarray, first: int) -> np.ndarray:
+    """Correction of every (block, target) row pair of a run of code c.
+
+    Each distinct syndrome difference is resolved once, in the order of the
+    block it first appears in, so a failure names the run's first failing
+    block, by its index `first + i` in the whole code.
+    """
+    if c.k == 0:  # the target names the word
+        return targets
+    if c.n == c.k:  # no redundancy, nothing to correct
+        return blocks
+    diffs = c._rows("syndrome", blocks) ^ targets
+    distinct, first_at, which = np.unique(diffs, axis=0, return_index=True, return_inverse=True)
+    patterns = np.zeros((len(distinct), c.n), dtype=np.uint8)
+    for j in np.argsort(first_at):
+        try:
+            e = c._error_pattern(BitVec.from_array(distinct[j]).value)
+        except DecodingFailure as exc:
+            raise DecodingFailure(f"block {first + first_at[j]}: {exc}") from exc
+        patterns[j] = BitVec(c.n, e).to_array()
+    return blocks ^ patterns[which.reshape(-1)]
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +639,7 @@ def code_from_descriptor(desc: str) -> LinearCode:
 
 
 # ---------------------------------------------------------------------------
-# reversal checks and rate-targeted search
+# reversal check
 
 
 def reversal_holds(code: LinearCode) -> bool:
@@ -632,68 +651,3 @@ def reversal_holds(code: LinearCode) -> bool:
             if code.decode(BitVec(code.n, cw ^ x.value)) != y:
                 return False
     return True
-
-
-def reversal_fraction(code: LinearCode, weight: int, trials: int, rng) -> float:
-    """Fraction of random (message, exact-weight pattern) pairs decoded back."""
-    if weight > code.n:
-        raise ValueError("pattern weight beyond code length")
-    good = 0
-    for _ in range(trials):
-        y = BitVec.random(code.k, rng)
-        pos = rng.sample(range(code.n), weight)
-        x = 0
-        for p in pos:
-            x |= 1 << p
-        if code.decode(BitVec(code.n, code.encode(y).value ^ x)) == y:
-            good += 1
-    return good / trials
-
-
-def random_code_for_rate(
-    n: int,
-    delta: float,
-    epsilon: float,
-    seed: int,
-    *,
-    code_trials: int = 40,
-    pattern_trials: int = 60,
-    success_fraction: float = 0.9,
-) -> LinearCode:
-    """A code correcting (nearly all) weight-floor(n*(delta+epsilon)) patterns.
-
-    Targets dimension at least ceil(n*(1 - h(delta+epsilon))) - 1, preferring
-    shipped constructions and falling back to a seeded random search that
-    screens candidates on random exact-weight patterns.  Raises
-    InfeasibleParameters when no dimension in the feasible window survives.
-    """
-    p = delta + epsilon
-    if not 0.0 <= p < 0.5:
-        raise ValueError("delta + epsilon must sit in [0, 1/2)")
-    t = int(n * p)
-    k_min = max(1, math.ceil(n * (1.0 - binary_entropy(p))) - 1)
-    if t == 0:
-        return identity_code(n)
-    ball = sum(math.comb(n, w) for w in range(t + 1))
-    k_max = n - math.ceil(math.log2(ball))
-    if k_max < k_min:
-        raise InfeasibleParameters(
-            f"sphere packing caps dimension at {k_max} < required {k_min} "
-            f"(n={n}, correction weight {t})"
-        )
-    m = (n + 1).bit_length() - 1
-    if (1 << m) - 1 == n and t == 1 and n - m >= k_min:
-        return hamming(m)
-    if k_min <= 1 and (n - 1) // 2 >= t:
-        return repetition(n)
-    rng = random.Random(seed)
-    for k in range(k_max, k_min - 1, -1):
-        for _ in range(code_trials):
-            cand = random_code(n, k, rng.getrandbits(32))
-            if cand.decoder_radius >= t:
-                return cand
-            if reversal_fraction(cand, t, pattern_trials, rng) >= success_fraction:
-                return cand
-    raise InfeasibleParameters(
-        f"search exhausted for n={n}, t={t}, k in [{k_min}, {k_max}]"
-    )

@@ -6,6 +6,10 @@ leftmost ("110" means v[0]=1, v[1]=1, v[2]=0), and the byte/hex form packs
 component 8*k+j into bit j of byte k (little-endian), so serialization and
 indexing never disagree.
 
+Session bits travel as numpy uint8 arrays, entry j = component j;
+`BitVec.from_array`/`to_array` convert through `np.packbits`/`np.unpackbits`
+in the same little-endian order, in time linear in n.
+
 Matrices store one packed integer per row.  Elimination always pivots on the
 lowest-index row and column available, so every derived object (rank, kernel
 basis, inverse) is deterministic for a given matrix.
@@ -15,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+import numpy as np
 
 
 class DimensionError(ValueError):
@@ -51,13 +57,16 @@ class BitVec:
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> BitVec:
-        digits = []
-        for b in bits:
-            if b not in (0, 1):
-                raise ValueError(f"bit must be 0 or 1, got {b!r}")
-            digits.append("01"[b])
-        # one base-2 parse, component 0 last: linear in n
-        return cls(len(digits), int("".join(reversed(digits)) or "0", 2))
+        return cls.from_array(bits if isinstance(bits, np.ndarray) else list(bits))
+
+    @classmethod
+    def from_array(cls, bits) -> BitVec:
+        """Vector with component i = bits[i]; every entry must be 0 or 1."""
+        a = np.asarray(bits)
+        if a.ndim != 1 or ((a != 0) & (a != 1)).any():
+            raise ValueError("bits must be a one-dimensional array of 0s and 1s")
+        packed = np.packbits(a.astype(np.uint8), bitorder="little")
+        return cls(a.size, int.from_bytes(packed.tobytes(), "little"))
 
     @classmethod
     def from_str(cls, s: str) -> BitVec:
@@ -86,6 +95,11 @@ class BitVec:
 
     def to_hex(self) -> str:
         return self.to_bytes().hex()
+
+    def to_array(self) -> np.ndarray:
+        """Components as a uint8 array, component i at index i."""
+        packed = np.frombuffer(self.to_bytes(), dtype=np.uint8)
+        return np.unpackbits(packed, count=self.n, bitorder="little")
 
     def __str__(self) -> str:
         return "".join(str(self[i]) for i in range(self.n))
@@ -134,19 +148,28 @@ class BitVec:
         """New vector from the given components, in the order given."""
         return BitVec.from_bits(self[i] for i in indices)
 
-    def permute(self, perm: list[int]) -> BitVec:
+    def permute(self, perm) -> BitVec:
         """Move component i to position perm[i]."""
-        if len(perm) != self.n or sorted(perm) != list(range(self.n)):
+        perm = np.asarray(perm)
+        if not is_permutation(perm, self.n):
             raise ValueError("not a permutation of the component indices")
-        bits = format(self.value, "b").zfill(self.n)[::-1]  # component i at index i
-        out = ["0"] * self.n
-        for i, p in enumerate(perm):
-            out[p] = bits[i]
-        return BitVec(self.n, int("".join(reversed(out)) or "0", 2))
+        out = np.empty(self.n, dtype=np.uint8)
+        out[perm.astype(np.intp)] = self.to_array()
+        return BitVec.from_array(out)
 
     def concat(self, other: BitVec) -> BitVec:
         """self occupies the low components, other the high ones."""
         return BitVec(self.n + other.n, self.value | (other.value << self.n))
+
+
+def is_permutation(perm: np.ndarray, n: int) -> bool:
+    """Whether the integer array perm holds each of 0..n-1 exactly once.
+
+    Linear in n: n entries fill n or more bins with ones only when none
+    repeats and none is n or more."""
+    if perm.shape != (n,) or (n and (perm.dtype.kind not in "iu" or perm.min() < 0)):
+        return False
+    return n == 0 or bool(np.all(np.bincount(perm, minlength=n) == 1))
 
 
 def _row_reduce(rows: list[int], cols: int) -> tuple[list[int], list[int], list[int]]:
@@ -197,12 +220,7 @@ class GF2Matrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]], cols: int | None = None) -> GF2Matrix:
-        vecs = [BitVec.from_bits(r) for r in rows]
-        if cols is None:
-            cols = vecs[0].n if vecs else 0
-        if any(v.n != cols for v in vecs):
-            raise DimensionError("ragged rows")
-        return cls(len(vecs), cols, tuple(v.value for v in vecs))
+        return cls.from_row_vecs([BitVec.from_bits(r) for r in rows], cols)
 
     @classmethod
     def from_row_vecs(cls, vecs: list[BitVec], cols: int | None = None) -> GF2Matrix:
@@ -214,15 +232,7 @@ class GF2Matrix:
 
     @classmethod
     def from_col_vecs(cls, vecs: list[BitVec], rows: int | None = None) -> GF2Matrix:
-        if rows is None:
-            rows = vecs[0].n if vecs else 0
-        if any(v.n != rows for v in vecs):
-            raise DimensionError("ragged columns")
-        words = [0] * rows
-        for j, v in enumerate(vecs):
-            for i in range(rows):
-                words[i] |= v[i] << j
-        return cls(rows, len(vecs), tuple(words))
+        return cls.from_row_vecs(vecs, rows).transpose()
 
     @classmethod
     def identity(cls, n: int) -> GF2Matrix:
@@ -248,9 +258,6 @@ class GF2Matrix:
 
     def entry(self, i: int, j: int) -> int:
         return (self.row_words[i] >> j) & 1
-
-    def to_lists(self) -> list[list[int]]:
-        return [[self.entry(i, j) for j in range(self.cols)] for i in range(self.rows)]
 
     # -- operations --------------------------------------------------------
 

@@ -45,7 +45,7 @@ from .codes import (
     rec_repetition,
     rec_verbatim,
 )
-from .gf2 import BitVec
+from .gf2 import BitVec, is_permutation
 
 WIRE_VERSION = 2
 
@@ -670,18 +670,16 @@ def decode_delta(payload: bytes) -> tuple[float, bool]:
     return delta, flag == 1
 
 
-def encode_perm(perm: list[int]) -> bytes:
-    return struct.pack(">I", len(perm)) + b"".join(
-        struct.pack(">H", p) for p in perm
-    )
+def encode_perm(perm: Sequence[int] | np.ndarray) -> bytes:
+    return struct.pack(">I", len(perm)) + np.asarray(perm, dtype=">u2").tobytes()
 
 
-def decode_perm(payload: bytes) -> list[int]:
+def decode_perm(payload: bytes) -> np.ndarray:
     (count,) = _unpack(">I", payload)
     body = payload[4:]
     if len(body) != 2 * count:
         raise ProtocolError("permutation length mismatch")
-    return [struct.unpack(">H", body[2 * i : 2 * i + 2])[0] for i in range(count)]
+    return np.frombuffer(body, dtype=">u2").astype(np.intp)
 
 
 def encode_syndrome(descriptor: str, syndrome_enc: BitVec) -> bytes:
@@ -844,6 +842,14 @@ def choose_reconciliation_code(
     candidates.append((n, functools.partial(rec_verbatim, n)))
     _, build = min(candidates, key=lambda pair: pair[0])
     return build()
+
+
+def _sifted_word(bits: np.ndarray, key_set, perm) -> BitVec:
+    """The sifted key: bits at the key positions, component i moved to
+    position perm[i]."""
+    word = np.empty(len(perm), dtype=np.uint8)
+    word[perm] = bits[np.asarray(key_set, dtype=np.intp)]
+    return BitVec.from_array(word)
 
 
 def randomize_key(y: BitVec, rng) -> tuple[BitVec, BitVec]:
@@ -1019,7 +1025,7 @@ class AliceSession(_Session):
         self.r_mask: np.ndarray | None = None
         self.test_set: tuple[int, ...] = ()
         self.key_set: tuple[int, ...] = ()
-        self.perm: list[int] | None = None
+        self.perm: np.ndarray | None = None
         self.pa_code: LinearCode | None = None
         self.kappa: BitVec | None = None
 
@@ -1119,7 +1125,7 @@ class AliceSession(_Session):
             return self._fail(ABORT_PHASE)
         self._record(TAG_PERM, "bob", msg.payload)
         perm = decode_perm(msg.payload)
-        if sorted(perm) != list(range(self.cfg.n)):
+        if not is_permutation(perm, self.cfg.n):
             return self._fail(ABORT_PHASE)
         self.perm = perm
         self.phase = "await_code"
@@ -1164,9 +1170,7 @@ class AliceSession(_Session):
         except PoolExhausted:
             return self._fail(ABORT_POOL)
         target = enc + otp
-        word = BitVec.from_bits(
-            self.g_bits[np.asarray(self.key_set, dtype=np.intp)].tolist()
-        ).permute(self.perm)
+        word = _sifted_word(self.g_bits, self.key_set, self.perm)
         try:
             self.kappa = rec.correct_with_syndrome(word, target)
         except DecodingFailure:
@@ -1297,8 +1301,8 @@ class BobSession(_Session):
         g_test = decode_test_bits(msg.payload)
         if g_test.size != len(self.test_set):
             return self._fail(ABORT_PHASE)
-        h_test = self.h_bits[np.asarray(self.test_set, dtype=np.intp)].tolist()
-        delta = estimate_error(g_test.tolist(), h_test)
+        h_test = self.h_bits[np.asarray(self.test_set, dtype=np.intp)]
+        delta = estimate_error(g_test, h_test)
         self.stats.delta = delta
         proceed = delta <= self.cfg.delta_max
         payload = encode_delta(delta, proceed)
@@ -1314,6 +1318,7 @@ class BobSession(_Session):
         out = []
         perm = list(range(cfg.n))
         self._choice_rng.shuffle(perm)
+        perm = np.array(perm, dtype=np.intp)
         payload = encode_perm(perm)
         self._record(TAG_PERM, "bob", payload)
         out.append(WireMessage(TAG_PERM, payload))
@@ -1325,9 +1330,7 @@ class BobSession(_Session):
         self._record(TAG_CODE, "bob", payload)
         out.append(WireMessage(TAG_CODE, payload))
 
-        self.kappa = BitVec.from_bits(
-            self.h_bits[np.asarray(self.key_set, dtype=np.intp)].tolist()
-        ).permute(perm)
+        self.kappa = _sifted_word(self.h_bits, self.key_set, perm)
         rec = choose_reconciliation_code(
             cfg.n, delta, cfg.epsilon, cfg.rec_target_fail
         )
@@ -1401,6 +1404,11 @@ def run_protocol(cfg: SessionConfig) -> ProtocolResult:
         stats = alice.stats
     else:
         stats = bob.stats
+    # Nothing is left to deliver, so a party still waiting would wait for
+    # good: end it as the socket path does when the peer closes.
+    for party in (alice, bob):
+        if not party.terminal:
+            party._fail(ABORT_TRANSPORT, announce=False)
     return ProtocolResult(
         alice_key=alice.final_key,
         bob_key=bob.final_key,
@@ -1469,7 +1477,7 @@ def run_protocol3(
     key_set = sorted(choice.sample(candidates, n))
     perm = list(range(n))
     choice.shuffle(perm)
-    kappa = BitVec.from_bits([int(errs[i]) for i in key_set]).permute(perm)
+    kappa = _sifted_word(errs, key_set, perm)
     if code.n != n:
         raise ValueError("code length must match the key size")
     return code.coset_key(kappa), None, delta

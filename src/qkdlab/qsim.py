@@ -498,7 +498,7 @@ def audit_protocol3(
             acc += m @ m.conj().T
 
     kept_total /= len(blocks)
-    eta = 1.0 - kept_total
+    eta = min(max(1.0 - kept_total, 0.0), 1.0)  # rounding can leave it just outside
     if kept_total <= 1e-14:
         raise ValueError("state has no support on the correctable subspace")
     rho_q_actual /= len(blocks)
@@ -511,8 +511,7 @@ def audit_protocol3(
     p_y = np.clip(np.real(np.diag(walsh @ rho_q_actual @ walsh)), 0.0, None)
     key_entropy = _shannon_bits(p_y)
     uniformity = float(np.sum(np.sqrt(p_y)) ** 2) / (1 << r)
-    eta_c = min(max(eta, 0.0), 1.0)
-    bound = binary_entropy(eta_c) + r * eta_c if eta_c <= 0.5 else float("inf")
+    bound = binary_entropy(eta) + r * eta if eta <= 0.5 else float("inf")
 
     return SecurityReport(
         n_signals=n,
@@ -528,12 +527,12 @@ def audit_protocol3(
         q0_projected=q0_proj,
         entropy_q=von_neumann_entropy(rho_q),
         entropy_bound=bound,
-        entropy_bound_valid=eta_c <= 0.5,
+        entropy_bound_valid=eta <= 0.5,
         key_distribution=tuple(float(p) for p in p_y),
         key_entropy=key_entropy,
-        key_entropy_floor=r * (1.0 - 2.0 * eta_c),
+        key_entropy_floor=r * (1.0 - 2.0 * eta),
         uniformity_fidelity=uniformity,
-        uniformity_floor=1.0 - eta_c,
-        vacuous=(eta_c > 0.5) or (bound >= r),
+        uniformity_floor=1.0 - eta,
+        vacuous=(eta > 0.5) or (bound >= r),
         rho_q=rho_q_actual,
     )

@@ -18,6 +18,10 @@ from qkdlab.codes import (
     hamming_blocks,
     identity_code,
     random_code,
+    rec_hamming,
+    rec_identity,
+    rec_repetition,
+    rec_verbatim,
     repetition,
     zero_code,
 )
@@ -68,6 +72,76 @@ def test_blockwise_maps_equal_global_matrices(inners, data):
     except DecodingFailure:
         return
     assert parity.apply(fixed) == target
+
+
+def _correct_block_by_block(code: BlockCode, v: BitVec, target: BitVec) -> BitVec:
+    """The reference: each inner code's own correct_with_syndrome in turn."""
+    out = off = t_off = 0
+    for i, c in enumerate(code.inners):
+        red = c.n - c.k
+        block = BitVec(c.n, (v.value >> off) & ((1 << c.n) - 1))
+        t = BitVec(red, (target.value >> t_off) & ((1 << red) - 1))
+        try:
+            fixed = c.correct_with_syndrome(block, t)
+        except DecodingFailure as exc:
+            # a plain code is one block, and its message names it block 0
+            assert str(exc).startswith("block 0: ")
+            raise DecodingFailure(f"block {i}: {str(exc)[9:]}") from exc
+        out |= fixed.value << off
+        off += c.n
+        t_off += red
+    return BitVec(code.n, out)
+
+
+CORRECTION_CODES = st.one_of(
+    st.integers(1, 600).map(rec_hamming),
+    # whole blocks and a tail, n = inner * blocks + tail < 600
+    st.tuples(st.integers(3, 25), st.integers(1, 23), st.integers(0, 24)).map(
+        lambda a: rec_repetition(a[0] * a[1] + a[2] % a[0], a[0])
+    ),
+    st.integers(1, 600).map(rec_identity),
+    st.integers(1, 600).map(rec_verbatim),
+    st.lists(INNER_CODES, min_size=1, max_size=6).map(lambda inners: BlockCode("prop", inners)),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(CORRECTION_CODES, st.randoms(use_true_random=True))
+def test_vectorized_correction_equals_block_by_block(code, rng):
+    word = BitVec.random(code.n, rng)
+    if rng.random() < 0.5:
+        # noise of density 1/2 to 1/64 decodes in some blocks and not in others
+        noise = rng.getrandbits(code.n)
+        for _ in range(rng.randrange(6)):
+            noise &= rng.getrandbits(code.n)
+        target = code.syndrome(BitVec(code.n, word.value ^ noise))
+    else:
+        # any target: blocks of even repetition codes can fail, and the
+        # test checks which block the failure names
+        target = BitVec.random(code.n - code.k, rng)
+    try:
+        want = _correct_block_by_block(code, word, target)
+    except DecodingFailure as exc:
+        with pytest.raises(DecodingFailure) as got:
+            code.correct_with_syndrome(word, target)
+        assert str(got.value) == str(exc)
+        return
+    assert code.correct_with_syndrome(word, target) == want
+
+
+def test_correction_failure_names_the_first_failing_block():
+    # runs: five [7,4] blocks, six even repetition blocks, a verbatim tail
+    code = BlockCode("mix", [hamming(3)] * 5 + [repetition(4)] * 6 + [zero_code(3)])
+    word = BitVec.random(code.n, random.Random(3))
+    for bad in (5, 7, 10):
+        # two flips tie in a length-4 block: past its radius of one
+        noise = sum(0b11 << (35 + 4 * (i - 5)) for i in {bad, 10})
+        target = code.syndrome(BitVec(code.n, word.value ^ noise))
+        with pytest.raises(DecodingFailure, match=f"^block {bad}: ") as got:
+            code.correct_with_syndrome(word, target)
+        with pytest.raises(DecodingFailure) as want:
+            _correct_block_by_block(code, word, target)
+        assert str(got.value) == str(want.value)
 
 
 def test_correction_routes_agree():

@@ -2,31 +2,26 @@
 
 from __future__ import annotations
 
-import math
 import random
 
 import pytest
 
-from qkdlab.bounds import binary_entropy
 from qkdlab.codes import (
     BlockCode,
     CorrectableSet,
     DecodingFailure,
-    InfeasibleParameters,
     LinearCode,
     code_from_descriptor,
     hamming,
     hamming_blocks,
     identity_code,
     random_code,
-    random_code_for_rate,
     rec_hamming,
     rec_identity,
     rec_repetition,
     rec_verbatim,
     repetition,
     repetition_blocks,
-    reversal_fraction,
     reversal_holds,
     zero_code,
 )
@@ -319,14 +314,6 @@ def test_reversal_holds_for_shipped_codes():
     assert reversal_holds(hamming(3))
 
 
-def test_reversal_fraction_perfect_on_hamming():
-    rng = random.Random(31)
-    assert reversal_fraction(hamming(3), 1, 100, rng) == 1.0
-    # weight two is beyond the radius of a perfect single-error code,
-    # so essentially nothing comes back
-    assert reversal_fraction(hamming(3), 2, 100, rng) < 0.5
-
-
 # -- descriptors ---------------------------------------------------------------------------
 
 
@@ -359,55 +346,3 @@ def test_descriptor_rejects_garbage():
         code_from_descriptor("hamming:n=6")
     with pytest.raises(ValueError):
         code_from_descriptor("random:n=10,k=3")
-
-
-# -- rate targeting ----------------------------------------------------------------------
-
-
-def test_rate_code_tiny_noise_is_identity():
-    c = random_code_for_rate(12, 0.0, 0.05, seed=1)
-    assert (c.n, c.k) == (12, 12)
-
-
-def test_rate_code_hamming_branches():
-    c = random_code_for_rate(7, 0.1, 0.05, seed=1)
-    assert (c.n, c.k, c.decoder_radius) == (7, 4, 1)
-    c = random_code_for_rate(3, 0.2, 0.14, seed=1)
-    assert (c.n, c.k) == (3, 1)
-    c = random_code_for_rate(15, 0.05, 0.017, seed=1)
-    assert (c.n, c.k, c.decoder_radius) == (15, 11, 1)
-    # that last one must meet the dimension floor it was asked for
-    k_min = math.ceil(15 * (1.0 - binary_entropy(0.067))) - 1
-    assert c.k >= k_min
-    assert reversal_holds(c)
-
-
-def test_rate_code_search_path():
-    c = random_code_for_rate(10, 0.1, 0.05, seed=2)
-    assert c.k >= 3
-    # the build-time screen keeps candidates at >= 0.9 empirically, so an
-    # independent resample can sit slightly under that line
-    rng = random.Random(0)
-    assert reversal_fraction(c, 1, 200, rng) >= 0.85
-
-
-def test_rate_code_infeasible():
-    # Demanding every weight-27 pattern of 70 come back (success fraction
-    # 1.0) needs codewords pairwise 55 apart, while dimension-2 codes of
-    # length 70 top out in the mid-40s; near-misses correcting ~88% of
-    # patterns cannot survive a 200-sample perfect screen either.
-    with pytest.raises(InfeasibleParameters):
-        random_code_for_rate(
-            70,
-            0.35,
-            0.05,
-            seed=3,
-            code_trials=6,
-            pattern_trials=200,
-            success_fraction=1.0,
-        )
-
-
-def test_rate_code_rejects_bad_noise():
-    with pytest.raises(ValueError):
-        random_code_for_rate(10, 0.3, 0.25, seed=1)

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qkdlab.gf2 import BitVec, DimensionError, GF2Matrix
+from qkdlab.gf2 import BitVec, DimensionError, GF2Matrix, is_permutation
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +76,75 @@ def test_select_and_permute_and_concat():
     # permute moves component i to position perm[i]
     assert str(BitVec.from_str("100").permute([2, 0, 1])) == "001"
     assert str(BitVec.from_str("11").concat(BitVec.from_str("001"))) == "11001"
+
+
+# ---------------------------------------------------------------------------
+# the numpy bit-array bridge
+
+BITS = st.lists(st.integers(0, 1), max_size=300)
+
+
+@settings(max_examples=80, deadline=None)
+@given(BITS)
+def test_from_array_round_trips_and_matches_from_bits(bits):
+    a = np.array(bits, dtype=np.uint8)
+    v = BitVec.from_array(a)
+    assert v == BitVec.from_bits(a.tolist())
+    assert v == BitVec(len(bits), sum(b << i for i, b in enumerate(bits)))
+    back = v.to_array()
+    assert back.dtype == np.uint8 and np.array_equal(back, a)
+    assert BitVec.from_array(a.astype(bool)) == v
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(0, 1), min_size=1, max_size=80),
+    st.data(),
+    st.one_of(st.integers(2, 1000), st.integers(-1000, -1), st.sampled_from([0.5, -0.0001, 1.5])),
+)
+def test_entries_outside_zero_one_are_rejected(bits, data, bad):
+    a = np.array(bits, dtype=np.float64 if isinstance(bad, float) else np.int64)
+    a[data.draw(st.integers(0, len(bits) - 1))] = bad
+    with pytest.raises(ValueError):
+        BitVec.from_array(a)
+    with pytest.raises(ValueError):
+        BitVec.from_bits(a.tolist())
+
+
+@settings(max_examples=80, deadline=None)
+@given(BITS, st.data())
+def test_array_permutation_moves_component_i_to_perm_i(bits, data):
+    perm = data.draw(st.permutations(range(len(bits))))
+    moved = [0] * len(bits)
+    for i, p in enumerate(perm):
+        moved[p] = bits[i]
+    v = BitVec.from_bits(bits)
+    assert v.permute(perm) == BitVec.from_bits(moved)
+    assert v.permute(np.array(perm, dtype=">u2")) == BitVec.from_bits(moved)
+
+
+def _perm_candidates(n: int):
+    return st.tuples(
+        st.just(n),
+        st.one_of(
+            st.permutations(range(n)),
+            st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n),  # repeats
+            st.lists(st.integers(-2, n + 2), max_size=n + 2),
+        ),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 40).flatmap(_perm_candidates))
+def test_permutation_check_matches_sorting(case):
+    n, perm = case
+    ok = sorted(perm) == list(range(n))
+    assert is_permutation(np.array(perm, dtype=np.int64), n) == ok
+    if ok:
+        BitVec.zeros(n).permute(perm)
+    else:
+        with pytest.raises(ValueError):
+            BitVec.zeros(n).permute(perm)
 
 
 def test_zero_length_vector():

@@ -29,6 +29,7 @@ from qkdlab.protocol import (
     ABORT_RECONCILE,
     ABORT_SIFT,
     ABORT_SOURCE,
+    ABORT_TRANSPORT,
     ABORT_VERSION,
     BURST_HEAD,
     ROLE_ALICE,
@@ -324,7 +325,7 @@ def test_delta_perm_syndrome_roundtrips():
     assert decode_delta(encode_delta(0.25, True)) == (0.25, True)
     assert decode_delta(encode_delta(0.5, False)) == (0.5, False)
     perm = [3, 0, 2, 1]
-    assert decode_perm(encode_perm(perm)) == perm
+    assert decode_perm(encode_perm(perm)).tolist() == perm
     enc = BitVec.from_str("1011001")
     desc, back = decode_syndrome(encode_syndrome("rec_hamming:n=14", enc))
     assert desc == "rec_hamming:n=14" and back == enc
@@ -867,7 +868,8 @@ def test_version_1_hello_is_a_version_mismatch(sender):
 
 def test_flipped_delta_decision_leaves_neither_party_a_key(monkeypatch):
     # Bob proceeds, but the flag reaching Alice says "do not": she aborts
-    # without a word, so Bob never gets DONE and must not release his key.
+    # without a word, so Bob never gets DONE and must not release his key;
+    # once the pump drains he ends as the socket path ends him.
     honest = AliceSession.on_message
 
     def on_message(self, msg):
@@ -878,7 +880,8 @@ def test_flipped_delta_decision_leaves_neither_party_a_key(monkeypatch):
     monkeypatch.setattr(AliceSession, "on_message", on_message)
     res = run_protocol(_noiseless_cfg(seed=3))
     assert res.alice.abort_reason == ABORT_DELTA
-    assert res.bob.phase == "await_done"
+    assert res.bob.terminal and res.bob.abort_reason == ABORT_TRANSPORT
+    assert res.stats.abort_reason == ABORT_DELTA
     assert res.alice_key is None and res.bob_key is None
 
 

@@ -423,6 +423,18 @@ def test_audit_bound_chain_across_attacks():
                 assert rep.key_entropy >= rep.key_entropy_floor - 1e-9
 
 
+def test_audit_reports_eta_as_a_probability():
+    # identity keeps every pattern, and the rounded kept weight once
+    # reported eta = -2.2e-16 for this audit
+    rep = audit_protocol3(identity_attack(), 4, code_from_descriptor("repetition:n=4"))
+    assert rep.eta == 0.0
+    attacks = [identity_attack(), rotation_attack(0.3), swap_attack(), entangle_attack(0.3, 0.2)]
+    for attack in attacks:
+        for desc in ("repetition:n=4", "hamming_blocks:n=4"):
+            rep = audit_protocol3(attack, 4, code_from_descriptor(desc))
+            assert 0.0 <= rep.eta <= 1.0, desc
+
+
 def test_audit_entropy_floor_fails_only_in_abort_regime():
     # Deep in the abort regime the asymptotic entropy floor r(1 - 2 eta)
     # can genuinely exceed the key entropy at r = 1; the report carries
