@@ -14,10 +14,9 @@ scale (n up to ~25).
 
 Protocol-size codes are BlockCodes: direct sums of small inner codes that
 are built and checked once per process, plus trivial [n, n] and [n, 0]
-codes that act on words directly.  A BlockCode works on numpy bit arrays,
-one run of equal inner codes at a time: each map is one reshape and one
-mod-2 matmul per run with the inner code's cached generator or parity
-check, so building and using one costs time linear in n; the global n-by-k
+codes that act on words directly.  A BlockCode maps each run of equal
+short inner codes with one reshape and one mod-2 matmul on numpy bit
+arrays, so building and using one costs time linear in n; the global n-by-k
 generator is assembled only when a caller reads `gen`.
 """
 
@@ -36,7 +35,7 @@ from .gf2 import BitVec, DimensionError, GF2Matrix
 
 LEADER_TABLE_LIMIT = 14  # build syndrome tables up to 2^14 cosets
 BRUTE_FORCE_LIMIT = 22  # enumerate codewords up to 2^22
-INNER_CACHE_LIMIT = 25  # shipped inner codes up to this length are built once
+INNER_CACHE_LIMIT = 25  # inner codes up to this length: built once, run maps by matmul
 
 
 class DecodingFailure(RuntimeError):
@@ -123,80 +122,45 @@ class LinearCode:
         self._leaders: dict[int, list[int]] | None = None
         self._msg_map: GF2Matrix | None = None
 
+    @functools.cached_property
+    def _gen_t(self) -> GF2Matrix:
+        return self.gen.transpose()
+
     def __repr__(self) -> str:
         return f"LinearCode({self.name!r}, n={self.n}, k={self.k}, t={self.decoder_radius})"
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LinearCode) and self.gen == other.gen
 
-    # -- linear maps ---------------------------------------------------------
-    # Each map cuts the word into one (count, width) bit array per run of
-    # equal inner codes (a plain code is one run of one block), sends every
-    # run through its code's `_rows`, and lays the results out in order.
-
-    @property
-    def _runs(self) -> list[tuple[LinearCode, int]]:
-        return [(self, 1)]
-
-    def _cut(self, v: BitVec, width: Callable[[LinearCode], int]) -> list[np.ndarray]:
-        total = sum(width(c) * count for c, count in self._runs)
-        if v.n != total:
-            raise DimensionError(f"word length {v.n} != {total}")
-        bits, out, off = v.to_array(), [], 0
-        for c, count in self._runs:
-            out.append(bits[off : off + count * width(c)].reshape(count, width(c)))
-            off += count * width(c)
-        return out
-
-    def _map(self, op: str, v: BitVec, width: Callable[[LinearCode], int]) -> BitVec:
-        runs = zip(self._runs, self._cut(v, width))
-        return _lay_out([c._rows(op, blocks) for (c, _), blocks in runs])
+    @functools.cached_property
+    def _gen_bits(self) -> np.ndarray:
+        """Generator as an n-by-k uint8 array; BlockCode runs of short codes read it."""
+        return _bit_array(self.gen)
 
     @functools.cached_property
-    def _bit_matrices(self) -> dict[str, np.ndarray]:
-        """Generator and parity check as uint8 arrays, each oriented so that
-        map(block) = block @ matrix mod 2."""
-        gen = _bit_array(self.gen)
-        parity = _bit_array(self.parity_check())
-        return {"encode": gen.T, "coset_key": gen, "syndrome": parity.T}
+    def _check_bits(self) -> np.ndarray:
+        """Parity check as an (n-k)-by-n uint8 array, read like `_gen_bits`."""
+        return _bit_array(self.parity_check())
 
-    def _rows(self, op: str, blocks: np.ndarray) -> np.ndarray:
-        """The map `op` on every row of a (count, width) bit array."""
-        return (blocks @ self._bit_matrices[op]) & 1
+    # -- linear maps ---------------------------------------------------------
 
     def encode(self, y: BitVec) -> BitVec:
         """Codeword G y for a k-bit message."""
-        return self._map("encode", y, lambda c: c.k)
+        return self.gen.apply(y)
 
     def coset_key(self, kappa: BitVec) -> BitVec:
         """k-bit key G^T kappa of an n-bit string; constant on dual cosets."""
-        return self._map("coset_key", kappa, lambda c: c.n)
-
-    def syndrome(self, v: BitVec) -> BitVec:
-        return self._map("syndrome", v, lambda c: c.n)
-
-    def correct_with_syndrome(self, v: BitVec, target: BitVec) -> BitVec:
-        """Nearest word to v whose syndrome equals target.
-
-        Raises DecodingFailure, naming the first block whose implied error
-        pattern falls outside the decoder radius, so a caller can abort
-        instead of silently miscorrecting.
-        """
-        blocks = self._cut(v, lambda c: c.n)
-        runs = zip(self._runs, blocks, self._cut(target, lambda c: c.n - c.k))
-        parts = []
-        first = 0  # index of the run's first block
-        for (c, count), blocks, targets in runs:
-            parts.append(_correct_run(c, blocks, targets, first))
-            first += count
-        return _lay_out(parts)
+        return self._gen_t.apply(kappa)
 
     def parity_check(self) -> GF2Matrix:
         """(n-k)-by-n matrix whose rows span the dual code."""
         if self._parity is None:
-            basis = self.gen.transpose().kernel_basis()
+            basis = self._gen_t.kernel_basis()
             self._parity = GF2Matrix.from_row_vecs(basis, self.n)
         return self._parity
+
+    def syndrome(self, v: BitVec) -> BitVec:
+        return self.parity_check().apply(v)
 
     def dual_basis(self) -> list[BitVec]:
         return [self.parity_check().row(i) for i in range(self.n - self.k)]
@@ -222,7 +186,7 @@ class LinearCode:
         if self._codewords is None:
             if self.k > BRUTE_FORCE_LIMIT:
                 raise ValueError(f"2^{self.k} codewords is beyond enumeration")
-            cols = self.gen.transpose().row_words
+            cols = self._gen_t.row_words
             table = [0] * (1 << self.k)
             for m in range(1, 1 << self.k):
                 low = m & -m
@@ -253,7 +217,6 @@ class LinearCode:
             if red > LEADER_TABLE_LIMIT:
                 raise ValueError(f"2^{red} cosets is beyond table construction")
             want = 1 << red
-            parity = self.parity_check()
             table: dict[int, tuple[int, list[int]]] = {}
             for w in range(self.n + 1):
                 if len(table) == want:
@@ -262,7 +225,7 @@ class LinearCode:
                     e = 0
                     for p in pos:
                         e |= 1 << p
-                    s = parity.apply(BitVec(self.n, e)).value
+                    s = self.syndrome(BitVec(self.n, e)).value
                     got = table.get(s)
                     if got is None:
                         table[s] = (w, [e])
@@ -272,7 +235,7 @@ class LinearCode:
         return self._leaders
 
     def _decode_with_leaders(self, v: BitVec) -> BitVec:
-        leaders = self.leader_table()[self.parity_check().apply(v).value]
+        leaders = self.leader_table()[self.syndrome(v).value]
         best = None
         for e in leaders:
             m = self.message_of_codeword(BitVec(self.n, v.value ^ e))
@@ -323,8 +286,19 @@ class LinearCode:
             key=lambda p: (p.bit_count(), _lex_key(p, self.n)),
         )
 
-    def _error_pattern(self, diff: int) -> int:
-        """The lightest pattern with syndrome difference diff, within the radius."""
+    def correct_with_syndrome(self, v: BitVec, target: BitVec) -> BitVec:
+        """Nearest word to v whose syndrome equals target.
+
+        Raises DecodingFailure when the implied error pattern falls outside
+        the decoder radius, so a caller can abort instead of silently
+        miscorrecting.
+        """
+        if self.k == 0:
+            # Parity check is the identity: the target syndrome names the word.
+            return BitVec(self.n, target.value)
+        diff = (self.syndrome(v) + target).value
+        if self.n == self.k:
+            return v  # no redundancy, nothing to correct
         if self.n - self.k <= LEADER_TABLE_LIMIT:
             e = self._pattern_with_leaders(diff)
         elif self.k <= BRUTE_FORCE_LIMIT:
@@ -335,7 +309,7 @@ class LinearCode:
             raise DecodingFailure(
                 f"nearest pattern weight {e.bit_count()} exceeds radius {self.decoder_radius}"
             )
-        return e
+        return BitVec(self.n, v.value ^ e)
 
     def correctable_set(self) -> CorrectableSet:
         return CorrectableSet(self.n, max_weight=self.decoder_radius)
@@ -362,29 +336,34 @@ class TrivialCode(LinearCode):
             return GF2Matrix.identity(self.n)
         return GF2Matrix.zeros(self.n, 0)
 
-    def decode(self, v: BitVec) -> BitVec:
-        if v.n != self.n:
-            raise DimensionError(f"word length {v.n} != {self.n}")
-        return v if self.k else BitVec(0, 0)
+    def _check(self, v: BitVec, n: int) -> None:
+        if v.n != n:
+            raise DimensionError(f"word length {v.n} != {n}")
 
-    def _rows(self, op: str, blocks: np.ndarray) -> np.ndarray:
-        # [n, n] passes words through every map but its empty syndrome;
-        # [n, 0] passes them only into its syndrome, and encodes to zero
-        if (op == "syndrome") != (self.k > 0):
-            return blocks
-        return np.zeros((len(blocks), self.n if op == "encode" else 0), dtype=np.uint8)
+    def encode(self, y: BitVec) -> BitVec:
+        self._check(y, self.k)
+        return y if self.k else BitVec(self.n, 0)
+
+    def coset_key(self, kappa: BitVec) -> BitVec:
+        self._check(kappa, self.n)
+        return kappa if self.k else BitVec(0, 0)
+
+    def syndrome(self, v: BitVec) -> BitVec:
+        self._check(v, self.n)
+        return BitVec(0, 0) if self.k else v
+
+    def decode(self, v: BitVec) -> BitVec:
+        self._check(v, self.n)
+        return v if self.k else BitVec(0, 0)
 
 
 class BlockCode(LinearCode):
     """Direct sum of inner codes laid out contiguously, block 0 lowest.
 
-    Consecutive blocks that share one inner code object form a run of
-    (inner, count), and every map works run by run on numpy bit arrays: the
-    run's slice of the word is reshaped to (count, inner width) and goes
-    through one mod-2 matmul with the inner code's cached generator or
-    parity check, while trivial runs pass their slice through or zero it.
-    Correction takes every block's syndrome difference in one matmul and
-    resolves each distinct difference once through the inner code's route.
+    Consecutive blocks that share one inner code object form a run, and
+    every map but `decode` works run by run on a (count, inner width) bit
+    array: one mod-2 matmul for a short inner code, the slice itself or
+    zeros for a trivial one, and one packed map per block for a long one.
     Nothing is checked or reduced globally: a direct sum of
     full-column-rank blocks has full column rank, and every inner code
     checked its own generator when it was built.  The syndrome of the sum
@@ -394,14 +373,10 @@ class BlockCode(LinearCode):
 
     def __init__(self, name: str, inners: list[LinearCode]) -> None:
         self.inners = list(inners)
-        radius = min((c.decoder_radius for c in self.inners), default=0)
-        n = sum(c.n for c in self.inners)
-        self._setup(name, n, sum(c.k for c in self.inners), radius)
-
-    @functools.cached_property
-    def _runs(self) -> list[tuple[LinearCode, int]]:
         groups = (list(g) for _, g in itertools.groupby(self.inners, key=id))
-        return [(g[0], len(g)) for g in groups]
+        self._runs = [(g[0], len(g)) for g in groups]
+        radius = min((c.decoder_radius for c in self.inners), default=0)
+        self._setup(name, sum(c.n for c in self.inners), sum(c.k for c in self.inners), radius)
 
     @functools.cached_property
     def gen(self) -> GF2Matrix:
@@ -412,6 +387,30 @@ class BlockCode(LinearCode):
             words.extend(w << k_off for w in c.gen.row_words)
             k_off += c.k
         return GF2Matrix(self.n, self.k, tuple(words))
+
+    def _cut(self, v: BitVec, width: Callable[[LinearCode], int]) -> list[np.ndarray]:
+        """v as one (count, width(inner)) bit array per run."""
+        total = sum(width(c) * count for c, count in self._runs)
+        if v.n != total:
+            raise DimensionError(f"word length {v.n} != {total}")
+        bits, out, off = v.to_array(), [], 0
+        for c, count in self._runs:
+            out.append(bits[off : off + count * width(c)].reshape(count, width(c)))
+            off += count * width(c)
+        return out
+
+    def _map(self, op: str, v: BitVec, width_in, width_out) -> BitVec:
+        runs = zip(self._runs, self._cut(v, width_in))
+        return _lay_out([_run_map(c, op, blocks, width_out(c)) for (c, _), blocks in runs])
+
+    def encode(self, y: BitVec) -> BitVec:
+        return self._map("encode", y, lambda c: c.k, lambda c: c.n)
+
+    def coset_key(self, kappa: BitVec) -> BitVec:
+        return self._map("coset_key", kappa, lambda c: c.n, lambda c: c.k)
+
+    def syndrome(self, v: BitVec) -> BitVec:
+        return self._map("syndrome", v, lambda c: c.n, lambda c: c.n - c.k)
 
     def decode(self, v: BitVec) -> BitVec:
         # Block by block through the inner decoders: only the exact audits
@@ -424,10 +423,32 @@ class BlockCode(LinearCode):
             off, k_off = off + c.n, k_off + c.k
         return BitVec(self.k, out)
 
+    def correct_with_syndrome(self, v: BitVec, target: BitVec) -> BitVec:
+        """As LinearCode's, with the DecodingFailure naming the first block
+        whose implied error pattern falls outside the decoder radius."""
+        cuts = zip(self._runs, self._cut(v, lambda c: c.n), self._cut(target, lambda c: c.n - c.k))
+        parts, first = [], 0  # first: index of the run's first block
+        for (c, count), blocks, targets in cuts:
+            parts.append(_correct_run(c, blocks, targets, first))
+            first += count
+        return _lay_out(parts)
+
 
 def _bit_array(m: GF2Matrix) -> np.ndarray:
-    rows = [BitVec(m.cols, w).to_array() for w in m.row_words]
-    return np.array(rows, dtype=np.uint8).reshape(m.rows, m.cols)
+    return np.array([BitVec(m.cols, w).to_array() for w in m.row_words], np.uint8).reshape(m.rows, m.cols)
+
+
+def _run_map(c: LinearCode, op: str, blocks: np.ndarray, width: int) -> np.ndarray:
+    """Code c's map `op` on every row of a (count, width_in) bit array, as a
+    (count, width) array."""
+    if isinstance(c, TrivialCode):  # each of its maps is the identity or zero
+        return blocks if blocks.shape[1] == width else np.zeros((len(blocks), width), np.uint8)
+    if c.n > INNER_CACHE_LIMIT:  # block by block on packed words
+        rows = [getattr(c, op)(BitVec.from_array(b)).to_array() for b in blocks]
+        return np.array(rows, dtype=np.uint8).reshape(len(blocks), width)
+    if op == "syndrome":  # one mod-2 matmul with c's cached uint8 matrices
+        return (blocks @ c._check_bits.T) & 1
+    return (blocks @ (c._gen_bits if op == "coset_key" else c._gen_bits.T)) & 1
 
 
 def _lay_out(parts: list[np.ndarray]) -> BitVec:
@@ -446,15 +467,15 @@ def _correct_run(c: LinearCode, blocks: np.ndarray, targets: np.ndarray, first: 
         return targets
     if c.n == c.k:  # no redundancy, nothing to correct
         return blocks
-    diffs = c._rows("syndrome", blocks) ^ targets
+    diffs = _run_map(c, "syndrome", blocks, c.n - c.k) ^ targets
     distinct, first_at, which = np.unique(diffs, axis=0, return_index=True, return_inverse=True)
     patterns = np.zeros((len(distinct), c.n), dtype=np.uint8)
     for j in np.argsort(first_at):
-        try:
-            e = c._error_pattern(BitVec.from_array(distinct[j]).value)
+        try:  # the lightest pattern with syndrome diff corrects the zero word to diff
+            e = c.correct_with_syndrome(BitVec(c.n, 0), BitVec.from_array(distinct[j]))
         except DecodingFailure as exc:
             raise DecodingFailure(f"block {first + first_at[j]}: {exc}") from exc
-        patterns[j] = BitVec(c.n, e).to_array()
+        patterns[j] = e.to_array()
     return blocks ^ patterns[which.reshape(-1)]
 
 

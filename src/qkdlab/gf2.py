@@ -163,13 +163,14 @@ class BitVec:
 
 
 def is_permutation(perm: np.ndarray, n: int) -> bool:
-    """Whether the integer array perm holds each of 0..n-1 exactly once.
-
-    Linear in n: n entries fill n or more bins with ones only when none
-    repeats and none is n or more."""
-    if perm.shape != (n,) or (n and (perm.dtype.kind not in "iu" or perm.min() < 0)):
+    """Whether the integer array perm holds each of 0..n-1 exactly once, in
+    time linear in n: once every entry is in range, a count of them is all
+    ones only when none repeats."""
+    if perm.shape != (n,) or (n and perm.dtype.kind not in "iu"):
         return False
-    return n == 0 or bool(np.all(np.bincount(perm, minlength=n) == 1))
+    if n and (perm.min() < 0 or perm.max() >= n):
+        return False
+    return bool(np.all(np.bincount(perm.astype(np.intp), minlength=n) == 1))
 
 
 def _row_reduce(rows: list[int], cols: int) -> tuple[list[int], list[int], list[int]]:

@@ -847,9 +847,7 @@ def choose_reconciliation_code(
 def _sifted_word(bits: np.ndarray, key_set, perm) -> BitVec:
     """The sifted key: bits at the key positions, component i moved to
     position perm[i]."""
-    word = np.empty(len(perm), dtype=np.uint8)
-    word[perm] = bits[np.asarray(key_set, dtype=np.intp)]
-    return BitVec.from_array(word)
+    return BitVec.from_array(bits[np.asarray(key_set, dtype=np.intp)]).permute(perm)
 
 
 def randomize_key(y: BitVec, rng) -> tuple[BitVec, BitVec]:

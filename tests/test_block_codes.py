@@ -84,9 +84,7 @@ def _correct_block_by_block(code: BlockCode, v: BitVec, target: BitVec) -> BitVe
         try:
             fixed = c.correct_with_syndrome(block, t)
         except DecodingFailure as exc:
-            # a plain code is one block, and its message names it block 0
-            assert str(exc).startswith("block 0: ")
-            raise DecodingFailure(f"block {i}: {str(exc)[9:]}") from exc
+            raise DecodingFailure(f"block {i}: {exc}") from exc
         out |= fixed.value << off
         off += c.n
         t_off += red

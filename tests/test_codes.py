@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -141,6 +142,23 @@ def test_coset_key_constant_on_dual_cosets():
                 if (mask >> i) & 1:
                     shift = shift + duals[i]
             assert c.coset_key(kappa + shift) == base
+
+
+@pytest.mark.parametrize("build", [repetition, lambda n: repetition_blocks(n, n)])
+def test_long_code_coset_key_stays_packed(build):
+    # a dense (n-1)-by-n parity check of this code would take 67 MB; the
+    # coset key of a long code, plain or as one block, reads only the
+    # packed generator
+    code = build(8191)
+    word = BitVec.random(code.n, random.Random(9))
+    tracemalloc.start()
+    try:
+        key = code.coset_key(word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert key.value == word.weight() & 1
+    assert peak < 1 << 20
 
 
 def test_coset_key_separates_nondual_shifts():

@@ -130,16 +130,21 @@ def _perm_candidates(n: int):
             st.permutations(range(n)),
             st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n),  # repeats
             st.lists(st.integers(-2, n + 2), max_size=n + 2),
+            # entries far out of range, up to the top of uint64
+            st.lists(st.one_of(st.integers(0, n), st.integers(2**32, 2**64 - 1)), min_size=n, max_size=n),
         ),
     )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.integers(0, 40).flatmap(_perm_candidates))
 def test_permutation_check_matches_sorting(case):
     n, perm = case
     ok = sorted(perm) == list(range(n))
-    assert is_permutation(np.array(perm, dtype=np.int64), n) == ok
+    if max(perm, default=0) < 2**63:
+        assert is_permutation(np.array(perm, dtype=np.int64), n) == ok
+    if min(perm, default=0) >= 0:
+        assert is_permutation(np.array(perm, dtype=np.uint64), n) == ok
     if ok:
         BitVec.zeros(n).permute(perm)
     else:

@@ -11,6 +11,7 @@ import functools
 import math
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -515,6 +516,20 @@ def test_final_key_is_the_coset_label_of_the_sifted_key():
     pa = code_from_descriptor(res.stats.code_descriptor)
     assert res.bob_key == pa.coset_key(res.bob.kappa)
     assert res.alice.kappa == res.bob.kappa
+
+
+def test_plain_privacy_code_session_stays_small():
+    # a plain [n, 1] code as the key-extraction code: its coset key is one
+    # packed parity, with no n-by-n bit array behind it (16.8 MB at n=4096)
+    tracemalloc.start()
+    try:
+        res = run_protocol(_noiseless_cfg(n=4096, code_policy="repetition"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.stats.abort_reason is None
+    assert res.alice_key == res.bob_key == BitVec(1, res.bob.kappa.weight() & 1)
+    assert peak < 16 << 20
 
 
 def test_same_seed_reproduces_everything():
