@@ -616,8 +616,8 @@ def _parse_descriptor(desc: str) -> tuple[str, dict[str, int]]:
 
 
 def descriptor_length(desc: str) -> int:
-    """Code length n named by a wire descriptor, read without building the
-    code, so a peer's descriptor can be checked before any work is done."""
+    """Code length n named by a descriptor, read without building the code,
+    so a requested length can be checked before any work is done."""
     _, params = _parse_descriptor(desc)
     if "n" not in params:
         raise ValueError(f"descriptor {desc!r} names no length")

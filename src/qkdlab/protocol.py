@@ -8,7 +8,9 @@ which the receiver passes through the configured channel in one batch,
 then the classical announcements in fixed order: Bob's bases; Alice's
 bases and test-half choice R; Bob's key subset S; Alice's test bits; Bob's
 error rate and verdict; Bob's permutation, code choice, and encrypted
-syndrome; a keyed confirmation hash; done or abort.
+syndrome; a keyed confirmation hash; done or abort.  Alice derives both
+codes herself, from the shared config and Bob's announced error rate; his
+CODE and SYNDROME_ENC descriptors are echoes she checks byte for byte.
 
 Randomness is split into named streams derived from one master seed
 (emission coins, subset choices, channel noise, detector outcomes, and the
@@ -39,7 +41,6 @@ from .codes import (
     DecodingFailure,
     LinearCode,
     code_from_descriptor,
-    descriptor_length,
     rec_hamming,
     rec_identity,
     rec_repetition,
@@ -540,6 +541,7 @@ class SessionConfig:
             raise ValueError("delta_max must sit in (0, 1/2)")
         if self.n > 0xFFFF:
             raise ValueError("key size beyond the wire format")
+        self.pa_code()  # a policy that names no buildable code is a config error
 
     @property
     def omega_size(self) -> int:
@@ -1115,6 +1117,8 @@ class AliceSession(_Session):
         self.stats.delta = delta
         if not proceed:
             return self._fail(ABORT_DELTA, announce=False)
+        if not 0.0 <= delta <= self.cfg.delta_max:  # no verdict Bob could reach
+            return self._fail(ABORT_PHASE)
         self.phase = "await_perm"
         return []
 
@@ -1133,14 +1137,8 @@ class AliceSession(_Session):
         if msg.tag != TAG_CODE:
             return self._fail(ABORT_PHASE)
         self._record(TAG_CODE, "bob", msg.payload)
-        try:
-            desc = msg.payload.decode()
-            if descriptor_length(desc) != self.cfg.n:
-                return self._fail(ABORT_PHASE)
-            code = code_from_descriptor(desc)
-        except ValueError:
-            return self._fail(ABORT_PHASE)
-        if code.n != self.cfg.n or code.descriptor() != desc:
+        code = self.cfg.pa_code()
+        if msg.payload != code.descriptor().encode():
             return self._fail(ABORT_PHASE)
         self.pa_code = code
         self.stats.r = code.k
@@ -1154,12 +1152,12 @@ class AliceSession(_Session):
         self._record(TAG_SYNDROME_ENC, "bob", msg.payload)
         try:
             desc, enc = decode_syndrome(msg.payload)
-            if descriptor_length(desc) != self.cfg.n:
-                return self._fail(ABORT_PHASE)
-            rec = code_from_descriptor(desc)
-        except (ValueError, ProtocolError):
+        except ProtocolError:
             return self._fail(ABORT_PHASE)
-        if rec.n != self.cfg.n or rec.descriptor() != desc or enc.n != rec.n - rec.k:
+        rec = choose_reconciliation_code(
+            self.cfg.n, self.stats.delta, self.cfg.epsilon, self.cfg.rec_target_fail
+        )
+        if desc != rec.descriptor() or enc.n != rec.n - rec.k:
             return self._fail(ABORT_PHASE)
         self.stats.rec_descriptor = desc
         self.stats.tau = enc.n

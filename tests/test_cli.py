@@ -55,6 +55,14 @@ def test_unknown_source_kind_rejected(tmp_path):
     assert main(["simulate", "--config", cfg]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "policy", ["hamming", "fountain", "zero", "repetition_blocks", "random:k=30,seed=1"]
+)
+def test_unbuildable_code_policy_rejected(tmp_path, policy):
+    cfg = write_config(tmp_path, n=256, code_policy=policy)
+    assert main(["simulate", "--config", cfg]) == EXIT_CONFIG
+
+
 def test_seed_resolution_order(tmp_path, monkeypatch):
     monkeypatch.setenv("QKDLAB_SEED", "7")
     with_seed = load_config(write_config(tmp_path, "a.json", seed=5))

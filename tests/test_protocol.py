@@ -10,16 +10,17 @@ import collections
 import functools
 import math
 import random
+import struct
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qkdlab.protocol as protocol_module
-from qkdlab.codes import code_from_descriptor
+from qkdlab.codes import code_from_descriptor, rec_repetition
 from qkdlab.gf2 import BitVec
 from qkdlab.protocol import (
     ABORT_CONFIRM,
@@ -38,12 +39,14 @@ from qkdlab.protocol import (
     TAG_ABORT,
     TAG_BASES_A_AND_R,
     TAG_BASES_B,
+    TAG_CODE,
     TAG_DELTA_DECISION,
     TAG_HELLO,
     TAG_NAMES,
     TAG_PERM,
     TAG_QBURST,
     TAG_SUBSET_S,
+    TAG_SYNDROME_ENC,
     TAG_TEST_BITS,
     AliceSession,
     BobSession,
@@ -692,17 +695,21 @@ def _drive_alice_from_transcript(cfg, transcript, swap_step=None, swap_payload=N
     return alice
 
 
-def test_decoding_failure_surfaces_as_reconcile_abort():
+def test_decoding_failure_surfaces_as_reconcile_abort(monkeypatch):
+    # every code the ladder picks is perfect, so no honest session fails to
+    # decode: both parties are handed four-bit majority blocks instead, and
+    # the syndrome's offset from the sender's word sits two flips inside one
+    # block: no coset leader within radius one, so the decode must give up
+    monkeypatch.setattr(
+        protocol_module, "choose_reconciliation_code", lambda n, *rest: rec_repetition(n, 4)
+    )
     cfg = _noiseless_cfg(seed=13)
     res = run_protocol(cfg)
     assert res.stats.abort_reason is None
-    kappa = res.bob.kappa
-    # substitute a low-radius block code and a syndrome whose offset from
-    # the sender's word sits two flips inside one block: no coset leader
-    # within radius one, so the decode must give up
-    rec4 = code_from_descriptor("repetition_blocks:n=16,inner=4")
+    assert res.stats.rec_descriptor == "rec_repetition:n=16,inner=4"
+    rec4 = rec_repetition(16, 4)
     pattern = BitVec.from_bits([1, 1] + [0] * 14)
-    target = rec4.syndrome(kappa + pattern)
+    target = rec4.syndrome(res.bob.kappa + pattern)
     pool = SecretPool(stream_seed(cfg.seed, "pool"), cfg.pool_capacity)
     otp = pool.take(target.n)
     forged = encode_syndrome(rec4.descriptor(), target + otp)
@@ -727,14 +734,37 @@ def test_ladder_codes_beyond_the_leader_table_reconcile():
     assert beyond_table > 0
 
 
-@pytest.mark.parametrize("desc", ["repetition:n=10000000", "identity:n=70000"])
-@pytest.mark.parametrize("step", ["CODE", "SYNDROME_ENC"])
-def test_oversized_descriptor_aborts_before_building(desc, step):
-    cfg = _noiseless_cfg(seed=13)
-    res = run_protocol(cfg)
+@functools.cache
+def _honest_run(n):
+    return run_protocol(_noiseless_cfg(n=n, seed=13))
+
+
+# peer-named codes that are too long, or of the session's own length but
+# costly to build or to correct with (seconds to minutes when built)
+_HOSTILE_DESCRIPTORS = [
+    (16, step, desc)
+    for step in ("CODE", "SYNDROME_ENC")
+    for desc in ("repetition:n=10000000", "identity:n=70000")
+] + [
+    (256, "CODE", "random:n=256,k=22,seed=1"),
+    (256, "SYNDROME_ENC", "random:n=256,k=22,seed=1"),
+    (256, "SYNDROME_ENC", "rec_repetition:n=256,inner=256"),
+    (4095, "CODE", "hamming:n=4095"),
+    (4095, "SYNDROME_ENC", "hamming:n=4095"),
+]
+
+
+@pytest.mark.parametrize(
+    "n, step, desc",
+    [pytest.param(*case, id=f"{case[1]}-{case[2]}") for case in _HOSTILE_DESCRIPTORS],
+)
+def test_oversized_descriptor_aborts_before_building(n, step, desc):
+    res = _honest_run(n)
     payload = desc.encode() if step == "CODE" else encode_syndrome(desc, BitVec(8, 0))
     start = time.perf_counter()
-    alice = _drive_alice_from_transcript(cfg, res.transcript, swap_step=step, swap_payload=payload)
+    alice = _drive_alice_from_transcript(
+        res.alice.cfg, res.transcript, swap_step=step, swap_payload=payload
+    )
     assert time.perf_counter() - start < 0.1
     assert alice.abort_reason == ABORT_PHASE
 
@@ -898,6 +928,84 @@ def test_flipped_delta_decision_leaves_neither_party_a_key(monkeypatch):
     assert res.bob.terminal and res.bob.abort_reason == ABORT_TRANSPORT
     assert res.stats.abort_reason == ABORT_DELTA
     assert res.alice_key is None and res.bob_key is None
+
+
+def test_rewritten_code_leaves_nobody_a_key():
+    # the confirmation hash covers the reconciled word, not the code: had
+    # Alice built the code Bob's CODE names, both would finish, keys unequal
+    def rewrite(i, msg):
+        if msg.tag != TAG_CODE:
+            return [msg]
+        return [WireMessage(TAG_CODE, b"repetition_blocks:n=16,inner=3")]
+
+    alice, bob = _pump_with(_FUZZ_CFG, rewrite)
+    assert alice.abort_reason == bob.abort_reason == ABORT_PHASE
+    assert alice.final_key is None and bob.final_key is None
+
+
+_CODE_FAMILIES = (
+    "repetition",
+    "hamming",
+    "identity",
+    "zero",
+    "random",
+    "hamming_blocks",
+    "repetition_blocks",
+    "rec_hamming",
+    "rec_repetition",
+    "rec_identity",
+    "rec_verbatim",
+)
+
+_descriptors = st.one_of(
+    st.builds(
+        lambda family, params: f"{family}:{','.join(f'{k}={v}' for k, v in params.items())}",
+        st.sampled_from(_CODE_FAMILIES) | st.text(max_size=12),
+        st.fixed_dictionaries(
+            {},
+            optional={
+                key: st.just(_FUZZ_CFG.n) | st.integers(0, 25) | st.integers(-1, 1 << 16)
+                for key in ("n", "k", "seed", "inner")
+            },
+        ),
+    ).map(str.encode),
+    st.binary(max_size=40),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(tag=st.sampled_from([TAG_CODE, TAG_SYNDROME_ENC]), desc=_descriptors)
+@example(tag=TAG_CODE, desc=b"repetition:n=16")
+def test_only_the_derived_descriptors_are_accepted(tag, desc):
+    honest = next(m.payload for m in _honest_messages() if m.tag == tag)
+    if tag == TAG_CODE:
+        own, payload = honest, desc
+    else:
+        (dlen,) = struct.unpack_from(">H", honest)
+        own = honest[2 : 2 + dlen]
+        payload = struct.pack(">H", len(desc)) + desc + honest[2 + dlen :]
+    assume(desc != own)
+
+    def rewrite(i, msg):
+        return [WireMessage(tag, payload)] if msg.tag == tag else [msg]
+
+    alice, bob = _pump_with(_FUZZ_CFG, rewrite)
+    assert alice.abort_reason == bob.abort_reason == ABORT_PHASE
+    assert alice.final_key is None and bob.final_key is None
+
+
+@pytest.mark.parametrize(
+    "delta", [-1e300, math.nan, -0.01, _FUZZ_CFG.delta_max + 0.01], ids=str
+)
+def test_proceed_with_a_delta_bob_could_not_send_is_out_of_order(delta):
+    def rewrite(i, msg):
+        if msg.tag != TAG_DELTA_DECISION:
+            return [msg]
+        return [WireMessage(TAG_DELTA_DECISION, encode_delta(delta, True))]
+
+    alice, bob = _pump_with(_FUZZ_CFG, rewrite)
+    assert alice.abort_reason == bob.abort_reason == ABORT_PHASE
+    assert alice.final_key is None and bob.final_key is None
 
 
 def test_abort_with_undecodable_reason_still_aborts():
