@@ -13,6 +13,7 @@ import argparse
 import copy
 import csv
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -142,12 +143,10 @@ def _parse_endpoint(text: str) -> tuple[str, int]:
 # simulate and sweep
 
 
-def _stats_csv(rows: list[list]) -> str:
-    import io
-
+def _csv_text(header, rows: list[list]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(STATS_FIELDS)
+    writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
 
@@ -176,7 +175,7 @@ def cmd_simulate(args) -> int:
             _write_text(args.transcript_out, result.transcript.to_text(), args.force)
 
     if args.stats_out:
-        _write_text(args.stats_out, _stats_csv(rows), args.force)
+        _write_text(args.stats_out, _csv_text(STATS_FIELDS, rows), args.force)
     return EXIT_OK if completed else EXIT_ABORT
 
 
@@ -211,13 +210,7 @@ def cmd_sweep(args) -> int:
             result = run_protocol(cfg)
             rows.append([args.param, token] + result.stats.as_row(f"{token}/{i}"))
 
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["param", "value"] + list(STATS_FIELDS))
-    writer.writerows(rows)
-    _write_text(args.out, buf.getvalue(), args.force)
+    _write_text(args.out, _csv_text(["param", "value", *STATS_FIELDS], rows), args.force)
     print(f"swept {args.param} over {len(tokens)} values, {len(rows)} rows")
     return EXIT_OK
 
@@ -237,22 +230,18 @@ def cmd_bounds(args) -> int:
         if not 0.0 <= d <= 0.5:
             raise ConfigError(f"delta {d} outside [0, 1/2]")
 
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["delta", "entropy", "key_rate", "mayers_rate", "sampling_bound"])
-    for d in deltas:
-        writer.writerow(
-            [
-                repr(d),
-                repr(bounds_mod.binary_entropy(d)),
-                repr(bounds_mod.key_rate(d)),
-                repr(bounds_mod.mayers_rate(d)),
-                repr(bounds_mod.sampling_bound(args.n, d, args.epsilon)),
-            ]
-        )
-    _write_text(args.out, buf.getvalue(), args.force)
+    rows = [
+        [
+            repr(d),
+            repr(bounds_mod.binary_entropy(d)),
+            repr(bounds_mod.key_rate(d)),
+            repr(bounds_mod.mayers_rate(d)),
+            repr(bounds_mod.sampling_bound(args.n, d, args.epsilon)),
+        ]
+        for d in deltas
+    ]
+    header = ["delta", "entropy", "key_rate", "mayers_rate", "sampling_bound"]
+    _write_text(args.out, _csv_text(header, rows), args.force)
     print(f"wrote {len(deltas)} rows")
     return EXIT_OK
 

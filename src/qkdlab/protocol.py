@@ -8,9 +8,12 @@ which the receiver passes through the configured channel in one batch,
 then the classical announcements in fixed order: Bob's bases; Alice's
 bases and test-half choice R; Bob's key subset S; Alice's test bits; Bob's
 error rate and verdict; Bob's permutation, code choice, and encrypted
-syndrome; a keyed confirmation hash; done or abort.  Alice derives both
-codes herself, from the shared config and Bob's announced error rate; his
-CODE and SYNDROME_ENC descriptors are echoes she checks byte for byte.
+syndrome; a keyed confirmation hash; done or abort.  Each side checks the
+peer's HELLO as an echo: it must equal, byte for byte, the HELLO this side
+would send in the peer's role.  Alice derives both codes herself, from the
+shared config and Bob's announced error rate; his CODE and SYNDROME_ENC
+descriptors are echoes she checks byte for byte.  In every waiting phase a
+party accepts one tag; any other message ends the session in phase_order.
 
 Randomness is split into named streams derived from one master seed
 (emission coins, subset choices, channel noise, detector outcomes, and the
@@ -535,13 +538,18 @@ class SessionConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("need at least one key bit")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if not 0.0 < self.delta_max < 0.5:
             raise ValueError("delta_max must sit in (0, 1/2)")
-        if self.n > 0xFFFF:
+        # below efficiency 2^-15 even one key bit needs a burst of 2^32 signals
+        if self.n > 0xFFFF or self.detector.efficiency < 2**-15 or self.omega_size > 0xFFFFFFFF:
             raise ValueError("key size beyond the wire format")
-        self.pa_code()  # a policy that names no buildable code is a config error
+        if self.pool_bits is not None and (
+            not isinstance(self.pool_bits, int) or self.pool_bits < 0
+        ):
+            raise ValueError("pool_bits must be a non-negative integer")
+        self.pa_code  # a policy that names no buildable code is a config error
 
     @property
     def omega_size(self) -> int:
@@ -553,6 +561,7 @@ class SessionConfig:
     def pool_capacity(self) -> int:
         return self.pool_bits if self.pool_bits is not None else 4 * self.n + 512
 
+    @functools.cached_property
     def pa_code(self) -> LinearCode:
         policy = self.code_policy
         if ":" in policy:
@@ -607,18 +616,6 @@ def encode_hello(cfg: SessionConfig, role: int) -> bytes:
     )
 
 
-def decode_hello(payload: bytes) -> dict:
-    version, role, n, epsilon, delta_max, omega = _unpack_exact(">HBIddI", payload)
-    return {
-        "version": version,
-        "role": role,
-        "n": n,
-        "epsilon": epsilon,
-        "delta_max": delta_max,
-        "omega": omega,
-    }
-
-
 def encode_bases_b(symbols: np.ndarray) -> bytes:
     return struct.pack(">I", len(symbols)) + bytes(symbols.astype(np.uint8).tolist())
 
@@ -645,20 +642,12 @@ def decode_bases_a_and_r(payload: bytes) -> tuple[np.ndarray, np.ndarray]:
     return _unpack_bits(body[:span], count), _unpack_bits(body[span:], count)
 
 
-def encode_mask(mask: np.ndarray) -> bytes:
-    return struct.pack(">I", len(mask)) + _pack_bits(mask)
-
-
-def decode_mask(payload: bytes) -> np.ndarray:
-    (count,) = _unpack(">I", payload)
-    return _unpack_bits(payload[4:], count)
-
-
-def encode_test_bits(bits: np.ndarray) -> bytes:
+def encode_bits(bits: np.ndarray) -> bytes:
+    """A counted bit string: Bob's key-set mask, Alice's test bits."""
     return struct.pack(">I", len(bits)) + _pack_bits(bits)
 
 
-def decode_test_bits(payload: bytes) -> np.ndarray:
+def decode_bits(payload: bytes) -> np.ndarray:
     (count,) = _unpack(">I", payload)
     return _unpack_bits(payload[4:], count)
 
@@ -774,21 +763,30 @@ class SiftResult:
     abort_reason: str | None
 
 
-def sift(a_bits, b_symbols, r_mask, n: int, rng) -> SiftResult:
-    """Split announced positions into the test set T and the key set S.
+def _sift_masks(a, b, r) -> tuple[np.ndarray, np.ndarray]:
+    """(test mask, key-candidate mask) over the announced positions.
 
-    T is every position of the test half where the bases agree; S is n
-    positions sampled uniformly (with the supplied rng) from the untested
-    half where the receiver's basis matches the opposite of the announced
-    one -- that opposite basis being what was actually sent there.  Null
-    detections match nothing.  Aborts when either set comes up short.
+    A test position lies in the test half R and the bases agree; a key
+    candidate lies outside R and the receiver's basis matches the opposite
+    of the announced one -- that opposite basis being what was actually
+    sent there.  Null detections (symbol 2) match nothing.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    in_r = np.asarray(r, dtype=bool)
+    seen = b != 2
+    return in_r & (a == b) & seen, ~in_r & (1 - a == b) & seen
+
+
+def sift(a_bits, b_symbols, r_mask, n: int, rng) -> SiftResult:
+    """Split announced positions into the test set T (every test position)
+    and the key set S (n key candidates sampled uniformly with the supplied
+    rng).  Aborts when either set comes up short.
     """
     m = min(len(a_bits), len(b_symbols), len(r_mask))
-    a = np.asarray(a_bits, dtype=np.int64)[:m]
-    b = np.asarray(b_symbols, dtype=np.int64)[:m]
-    in_r = np.asarray(r_mask, dtype=bool)[:m]
-    test = np.flatnonzero(in_r & (a == b) & (b != 2)).tolist()
-    candidates = np.flatnonzero(~in_r & (1 - a == b) & (b != 2)).tolist()
+    test_mask, key_mask = _sift_masks(a_bits[:m], b_symbols[:m], r_mask[:m])
+    test = np.flatnonzero(test_mask).tolist()
+    candidates = np.flatnonzero(key_mask).tolist()
     if len(test) < n or len(candidates) < n:
         return SiftResult(tuple(test), None, ABORT_SIFT)
     key_set = tuple(sorted(rng.sample(candidates, n)))
@@ -930,9 +928,16 @@ class RunStats:
 
 
 class _Session:
-    """Shared plumbing: phase tracking, transcript, terminal handling."""
+    """Shared plumbing: phase tracking, transcript, terminal handling.
+
+    Each subclass maps every waiting phase to the one tag it accepts
+    (`expects`).  `on_message` ends any other tag in `phase_order` before a
+    handler sees it, records the peer's message, dispatches it to
+    `_phase_<phase>`, and records what this side sends in reply.
+    """
 
     role_name = "?"
+    expects: dict[str, int] = {}
 
     def __init__(self, cfg: SessionConfig) -> None:
         self.cfg = cfg
@@ -953,56 +958,34 @@ class _Session:
     def terminal(self) -> bool:
         return self.done or self.aborted
 
-    def _record(self, tag: int, sender: str, payload: bytes) -> None:
-        if tag in TRANSCRIPT_TAGS:
-            self.transcript.append(TAG_NAMES[tag], sender, payload)
+    def _record(self, sender: str, msgs: Sequence[WireMessage]) -> Sequence[WireMessage]:
+        """Appends the announcements among `msgs` to the transcript."""
+        for msg in msgs:
+            if msg.tag in TRANSCRIPT_TAGS:
+                self.transcript.append(TAG_NAMES[msg.tag], sender, msg.payload)
+        return msgs
 
     def _fail(self, reason: str, announce: bool = True) -> list[WireMessage]:
         self.abort_reason = reason
         self.stats.abort_reason = reason
         self.final_key = None
         self.phase = "dead"
-        if announce:
-            msg = WireMessage(TAG_ABORT, reason.encode())
-            self._record(TAG_ABORT, self.role_name, msg.payload)
-            return [msg]
-        return []
-
-    def _accept_abort(self, msg: WireMessage) -> list[WireMessage]:
-        reason = msg.payload.decode(errors="replace") or ABORT_TRANSPORT
-        self._record(TAG_ABORT, self.peer_name, msg.payload)
-        self.abort_reason = reason
-        self.stats.abort_reason = reason
-        self.final_key = None
-        self.phase = "dead"
-        return []
-
-    def _check_hello(self, msg: WireMessage, expect_role: int) -> str | None:
-        try:
-            hello = decode_hello(msg.payload)
-        except ProtocolError:
-            return ABORT_VERSION
-        if hello["version"] != WIRE_VERSION or hello["role"] != expect_role:
-            return ABORT_VERSION
-        if (
-            hello["n"] != self.cfg.n
-            or hello["omega"] != self.cfg.omega_size
-            or abs(hello["epsilon"] - self.cfg.epsilon) > 0.0
-            or abs(hello["delta_max"] - self.cfg.delta_max) > 0.0
-        ):
-            return ABORT_VERSION
-        return None
+        return [WireMessage(TAG_ABORT, reason.encode())] if announce else []
 
     def on_message(self, msg: WireMessage) -> Sequence[WireMessage]:
         if self.terminal:
             return []
-        if msg.tag == TAG_ABORT:
-            return self._accept_abort(msg)
-        handler = getattr(self, f"_phase_{self.phase}", None)
-        if handler is None:
+        return self._record(self.role_name, self._dispatch(msg))
+
+    def _dispatch(self, msg: WireMessage) -> list[WireMessage]:
+        if msg.tag != TAG_ABORT and msg.tag != self.expects.get(self.phase):
             return self._fail(ABORT_PHASE)
+        self._record(self.peer_name, [msg])
+        if msg.tag == TAG_ABORT:
+            reason = msg.payload.decode(errors="replace") or ABORT_TRANSPORT
+            return self._fail(reason, announce=False)
         try:
-            return handler(msg)
+            return getattr(self, f"_phase_{self.phase}")(msg)
         except ProtocolError as err:
             self.abort_detail = f"{msg.name()}: {err}"
             return self._fail(ABORT_MALFORMED)
@@ -1014,6 +997,16 @@ class AliceSession(_Session):
 
     role_name = "alice"
     peer_name = "bob"
+    expects = {
+        "hello": TAG_HELLO,
+        "await_bases": TAG_BASES_B,
+        "await_subset": TAG_SUBSET_S,
+        "await_delta": TAG_DELTA_DECISION,
+        "await_perm": TAG_PERM,
+        "await_code": TAG_CODE,
+        "await_syndrome": TAG_SYNDROME_ENC,
+        "await_confirm": TAG_KEY_CONFIRM,
+    }
 
     def __init__(self, cfg: SessionConfig) -> None:
         super().__init__(cfg)
@@ -1026,21 +1019,17 @@ class AliceSession(_Session):
         self.test_set: tuple[int, ...] = ()
         self.key_set: tuple[int, ...] = ()
         self.perm: np.ndarray | None = None
-        self.pa_code: LinearCode | None = None
         self.kappa: BitVec | None = None
 
     def start(self) -> list[WireMessage]:
         if check_basis_independence(self.cfg.source) > SOURCE_TOLERANCE:
-            return self._fail(ABORT_SOURCE)
+            return self._record(self.role_name, self._fail(ABORT_SOURCE))
         self.phase = "hello"
         return [WireMessage(TAG_HELLO, encode_hello(self.cfg, ROLE_ALICE))]
 
     def _phase_hello(self, msg: WireMessage) -> Sequence[WireMessage]:
-        if msg.tag != TAG_HELLO:
-            return self._fail(ABORT_PHASE)
-        bad = self._check_hello(msg, ROLE_BOB)
-        if bad:
-            return self._fail(bad)
+        if msg.payload != encode_hello(self.cfg, ROLE_BOB):
+            return self._fail(ABORT_VERSION)
         return self._emit_signals()
 
     def _emit_signals(self) -> list[WireMessage]:
@@ -1065,54 +1054,34 @@ class AliceSession(_Session):
         return encode_qburst(states_to_bytes(states))
 
     def _phase_await_bases(self, msg: WireMessage) -> list[WireMessage]:
-        if msg.tag != TAG_BASES_B:
-            return self._fail(ABORT_PHASE)
-        self._record(TAG_BASES_B, "bob", msg.payload)
         b_symbols = decode_bases_b(msg.payload)
         if b_symbols.size != self.cfg.omega_size:
             return self._fail(ABORT_PHASE)
         self.b_symbols = b_symbols
-        payload = encode_bases_a_and_r(self.a_bits, self.r_mask)
-        self._record(TAG_BASES_A_AND_R, "alice", payload)
         # T is now public knowledge; S arrives from the peer next
-        self.test_set = tuple(
-            np.flatnonzero((self.r_mask != 0) & (b_symbols == self.a_bits)).tolist()
-        )
+        test_mask, _ = _sift_masks(self.a_bits, b_symbols, self.r_mask)
+        self.test_set = tuple(np.flatnonzero(test_mask).tolist())
         self.stats.t_size = len(self.test_set)
         self.phase = "await_subset"
-        return [WireMessage(TAG_BASES_A_AND_R, payload)]
+        return [WireMessage(TAG_BASES_A_AND_R, encode_bases_a_and_r(self.a_bits, self.r_mask))]
 
     def _phase_await_subset(self, msg: WireMessage) -> list[WireMessage]:
-        if msg.tag != TAG_SUBSET_S:
-            return self._fail(ABORT_PHASE)
-        self._record(TAG_SUBSET_S, "bob", msg.payload)
-        mask = decode_mask(msg.payload)
-        key_idx = np.flatnonzero(mask)
-        key_set = tuple(key_idx.tolist())
+        key_idx = np.flatnonzero(decode_bits(msg.payload))
+        _, key_mask = _sift_masks(self.a_bits, self.b_symbols, self.r_mask)
         ok = (
-            len(key_set) == self.cfg.n
-            and key_idx[-1] < len(self.r_mask)
-            and bool(
-                np.all(
-                    (self.r_mask[key_idx] == 0)
-                    & (self.b_symbols[key_idx] == 1 - self.a_bits[key_idx])
-                )
-            )
+            key_idx.size == self.cfg.n
+            and key_idx[-1] < key_mask.size
+            and bool(key_mask[key_idx].all())
         )
         if len(self.test_set) < self.cfg.n or not ok:
             return self._fail(ABORT_SIFT)
-        self.key_set = key_set
-        self.stats.s_size = len(key_set)
+        self.key_set = tuple(key_idx.tolist())
+        self.stats.s_size = len(self.key_set)
         g_test = self.g_bits[np.asarray(self.test_set, dtype=np.intp)]
-        payload = encode_test_bits(g_test)
-        self._record(TAG_TEST_BITS, "alice", payload)
         self.phase = "await_delta"
-        return [WireMessage(TAG_TEST_BITS, payload)]
+        return [WireMessage(TAG_TEST_BITS, encode_bits(g_test))]
 
     def _phase_await_delta(self, msg: WireMessage) -> list[WireMessage]:
-        if msg.tag != TAG_DELTA_DECISION:
-            return self._fail(ABORT_PHASE)
-        self._record(TAG_DELTA_DECISION, "bob", msg.payload)
         delta, proceed = decode_delta(msg.payload)
         self.stats.delta = delta
         if not proceed:
@@ -1123,9 +1092,6 @@ class AliceSession(_Session):
         return []
 
     def _phase_await_perm(self, msg: WireMessage) -> list[WireMessage]:
-        if msg.tag != TAG_PERM:
-            return self._fail(ABORT_PHASE)
-        self._record(TAG_PERM, "bob", msg.payload)
         perm = decode_perm(msg.payload)
         if not is_permutation(perm, self.cfg.n):
             return self._fail(ABORT_PHASE)
@@ -1134,22 +1100,15 @@ class AliceSession(_Session):
         return []
 
     def _phase_await_code(self, msg: WireMessage) -> list[WireMessage]:
-        if msg.tag != TAG_CODE:
-            return self._fail(ABORT_PHASE)
-        self._record(TAG_CODE, "bob", msg.payload)
-        code = self.cfg.pa_code()
+        code = self.cfg.pa_code
         if msg.payload != code.descriptor().encode():
             return self._fail(ABORT_PHASE)
-        self.pa_code = code
         self.stats.r = code.k
         self.stats.code_descriptor = code.descriptor()
         self.phase = "await_syndrome"
         return []
 
     def _phase_await_syndrome(self, msg: WireMessage) -> list[WireMessage]:
-        if msg.tag != TAG_SYNDROME_ENC:
-            return self._fail(ABORT_PHASE)
-        self._record(TAG_SYNDROME_ENC, "bob", msg.payload)
         try:
             desc, enc = decode_syndrome(msg.payload)
         except ProtocolError:
@@ -1175,9 +1134,6 @@ class AliceSession(_Session):
         return []
 
     def _phase_await_confirm(self, msg: WireMessage) -> list[WireMessage]:
-        if msg.tag != TAG_KEY_CONFIRM:
-            return self._fail(ABORT_PHASE)
-        self._record(TAG_KEY_CONFIRM, "bob", msg.payload)
         their_mac = decode_confirm(msg.payload)
         try:
             confirm_key = self.pool.take(CONFIRM_KEY_BITS)
@@ -1186,7 +1142,7 @@ class AliceSession(_Session):
         self.stats.confirm_bits = CONFIRM_KEY_BITS
         if _confirm_mac(confirm_key, self.kappa) != their_mac:
             return self._fail(ABORT_CONFIRM)
-        self.final_key = self.pa_code.coset_key(self.kappa)
+        self.final_key = self.cfg.pa_code.coset_key(self.kappa)
         self.done = True
         self.phase = "finished"
         return [WireMessage(TAG_DONE, b"")]
@@ -1198,6 +1154,13 @@ class BobSession(_Session):
 
     role_name = "bob"
     peer_name = "alice"
+    expects = {
+        "hello": TAG_HELLO,
+        "collect": TAG_QBURST,
+        "await_bases_a": TAG_BASES_A_AND_R,
+        "await_test_bits": TAG_TEST_BITS,
+        "await_done": TAG_DONE,
+    }
 
     def __init__(self, cfg: SessionConfig) -> None:
         super().__init__(cfg)
@@ -1220,11 +1183,8 @@ class BobSession(_Session):
         return []
 
     def _phase_hello(self, msg: WireMessage) -> list[WireMessage]:
-        if msg.tag != TAG_HELLO:
-            return self._fail(ABORT_PHASE)
-        bad = self._check_hello(msg, ROLE_ALICE)
-        if bad:
-            return self._fail(bad)
+        if msg.payload != encode_hello(self.cfg, ROLE_ALICE):
+            return self._fail(ABORT_VERSION)
         self.phase = "collect"
         return [WireMessage(TAG_HELLO, encode_hello(self.cfg, ROLE_BOB))]
 
@@ -1232,7 +1192,7 @@ class BobSession(_Session):
         """Takes the burst chunk by chunk, in order; any chunk that is not
         the next non-empty run of whole states of this session's burst is
         out of order."""
-        if msg.tag != TAG_QBURST or len(msg.payload) < BURST_HEAD.size:
+        if len(msg.payload) < BURST_HEAD.size:
             return self._fail(ABORT_PHASE)
         first, total = BURST_HEAD.unpack_from(msg.payload)
         body = msg.payload[BURST_HEAD.size :]
@@ -1264,15 +1224,10 @@ class BobSession(_Session):
         outcomes, detected = cfg.detector.measure_batch(states, bases, rng)
         self.h_bits = outcomes
         self.b_symbols = np.where(detected, bases, np.uint8(2)).astype(np.uint8)
-        payload = encode_bases_b(self.b_symbols)
-        self._record(TAG_BASES_B, "bob", payload)
         self.phase = "await_bases_a"
-        return [WireMessage(TAG_BASES_B, payload)]
+        return [WireMessage(TAG_BASES_B, encode_bases_b(self.b_symbols))]
 
     def _phase_await_bases_a(self, msg: WireMessage) -> list[WireMessage]:
-        if msg.tag != TAG_BASES_A_AND_R:
-            return self._fail(ABORT_PHASE)
-        self._record(TAG_BASES_A_AND_R, "alice", msg.payload)
         a_bits, r_mask = decode_bases_a_and_r(msg.payload)
         if a_bits.size != self.cfg.omega_size:
             return self._fail(ABORT_PHASE)
@@ -1285,25 +1240,18 @@ class BobSession(_Session):
         self.stats.s_size = len(result.key_set)
         mask = np.zeros(self.cfg.omega_size, dtype=np.uint8)
         mask[list(result.key_set)] = 1
-        payload = encode_mask(mask)
-        self._record(TAG_SUBSET_S, "bob", payload)
         self.phase = "await_test_bits"
-        return [WireMessage(TAG_SUBSET_S, payload)]
+        return [WireMessage(TAG_SUBSET_S, encode_bits(mask))]
 
     def _phase_await_test_bits(self, msg: WireMessage) -> list[WireMessage]:
-        if msg.tag != TAG_TEST_BITS:
-            return self._fail(ABORT_PHASE)
-        self._record(TAG_TEST_BITS, "alice", msg.payload)
-        g_test = decode_test_bits(msg.payload)
+        g_test = decode_bits(msg.payload)
         if g_test.size != len(self.test_set):
             return self._fail(ABORT_PHASE)
         h_test = self.h_bits[np.asarray(self.test_set, dtype=np.intp)]
         delta = estimate_error(g_test, h_test)
         self.stats.delta = delta
         proceed = delta <= self.cfg.delta_max
-        payload = encode_delta(delta, proceed)
-        self._record(TAG_DELTA_DECISION, "bob", payload)
-        out = [WireMessage(TAG_DELTA_DECISION, payload)]
+        out = [WireMessage(TAG_DELTA_DECISION, encode_delta(delta, proceed))]
         if not proceed:
             self._fail(ABORT_DELTA, announce=False)
             return out
@@ -1311,20 +1259,16 @@ class BobSession(_Session):
 
     def _announce_key_material(self, delta: float) -> list[WireMessage]:
         cfg = self.cfg
-        out = []
         perm = list(range(cfg.n))
         self._choice_rng.shuffle(perm)
         perm = np.array(perm, dtype=np.intp)
-        payload = encode_perm(perm)
-        self._record(TAG_PERM, "bob", payload)
-        out.append(WireMessage(TAG_PERM, payload))
-
-        pa = cfg.pa_code()
+        pa = cfg.pa_code
         self.stats.r = pa.k
         self.stats.code_descriptor = pa.descriptor()
-        payload = pa.descriptor().encode()
-        self._record(TAG_CODE, "bob", payload)
-        out.append(WireMessage(TAG_CODE, payload))
+        out = [
+            WireMessage(TAG_PERM, encode_perm(perm)),
+            WireMessage(TAG_CODE, pa.descriptor().encode()),
+        ]
 
         self.kappa = _sifted_word(self.h_bits, self.key_set, perm)
         rec = choose_reconciliation_code(
@@ -1339,20 +1283,15 @@ class BobSession(_Session):
         except PoolExhausted:
             return out + self._fail(ABORT_POOL)
         self.stats.confirm_bits = CONFIRM_KEY_BITS
-        payload = encode_syndrome(rec.descriptor(), syndrome + otp)
-        self._record(TAG_SYNDROME_ENC, "bob", payload)
-        out.append(WireMessage(TAG_SYNDROME_ENC, payload))
-
-        payload = encode_confirm(_confirm_mac(confirm_key, self.kappa))
-        self._record(TAG_KEY_CONFIRM, "bob", payload)
-        out.append(WireMessage(TAG_KEY_CONFIRM, payload))
+        out += [
+            WireMessage(TAG_SYNDROME_ENC, encode_syndrome(rec.descriptor(), syndrome + otp)),
+            WireMessage(TAG_KEY_CONFIRM, encode_confirm(_confirm_mac(confirm_key, self.kappa))),
+        ]
         self._pending_key = pa.coset_key(self.kappa)
         self.phase = "await_done"
         return out
 
     def _phase_await_done(self, msg: WireMessage) -> list[WireMessage]:
-        if msg.tag != TAG_DONE:
-            return self._fail(ABORT_PHASE)
         self.final_key = self._pending_key
         self.done = True
         self.phase = "finished"
@@ -1463,17 +1402,16 @@ def run_protocol3(
     bases = rng.integers(0, 2, size=m)
     errs = rng.random(m) < np.where(bases == 0, p_z, p_x)
 
-    test = [i for i in range(m) if r_mask[i] and bases[i] == 0]
-    candidates = [i for i in range(m) if not r_mask[i] and bases[i] == 1]
-    if len(test) < n or len(candidates) < n:
-        return None, ABORT_SIFT, None
-    delta = float(np.mean([errs[i] for i in test]))
+    # the sender's bits are all zero: Z tests, X keys
+    res = sift(np.zeros(m, dtype=np.int64), bases, r_mask, n, choice)
+    if res.abort_reason:
+        return None, res.abort_reason, None
+    delta = float(np.mean(errs[np.asarray(res.test_set, dtype=np.intp)]))
     if delta > delta_max:
         return None, ABORT_DELTA, delta
-    key_set = sorted(choice.sample(candidates, n))
     perm = list(range(n))
     choice.shuffle(perm)
-    kappa = _sifted_word(errs, key_set, perm)
+    kappa = _sifted_word(errs, res.key_set, perm)
     if code.n != n:
         raise ValueError("code length must match the key size")
     return code.coset_key(kappa), None, delta

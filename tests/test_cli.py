@@ -63,6 +63,30 @@ def test_unbuildable_code_policy_rejected(tmp_path, policy):
     assert main(["simulate", "--config", cfg]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"n": 16, "epsilon": float("nan")},
+        {"n": 16, "epsilon": float("inf")},
+        {"n": 65535, "epsilon": 40000},  # |Omega| beyond HELLO's 32-bit field
+        {"n": 16, "pool_bits": -1},
+        {"n": 16, "pool_bits": 1.5},
+        {"n": 16, "detector": {"efficiency": 1e-170}},  # 1/efficiency^2 overflows
+    ],
+    ids=[
+        "nan_epsilon",
+        "inf_epsilon",
+        "omega_beyond_wire",
+        "negative_pool",
+        "fractional_pool",
+        "vanishing_efficiency",
+    ],
+)
+def test_out_of_domain_config_is_a_config_error(tmp_path, overrides):
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["simulate", "--config", cfg]) == EXIT_CONFIG
+
+
 def test_seed_resolution_order(tmp_path, monkeypatch):
     monkeypatch.setenv("QKDLAB_SEED", "7")
     with_seed = load_config(write_config(tmp_path, "a.json", seed=5))

@@ -41,13 +41,16 @@ from qkdlab.protocol import (
     TAG_BASES_B,
     TAG_CODE,
     TAG_DELTA_DECISION,
+    TAG_DONE,
     TAG_HELLO,
+    TAG_KEY_CONFIRM,
     TAG_NAMES,
     TAG_PERM,
     TAG_QBURST,
     TAG_SUBSET_S,
     TAG_SYNDROME_ENC,
     TAG_TEST_BITS,
+    WIRE_VERSION,
     AliceSession,
     BobSession,
     CustomUnitaryChannel,
@@ -64,6 +67,7 @@ from qkdlab.protocol import (
     SecretPool,
     SessionConfig,
     Transcript,
+    TranscriptRecord,
     WireMessage,
     _NAME_TAGS,
     basis_flip_invariance,
@@ -72,7 +76,6 @@ from qkdlab.protocol import (
     decode_bases_a_and_r,
     decode_bases_b,
     decode_delta,
-    decode_hello,
     decode_perm,
     decode_syndrome,
     encode_bases_a_and_r,
@@ -297,12 +300,17 @@ def test_pool_same_seed_same_bits():
 # wire codecs
 
 
-def test_hello_roundtrip():
+def test_hello_layout():
     cfg = SessionConfig(n=64, epsilon=0.35, seed=9)
-    got = decode_hello(encode_hello(cfg, ROLE_BOB))
-    assert got["role"] == ROLE_BOB
-    assert got["n"] == 64 and got["omega"] == cfg.omega_size
-    assert got["epsilon"] == 0.35 and got["delta_max"] == cfg.delta_max
+    version, role, n, epsilon, delta_max, omega = struct.unpack(
+        ">HBIddI", encode_hello(cfg, ROLE_BOB)
+    )
+    assert version == WIRE_VERSION == 2
+    assert role == ROLE_BOB
+    assert n == 64
+    assert epsilon == 0.35
+    assert delta_max == cfg.delta_max
+    assert omega == cfg.omega_size
 
 
 def test_qburst_roundtrip():
@@ -664,19 +672,6 @@ def test_hello_disagreement_aborts():
     assert out and out[0].tag == TAG_ABORT
 
 
-def test_out_of_phase_message_aborts():
-    cfg = _noiseless_cfg()
-    alice = AliceSession(cfg)
-    alice.start()
-    alice.on_message(WireMessage(0x01, encode_hello(cfg, ROLE_BOB)))
-    out = alice.on_message(WireMessage(TAG_PERM, encode_perm(list(range(16)))))
-    assert alice.abort_reason == ABORT_PHASE
-    assert out and out[0].tag == TAG_ABORT
-    bob = BobSession(cfg)
-    bob.on_message(WireMessage(TAG_QBURST, b"\x00" * 72))
-    assert bob.abort_reason == ABORT_PHASE
-
-
 def _drive_alice_from_transcript(cfg, transcript, swap_step=None, swap_payload=None):
     """Replay a recorded partner against a fresh sender session, optionally
     substituting one announcement."""
@@ -862,6 +857,59 @@ def test_truncated_or_extended_message_ends_in_named_abort(data, cut, tail, exte
     assert alice.final_key is None and bob.final_key is None
 
 
+# every waiting phase of either party, and the one tag it accepts
+_EXPECTED_TAGS = {
+    ("alice", "hello"): TAG_HELLO,
+    ("alice", "await_bases"): TAG_BASES_B,
+    ("alice", "await_subset"): TAG_SUBSET_S,
+    ("alice", "await_delta"): TAG_DELTA_DECISION,
+    ("alice", "await_perm"): TAG_PERM,
+    ("alice", "await_code"): TAG_CODE,
+    ("alice", "await_syndrome"): TAG_SYNDROME_ENC,
+    ("alice", "await_confirm"): TAG_KEY_CONFIRM,
+    ("bob", "hello"): TAG_HELLO,
+    ("bob", "collect"): TAG_QBURST,
+    ("bob", "await_bases_a"): TAG_BASES_A_AND_R,
+    ("bob", "await_test_bits"): TAG_TEST_BITS,
+    ("bob", "await_done"): TAG_DONE,
+}
+
+
+def _honest_party_in(role, phase):
+    """The `role` party of an honest session, stopped as it enters `phase`."""
+    alice, bob = AliceSession(_FUZZ_CFG), BobSession(_FUZZ_CFG)
+    party = alice if role == "alice" else bob
+    queue = collections.deque(("alice", m) for m in alice.start())
+    while party.phase != phase:
+        sender, msg = queue.popleft()
+        receiver = bob if sender == "alice" else alice
+        queue.extend((receiver.role_name, m) for m in receiver.on_message(msg))
+    return party
+
+
+@pytest.mark.parametrize(
+    "role,phase,tag",
+    [
+        (role, phase, tag)
+        for (role, phase), expected in _EXPECTED_TAGS.items()
+        for tag in TAG_NAMES
+        if tag not in (expected, TAG_ABORT)
+    ],
+    ids=lambda v: TAG_NAMES.get(v, v) if isinstance(v, int) else v,
+)
+def test_out_of_phase_message_aborts(role, phase, tag):
+    party = _honest_party_in(role, phase)
+    before = list(party.transcript.records)
+    # a well-formed message of the wrong kind: the guard, not a decoder, ends it
+    stray = next(m for m in _honest_messages() if m.tag == tag)
+    out = party.on_message(stray)
+    assert party.abort_reason == ABORT_PHASE and party.final_key is None
+    assert out == [WireMessage(TAG_ABORT, ABORT_PHASE.encode())]
+    assert party.transcript.records == before + [
+        TranscriptRecord("ABORT", role, ABORT_PHASE.encode())
+    ]
+
+
 def _burst_rewrite(hostile):
     return lambda i, msg: hostile(msg) if msg.tag == TAG_QBURST else [msg]
 
@@ -909,6 +957,36 @@ def test_version_1_hello_is_a_version_mismatch(sender):
 
     alice, bob = _pump_with(_FUZZ_CFG, rewrite)
     assert alice.abort_reason == bob.abort_reason == ABORT_VERSION
+
+
+@pytest.mark.parametrize("receiver", [AliceSession, BobSession])
+def test_hello_with_nan_thresholds_is_a_version_mismatch(receiver):
+    cfg = _FUZZ_CFG
+    party = receiver(cfg)
+    party.start()
+    peer_role = ROLE_BOB if receiver is AliceSession else ROLE_ALICE
+    hello = struct.pack(
+        ">HBIddI", WIRE_VERSION, peer_role, cfg.n, math.nan, math.nan, cfg.omega_size
+    )
+    out = party.on_message(WireMessage(TAG_HELLO, hello))
+    assert party.abort_reason == ABORT_VERSION
+    assert [m.tag for m in out] == [TAG_ABORT]
+
+
+@settings(max_examples=100, deadline=None)
+@given(sender=st.sampled_from([0, 1]), at=st.integers(0, 26), flip=st.integers(1, 255))
+def test_any_flipped_hello_byte_is_a_version_mismatch(sender, at, flip):
+    # messages 0 and 1 are Alice's 27-byte HELLO and Bob's reply
+    def rewrite(i, msg):
+        if i != sender:
+            return [msg]
+        payload = bytearray(msg.payload)
+        payload[at] ^= flip
+        return [WireMessage(TAG_HELLO, bytes(payload))]
+
+    alice, bob = _pump_with(_FUZZ_CFG, rewrite)
+    assert alice.abort_reason == bob.abort_reason == ABORT_VERSION
+    assert alice.final_key is None and bob.final_key is None
 
 
 def test_flipped_delta_decision_leaves_neither_party_a_key(monkeypatch):
@@ -1006,6 +1084,18 @@ def test_proceed_with_a_delta_bob_could_not_send_is_out_of_order(delta):
     alice, bob = _pump_with(_FUZZ_CFG, rewrite)
     assert alice.abort_reason == bob.abort_reason == ABORT_PHASE
     assert alice.final_key is None and bob.final_key is None
+
+
+def test_session_on_a_built_config_builds_no_privacy_code(monkeypatch):
+    cfg = _noiseless_cfg(seed=4)
+    built = []
+    real = protocol_module.code_from_descriptor
+    monkeypatch.setattr(
+        protocol_module, "code_from_descriptor", lambda desc: built.append(desc) or real(desc)
+    )
+    res = run_protocol(cfg)
+    assert res.stats.abort_reason is None and res.alice_key == res.bob_key
+    assert built == []
 
 
 def test_abort_with_undecodable_reason_still_aborts():
