@@ -29,7 +29,6 @@ from .protocol import (
     DetectorModel,
     SessionConfig,
     channel_from_config,
-    replay_protocol,
     run_protocol,
     source_from_config,
     stream_seed,
@@ -345,38 +344,32 @@ def _write_outcome_files(outcome, args) -> None:
             _write_text(args.key_out, f"{key.n} {key.to_hex()}\n", args.force)
 
 
-def cmd_alice(args) -> int:
+def _run_party(args, role: str, endpoint: str) -> int:
     cfg = load_config(args.config, args.seed)
-    host, port = _parse_endpoint(args.connect)
+    host, port = _parse_endpoint(endpoint)
     for path in (args.transcript_out, args.key_out):
         if path:
             _guard_output(path, args.force)
-    outcome = serve_party(
-        cfg, "alice", connect=(host, port), timeout=args.timeout
-    )
+    if role == "alice":
+        outcome = serve_party(cfg, role, connect=(host, port), timeout=args.timeout)
+    else:
+        with open_listener(host, port) as listener:
+            print(f"LISTENING {listener.getsockname()[1]}", flush=True)
+            outcome = serve_party(cfg, role, listener=listener, timeout=args.timeout)
     _write_outcome_files(outcome, args)
     if outcome.abort_reason:
         print(f"aborted: {outcome.abort_reason}", file=sys.stderr)
         return EXIT_ABORT
     print("key established")
     return EXIT_OK
+
+
+def cmd_alice(args) -> int:
+    return _run_party(args, "alice", args.connect)
 
 
 def cmd_bob(args) -> int:
-    cfg = load_config(args.config, args.seed)
-    host, port = _parse_endpoint(args.listen)
-    for path in (args.transcript_out, args.key_out):
-        if path:
-            _guard_output(path, args.force)
-    listener = open_listener(host, port)
-    print(f"LISTENING {listener.getsockname()[1]}", flush=True)
-    outcome = serve_party(cfg, "bob", listener=listener, timeout=args.timeout)
-    _write_outcome_files(outcome, args)
-    if outcome.abort_reason:
-        print(f"aborted: {outcome.abort_reason}", file=sys.stderr)
-        return EXIT_ABORT
-    print("key established")
-    return EXIT_OK
+    return _run_party(args, "bob", args.listen)
 
 
 def cmd_eve(args) -> int:
@@ -384,16 +377,16 @@ def cmd_eve(args) -> int:
     fhost, fport = _parse_endpoint(args.connect)
     if args.mode not in ("passive", "intercept_resend", "depolarize"):
         raise ConfigError(f"unknown proxy mode {args.mode!r}")
-    listener = open_listener(lhost, lport)
-    print(f"LISTENING {listener.getsockname()[1]}", flush=True)
-    eve_proxy(
-        listener=listener,
-        forward=(fhost, fport),
-        mode=args.mode,
-        p=args.p,
-        seed=args.seed if args.seed is not None else 0,
-        timeout=args.timeout,
-    )
+    with open_listener(lhost, lport) as listener:
+        print(f"LISTENING {listener.getsockname()[1]}", flush=True)
+        eve_proxy(
+            listener=listener,
+            forward=(fhost, fport),
+            mode=args.mode,
+            p=args.p,
+            seed=args.seed if args.seed is not None else 0,
+            timeout=args.timeout,
+        )
     return EXIT_OK
 
 

@@ -52,47 +52,31 @@ def _lex_key(value: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class CorrectableSet:
-    """Error patterns a decoder promises to reverse; always contains zero.
-
-    Either a bounded-weight ball (max_weight set) or an explicit enumeration
-    of packed n-bit patterns.
-    """
+    """Error patterns a decoder promises to reverse: the n-bit patterns of
+    weight at most max_weight, which always include zero."""
 
     n: int
-    max_weight: int | None = None
-    explicit: frozenset[int] | None = None
+    max_weight: int
 
     def __post_init__(self) -> None:
-        if (self.max_weight is None) == (self.explicit is None):
-            raise ValueError("exactly one of max_weight/explicit must be set")
-        if self.max_weight is not None and not 0 <= self.max_weight <= self.n:
+        if not 0 <= self.max_weight <= self.n:
             raise ValueError(f"weight bound {self.max_weight} outside [0, {self.n}]")
-        if self.explicit is not None and 0 not in self.explicit:
-            raise ValueError("correctable set must contain the zero pattern")
 
     def __contains__(self, x: BitVec) -> bool:
         if x.n != self.n:
             raise DimensionError(f"pattern length {x.n} != {self.n}")
-        if self.max_weight is not None:
-            return x.weight() <= self.max_weight
-        return x.value in self.explicit  # type: ignore[operator]
+        return x.weight() <= self.max_weight
 
     def __iter__(self) -> Iterator[BitVec]:
-        if self.max_weight is not None:
-            for w in range(self.max_weight + 1):
-                for pos in itertools.combinations(range(self.n), w):
-                    v = 0
-                    for p in pos:
-                        v |= 1 << p
-                    yield BitVec(self.n, v)
-        else:
-            for v in sorted(self.explicit):  # type: ignore[arg-type]
+        for w in range(self.max_weight + 1):
+            for pos in itertools.combinations(range(self.n), w):
+                v = 0
+                for p in pos:
+                    v |= 1 << p
                 yield BitVec(self.n, v)
 
     def size(self) -> int:
-        if self.max_weight is not None:
-            return sum(math.comb(self.n, w) for w in range(self.max_weight + 1))
-        return len(self.explicit)  # type: ignore[arg-type]
+        return sum(math.comb(self.n, w) for w in range(self.max_weight + 1))
 
 
 class LinearCode:
@@ -161,9 +145,6 @@ class LinearCode:
 
     def syndrome(self, v: BitVec) -> BitVec:
         return self.parity_check().apply(v)
-
-    def dual_basis(self) -> list[BitVec]:
-        return [self.parity_check().row(i) for i in range(self.n - self.k)]
 
     def _syndrome_preimage(self, s: int) -> int:
         """Some n-bit pattern whose syndrome is s.

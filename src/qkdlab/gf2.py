@@ -81,10 +81,6 @@ class BitVec:
         return cls(n, value)
 
     @classmethod
-    def from_hex(cls, s: str, n: int) -> BitVec:
-        return cls.from_bytes(bytes.fromhex(s), n)
-
-    @classmethod
     def random(cls, n: int, rng) -> BitVec:
         return cls(n, rng.getrandbits(n) if n else 0)
 
@@ -144,10 +140,6 @@ class BitVec:
 
     # -- rearrangement -----------------------------------------------------
 
-    def select(self, indices: Iterable[int]) -> BitVec:
-        """New vector from the given components, in the order given."""
-        return BitVec.from_bits(self[i] for i in indices)
-
     def permute(self, perm) -> BitVec:
         """Move component i to position perm[i]."""
         perm = np.asarray(perm)
@@ -156,10 +148,6 @@ class BitVec:
         out = np.empty(self.n, dtype=np.uint8)
         out[perm.astype(np.intp)] = self.to_array()
         return BitVec.from_array(out)
-
-    def concat(self, other: BitVec) -> BitVec:
-        """self occupies the low components, other the high ones."""
-        return BitVec(self.n + other.n, self.value | (other.value << self.n))
 
 
 def is_permutation(perm: np.ndarray, n: int) -> bool:
@@ -218,10 +206,6 @@ class GF2Matrix:
                 raise ValueError(f"row {w:#x} does not fit in {self.cols} columns")
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]], cols: int | None = None) -> GF2Matrix:
-        return cls.from_row_vecs([BitVec.from_bits(r) for r in rows], cols)
 
     @classmethod
     def from_row_vecs(cls, vecs: list[BitVec], cols: int | None = None) -> GF2Matrix:

@@ -120,13 +120,12 @@ def serve_party(
     *,
     connect: tuple[str, int] | None = None,
     listener: socket.socket | None = None,
-    listen: tuple[str, int] | None = None,
     timeout: float = 30.0,
 ) -> PartyOutcome:
     """Run one side of the protocol over a socket.
 
-    The receiver side listens (pass an already-bound `listener`, or a
-    `listen` address to bind here); the sender side dials `connect`,
+    The receiver side accepts one connection on `listener`, which stays
+    open and belongs to the caller; the sender side dials `connect`,
     retrying until the peer is up.  A dropped connection surfaces as a
     transport abort on the surviving side.
 
@@ -141,14 +140,10 @@ def serve_party(
         if connect is None:
             raise ValueError("sender side needs a connect address")
         sock = connect_with_retry(connect[0], connect[1], timeout)
-        own_listener = None
     elif role == "bob":
         session = BobSession(cfg)
-        own_listener = None
         if listener is None:
-            if listen is None:
-                raise ValueError("receiver side needs a listener or a listen address")
-            listener = own_listener = open_listener(*listen)
+            raise ValueError("receiver side needs a listener")
         listener.settimeout(timeout)
         sock, _ = listener.accept()
     else:
@@ -179,8 +174,6 @@ def serve_party(
         except OSError:
             pass
         sock.close()
-        if own_listener is not None:
-            own_listener.close()
 
     return PartyOutcome(
         role=role,
@@ -226,8 +219,7 @@ def _transform_burst(
 
 def eve_proxy(
     *,
-    listener: socket.socket | None = None,
-    listen: tuple[str, int] | None = None,
+    listener: socket.socket,
     forward: tuple[str, int],
     mode: str = "passive",
     p: float = 0.1,
@@ -237,6 +229,7 @@ def eve_proxy(
 ) -> None:
     """Sit between sender and receiver, transforming the signal burst.
 
+    It accepts one connection on the caller's `listener` and dials `forward`.
     `mode` is passive, intercept_resend, or depolarize (weight `p`).  The
     random stream is derived exactly as the in-process run derives its
     channel stream, so equal master seeds give equal outcomes.  `capture`,
@@ -245,12 +238,6 @@ def eve_proxy(
     """
     channel = _proxy_channel(mode, p)
     rng = np.random.default_rng(stream_seed(seed, "eve|channel"))
-
-    own_listener = None
-    if listener is None:
-        if listen is None:
-            raise ValueError("proxy needs a listener or a listen address")
-        listener = own_listener = open_listener(*listen)
     listener.settimeout(timeout)
     upstream, _ = listener.accept()
     upstream.settimeout(timeout)
@@ -329,5 +316,3 @@ def eve_proxy(
     forward_thread.join(timeout)
     upstream.close()
     downstream.close()
-    if own_listener is not None:
-        own_listener.close()

@@ -374,21 +374,6 @@ def check_basis_independence(source: SourceModel) -> float:
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
-def basis_flip_invariance(source: SourceModel) -> float:
-    """Gap between what leaves the lab for untested positions under the
-    written protocol (opposite-basis emission) and under the plain variant
-    (same-basis emission), maximized over the announced basis label.
-
-    Zero exactly when the source is basis-independent, which is what makes
-    the two protocol variants indistinguishable from outside.
-    """
-    worst = 0.0
-    for a in range(2):
-        diff = source.averaged_state(1 - a) - source.averaged_state(a)
-        worst = max(worst, 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff)))))
-    return worst
-
-
 def source_from_config(cfg: dict) -> SourceModel:
     kind = cfg.get("kind", "perfect")
     if kind == "perfect":
@@ -542,9 +527,10 @@ class SessionConfig:
             raise ValueError("epsilon must be positive and finite")
         if not 0.0 < self.delta_max < 0.5:
             raise ValueError("delta_max must sit in (0, 1/2)")
-        # below efficiency 2^-15 even one key bit needs a burst of 2^32 signals
-        if self.n > 0xFFFF or self.detector.efficiency < 2**-15 or self.omega_size > 0xFFFFFFFF:
-            raise ValueError("key size beyond the wire format")
+        # the efficiency floor keeps 1/efficiency^2 finite; the burst cap
+        # bounds a session's memory (2^20 states of 64 bytes per copy)
+        if self.n > 0xFFFF or self.detector.efficiency < 2**-15 or self.omega_size > 1 << 20:
+            raise ValueError("key size beyond the wire format or the burst limit")
         if self.pool_bits is not None and (
             not isinstance(self.pool_bits, int) or self.pool_bits < 0
         ):
@@ -848,16 +834,6 @@ def _sifted_word(bits: np.ndarray, key_set, perm) -> BitVec:
     """The sifted key: bits at the key positions, component i moved to
     position perm[i]."""
     return BitVec.from_array(bits[np.asarray(key_set, dtype=np.intp)]).permute(perm)
-
-
-def randomize_key(y: BitVec, rng) -> tuple[BitVec, BitVec]:
-    """Refresh a key with a fresh uniform pad: returns (w, w + y).
-
-    Whatever the distribution of y, the sum is uniform; announcing w later
-    lets the peer shift to the same refreshed key.
-    """
-    w = BitVec.random(y.n, rng)
-    return w, w + y
 
 
 def _confirm_mac(confirm_key: BitVec, kappa: BitVec) -> bytes:

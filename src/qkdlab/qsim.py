@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +25,6 @@ from .codes import CorrectableSet, LinearCode
 from .gf2 import BitVec
 
 SIM_QUBIT_LIMIT = 12
-EXACT_SYMMETRIZE_LIMIT = 5  # N! blocks are enumerated up to here
 _ENTROPY_CUTOFF = 1e-12
 
 
@@ -65,9 +63,6 @@ class StateVector:
         self.n = n
         self.amps = a
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
-
     def apply_permutation(self, perm: np.ndarray) -> StateVector:
         """The unitary |i> -> |perm[i]>."""
         out = np.empty_like(self.amps)
@@ -76,22 +71,6 @@ class StateVector:
 
     def density(self) -> DensityMatrix:
         return DensityMatrix(np.outer(self.amps, self.amps.conj()), validate=False)
-
-    def inner(self, other: StateVector) -> complex:
-        return complex(np.vdot(self.amps, other.amps))
-
-
-def basis_state(v: BitVec, basis: str = "Z") -> StateVector:
-    if basis not in ("Z", "X"):
-        raise ValueError(f"unknown basis {basis!r}")
-    dim = 1 << v.n
-    if basis == "Z":
-        amps = np.zeros(dim, dtype=np.complex128)
-        amps[v.value] = 1.0
-        return StateVector(amps, validate=False)
-    idx = np.arange(dim, dtype=np.int64)
-    signs = 1.0 - 2.0 * (np.bitwise_count(idx & v.value).astype(np.int64) & 1)
-    return StateVector(signs / math.sqrt(dim), validate=False)
 
 
 class DensityMatrix:
@@ -113,34 +92,6 @@ class DensityMatrix:
                 raise ValueError("not positive semidefinite")
         self.n = n
         self.mat = m
-
-    def diagonal(self) -> np.ndarray:
-        return self.mat.diagonal().real.copy()
-
-    def apply_permutation(self, perm: np.ndarray) -> DensityMatrix:
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(perm.size)
-        return DensityMatrix(self.mat[np.ix_(inv, inv)], validate=False)
-
-    def partial_trace(self, keep) -> DensityMatrix:
-        """Reduced state on the listed qubits, in their given order as 0, 1, ..."""
-        keep = list(keep)
-        if len(set(keep)) != len(keep) or any(not 0 <= q < self.n for q in keep):
-            raise ValueError("keep must list distinct qubits of this state")
-        dropped = [q for q in range(self.n) if q not in keep]
-        mapping = [0] * self.n
-        for pos, q in enumerate(keep):
-            mapping[q] = pos
-        for pos, q in enumerate(dropped):
-            mapping[q] = len(keep) + pos
-        relabel = qubit_map_indices(self.n, mapping)
-        src = np.empty_like(relabel)
-        src[relabel] = np.arange(relabel.size)
-        m = self.mat[np.ix_(src, src)]
-        kd = 1 << len(keep)
-        dd = 1 << len(dropped)
-        m = m.reshape(dd, kd, dd, kd)
-        return DensityMatrix(np.einsum("akal->kl", m), validate=False)
 
 
 def _clean_spectrum(lam: np.ndarray) -> np.ndarray:
@@ -266,49 +217,9 @@ def _signal_permutation_indices(n_total: int, n_s: int, pi) -> np.ndarray:
     return table[idx & sig] | (idx & ~sig)
 
 
-def symmetrize(
-    rho: DensityMatrix,
-    n_s: int,
-    *,
-    rng: random.Random | None = None,
-    samples: int | None = None,
-) -> DensityMatrix:
-    """Average rho over permutations of its first n_s qubits.
-
-    The permutation label is treated as a classical record held by the
-    adversary; averaging the conjugated blocks is the block-diagonal form of
-    attaching it.  Exact up to n_s = 5; beyond that a sampled average must be
-    requested explicitly.
-    """
-    if not 0 <= n_s <= rho.n:
-        raise ValueError("signal register larger than the state")
-    if n_s <= EXACT_SYMMETRIZE_LIMIT:
-        perms = list(itertools.permutations(range(n_s)))
-    else:
-        if rng is None or samples is None:
-            raise ValueError(
-                f"{n_s}! permutations exceed the enumeration limit; "
-                "pass rng and samples for a sampled average"
-            )
-        perms = [tuple(rng.sample(range(n_s), n_s)) for _ in range(samples)]
-    acc = np.zeros_like(rho.mat)
-    base = np.arange(rho.mat.shape[0])
-    for pi in perms:
-        relabel = _signal_permutation_indices(rho.n, n_s, pi)
-        inv = np.empty_like(relabel)
-        inv[relabel] = base
-        acc += rho.mat[np.ix_(inv, inv)]
-    return DensityMatrix(acc / len(perms), validate=False)
-
-
 def _member_table(corr: CorrectableSet) -> np.ndarray:
-    if corr.max_weight is not None:
-        idx = np.arange(1 << corr.n, dtype=np.int64)
-        return np.bitwise_count(idx).astype(np.int64) <= corr.max_weight
-    table = np.zeros(1 << corr.n, dtype=bool)
-    for v in corr.explicit:  # type: ignore[union-attr]
-        table[v] = True
-    return table
+    idx = np.arange(1 << corr.n, dtype=np.int64)
+    return np.bitwise_count(idx).astype(np.int64) <= corr.max_weight
 
 
 def project_correctable(

@@ -7,6 +7,7 @@ the pass/fail report.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import random
@@ -342,14 +343,19 @@ def test_criterion_10_sampling_bound():
 # 11.  network equivalence
 
 
-def run_cli(*args, **kwargs):
-    return subprocess.Popen(
+@contextlib.contextmanager
+def run_cli(*args):
+    """A qkdlab subprocess, killed if still running and reaped on exit."""
+    with subprocess.Popen(
         [sys.executable, "-m", "qkdlab", *args],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
-        **kwargs,
-    )
+    ) as proc:
+        try:
+            yield proc
+        finally:
+            proc.kill()
 
 
 def listening_port(proc) -> int:
@@ -363,7 +369,7 @@ def test_criterion_11_network_equivalence(tmp_path):
     cfg = {"n": 256, "epsilon": 0.35, "seed": 123}
     cfg_path = tmp_path / "session.json"
     cfg_path.write_text(json.dumps(cfg))
-    bob = run_cli(
+    with run_cli(
         "bob",
         "--listen",
         "127.0.0.1:0",
@@ -371,19 +377,19 @@ def test_criterion_11_network_equivalence(tmp_path):
         str(cfg_path),
         "--transcript-out",
         str(tmp_path / "bob.transcript"),
-    )
-    port = listening_port(bob)
-    alice = run_cli(
-        "alice",
-        "--connect",
-        f"127.0.0.1:{port}",
-        "--config",
-        str(cfg_path),
-        "--transcript-out",
-        str(tmp_path / "alice.transcript"),
-    )
-    assert alice.wait(timeout=60) == 0, alice.stderr.read()
-    assert bob.wait(timeout=60) == 0, bob.stderr.read()
+    ) as bob:
+        port = listening_port(bob)
+        with run_cli(
+            "alice",
+            "--connect",
+            f"127.0.0.1:{port}",
+            "--config",
+            str(cfg_path),
+            "--transcript-out",
+            str(tmp_path / "alice.transcript"),
+        ) as alice:
+            assert alice.wait(timeout=60) == 0, alice.stderr.read()
+        assert bob.wait(timeout=60) == 0, bob.stderr.read()
     reference = run_protocol(SessionConfig(n=256, epsilon=0.35, seed=123))
     wire_bytes = (tmp_path / "alice.transcript").read_bytes()
     loopback_ok = (
@@ -396,7 +402,7 @@ def test_criterion_11_network_equivalence(tmp_path):
     atk = {"n": 2048, "epsilon": 0.35, "delta_max": 0.15, "seed": 123}
     atk_path = tmp_path / "attacked.json"
     atk_path.write_text(json.dumps(atk))
-    bob = run_cli(
+    with run_cli(
         "bob",
         "--listen",
         "127.0.0.1:0",
@@ -404,24 +410,26 @@ def test_criterion_11_network_equivalence(tmp_path):
         str(atk_path),
         "--transcript-out",
         str(tmp_path / "attacked.transcript"),
-    )
-    bob_port = listening_port(bob)
-    eve = run_cli(
-        "eve",
-        "--listen",
-        "127.0.0.1:0",
-        "--connect",
-        f"127.0.0.1:{bob_port}",
-        "--mode",
-        "intercept_resend",
-        "--seed",
-        "123",
-    )
-    eve_port = listening_port(eve)
-    alice = run_cli("alice", "--connect", f"127.0.0.1:{eve_port}", "--config", str(atk_path))
-    alice_code = alice.wait(timeout=60)
-    bob_code = bob.wait(timeout=60)
-    eve.wait(timeout=60)
+    ) as bob:
+        bob_port = listening_port(bob)
+        with run_cli(
+            "eve",
+            "--listen",
+            "127.0.0.1:0",
+            "--connect",
+            f"127.0.0.1:{bob_port}",
+            "--mode",
+            "intercept_resend",
+            "--seed",
+            "123",
+        ) as eve:
+            eve_port = listening_port(eve)
+            with run_cli(
+                "alice", "--connect", f"127.0.0.1:{eve_port}", "--config", str(atk_path)
+            ) as alice:
+                alice_code = alice.wait(timeout=60)
+            bob_code = bob.wait(timeout=60)
+            eve.wait(timeout=60)
 
     attacked_ref = run_protocol(
         SessionConfig(

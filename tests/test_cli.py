@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -72,6 +74,8 @@ def test_unbuildable_code_policy_rejected(tmp_path, policy):
         {"n": 16, "pool_bits": -1},
         {"n": 16, "pool_bits": 1.5},
         {"n": 16, "detector": {"efficiency": 1e-170}},  # 1/efficiency^2 overflows
+        {"n": 65535, "detector": {"efficiency": 0.01}},  # a 164 GiB burst
+        {"n": 4096, "detector": {"efficiency": 0.01}},  # a 10 GiB burst
     ],
     ids=[
         "nan_epsilon",
@@ -80,11 +84,19 @@ def test_unbuildable_code_policy_rejected(tmp_path, policy):
         "negative_pool",
         "fractional_pool",
         "vanishing_efficiency",
+        "burst_at_wire_cap",
+        "burst_at_n_4096",
     ],
 )
 def test_out_of_domain_config_is_a_config_error(tmp_path, overrides):
     cfg = write_config(tmp_path, **overrides)
-    assert main(["simulate", "--config", cfg]) == EXIT_CONFIG
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--config", cfg]) == EXIT_CONFIG
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20  # rejected before anything is built
 
 
 def test_seed_resolution_order(tmp_path, monkeypatch):
@@ -349,13 +361,19 @@ def test_audit_code_length_must_match_n(capsys):
 # networked subcommands
 
 
+@contextlib.contextmanager
 def spawn_cli(*args):
-    return subprocess.Popen(
+    """A qkdlab subprocess, killed if still running and reaped on exit."""
+    with subprocess.Popen(
         [sys.executable, "-m", "qkdlab", *args],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
-    )
+    ) as proc:
+        try:
+            yield proc
+        finally:
+            proc.kill()
 
 
 def read_listening_port(proc):
@@ -366,7 +384,7 @@ def read_listening_port(proc):
 
 def test_cli_roles_match_in_process_run(tmp_path):
     cfg = write_config(tmp_path, n=64, seed=12)
-    bob = spawn_cli(
+    with spawn_cli(
         "bob",
         "--listen",
         "127.0.0.1:0",
@@ -376,8 +394,7 @@ def test_cli_roles_match_in_process_run(tmp_path):
         str(tmp_path / "bob.transcript"),
         "--key-out",
         str(tmp_path / "bob.key"),
-    )
-    try:
+    ) as bob:
         port = read_listening_port(bob)
         code = main(
             [
@@ -394,8 +411,6 @@ def test_cli_roles_match_in_process_run(tmp_path):
         )
         assert code == EXIT_OK
         assert bob.wait(timeout=30) == EXIT_OK
-    finally:
-        bob.kill()
 
     alice_t = (tmp_path / "alice.transcript").read_text()
     assert alice_t == (tmp_path / "bob.transcript").read_text()
@@ -412,10 +427,9 @@ def test_cli_roles_match_in_process_run(tmp_path):
 
 def test_cli_eve_passive_proxy_is_transparent(tmp_path):
     cfg = write_config(tmp_path, n=64, seed=2)
-    bob = spawn_cli("bob", "--listen", "127.0.0.1:0", "--config", cfg)
-    try:
+    with spawn_cli("bob", "--listen", "127.0.0.1:0", "--config", cfg) as bob:
         bob_port = read_listening_port(bob)
-        eve = spawn_cli(
+        with spawn_cli(
             "eve",
             "--listen",
             "127.0.0.1:0",
@@ -423,8 +437,7 @@ def test_cli_eve_passive_proxy_is_transparent(tmp_path):
             f"127.0.0.1:{bob_port}",
             "--mode",
             "passive",
-        )
-        try:
+        ) as eve:
             eve_port = read_listening_port(eve)
             code = main(
                 [
@@ -440,10 +453,6 @@ def test_cli_eve_passive_proxy_is_transparent(tmp_path):
             assert code == EXIT_OK
             assert bob.wait(timeout=30) == EXIT_OK
             assert eve.wait(timeout=30) == EXIT_OK
-        finally:
-            eve.kill()
-    finally:
-        bob.kill()
 
     reference = run_protocol(load_config(cfg))
     n, hexkey = (tmp_path / "alice.key").read_text().split()
@@ -454,8 +463,7 @@ def test_cli_abort_run_exits_2_and_writes_aborted_key(tmp_path, capsys):
     cfg = write_config(
         tmp_path, n=256, delta_max=0.15, channel={"kind": "intercept_resend"}
     )
-    bob = spawn_cli("bob", "--listen", "127.0.0.1:0", "--config", cfg)
-    try:
+    with spawn_cli("bob", "--listen", "127.0.0.1:0", "--config", cfg) as bob:
         port = read_listening_port(bob)
         code = main(
             [
@@ -470,8 +478,6 @@ def test_cli_abort_run_exits_2_and_writes_aborted_key(tmp_path, capsys):
         )
         assert code == EXIT_ABORT
         assert bob.wait(timeout=30) == EXIT_ABORT
-    finally:
-        bob.kill()
     assert "delta_exceeded" in capsys.readouterr().err
     assert (tmp_path / "alice.key").read_text() == "aborted\n"
 

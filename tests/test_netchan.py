@@ -7,6 +7,7 @@ ordering, batching, and random stream consumption all at once.
 
 from __future__ import annotations
 
+import contextlib
 import socket
 import subprocess
 import sys
@@ -75,38 +76,39 @@ def _loopback(cfg_alice, cfg_bob=None, proxy=None, timeout=15.0):
     proxy is a dict of eve_proxy keyword arguments (minus sockets).
     """
     cfg_bob = cfg_bob or cfg_alice
-    bob_listener = open_listener()
-    bob_port = bob_listener.getsockname()[1]
-    outcomes = {}
-    threads = []
+    with contextlib.ExitStack() as listeners:
+        bob_listener = listeners.enter_context(open_listener())
+        bob_port = bob_listener.getsockname()[1]
+        outcomes = {}
+        threads = []
 
-    def run_bob():
-        outcomes["bob"] = serve_party(cfg_bob, "bob", listener=bob_listener, timeout=timeout)
+        def run_bob():
+            outcomes["bob"] = serve_party(cfg_bob, "bob", listener=bob_listener, timeout=timeout)
 
-    threads.append(threading.Thread(target=run_bob, daemon=True))
+        threads.append(threading.Thread(target=run_bob, daemon=True))
 
-    alice_target = bob_port
-    if proxy is not None:
-        eve_listener = open_listener()
-        alice_target = eve_listener.getsockname()[1]
+        alice_target = bob_port
+        if proxy is not None:
+            eve_listener = listeners.enter_context(open_listener())
+            alice_target = eve_listener.getsockname()[1]
 
-        def run_eve():
-            eve_proxy(
-                listener=eve_listener,
-                forward=("127.0.0.1", bob_port),
-                timeout=timeout,
-                **proxy,
-            )
+            def run_eve():
+                eve_proxy(
+                    listener=eve_listener,
+                    forward=("127.0.0.1", bob_port),
+                    timeout=timeout,
+                    **proxy,
+                )
 
-        threads.append(threading.Thread(target=run_eve, daemon=True))
+            threads.append(threading.Thread(target=run_eve, daemon=True))
 
-    for t in threads:
-        t.start()
-    outcomes["alice"] = serve_party(
-        cfg_alice, "alice", connect=("127.0.0.1", alice_target), timeout=timeout
-    )
-    for t in threads:
-        t.join(timeout)
+        for t in threads:
+            t.start()
+        outcomes["alice"] = serve_party(
+            cfg_alice, "alice", connect=("127.0.0.1", alice_target), timeout=timeout
+        )
+        for t in threads:
+            t.join(timeout)
     assert "bob" in outcomes, "receiver thread did not finish"
     return outcomes
 
@@ -212,36 +214,36 @@ def test_two_chunk_burst_same_in_process_over_sockets_and_through_proxy(channel,
 @pytest.mark.parametrize("payload", [b"\x00" * 5, b"\x00" * 8 + b"\x01" * 63])
 def test_proxy_forwards_a_malformed_burst_for_the_receiver_to_reject(payload):
     cfg = SessionConfig(n=16, epsilon=0.35, seed=0)
-    bob_listener, eve_listener = open_listener(), open_listener()
-    outcome = {}
-    bob = threading.Thread(
-        target=lambda: outcome.setdefault(
-            "bob", serve_party(cfg, "bob", listener=bob_listener, timeout=10.0)
-        ),
-        daemon=True,
-    )
-    eve = threading.Thread(
-        target=eve_proxy,
-        kwargs=dict(
-            listener=eve_listener,
-            forward=("127.0.0.1", bob_listener.getsockname()[1]),
-            mode="depolarize",
-            timeout=10.0,
-        ),
-        daemon=True,
-    )
-    bob.start()
-    eve.start()
-    with socket.create_connection(eve_listener.getsockname(), timeout=10.0) as sock:
-        hello = WireMessage(TAG_HELLO, encode_hello(cfg, ROLE_ALICE))
-        send_frames(sock, [hello, WireMessage(TAG_QBURST, payload)])
-        rfile = sock.makefile("rb")
-        assert recv_frame(rfile).tag == TAG_HELLO
-        assert recv_frame(rfile) == WireMessage(TAG_ABORT, ABORT_PHASE.encode())
-        rfile.close()
-    bob.join(10.0)
-    eve.join(10.0)
-    assert not bob.is_alive() and not eve.is_alive()
+    with open_listener() as bob_listener, open_listener() as eve_listener:
+        outcome = {}
+        bob = threading.Thread(
+            target=lambda: outcome.setdefault(
+                "bob", serve_party(cfg, "bob", listener=bob_listener, timeout=10.0)
+            ),
+            daemon=True,
+        )
+        eve = threading.Thread(
+            target=eve_proxy,
+            kwargs=dict(
+                listener=eve_listener,
+                forward=("127.0.0.1", bob_listener.getsockname()[1]),
+                mode="depolarize",
+                timeout=10.0,
+            ),
+            daemon=True,
+        )
+        bob.start()
+        eve.start()
+        with socket.create_connection(eve_listener.getsockname(), timeout=10.0) as sock:
+            hello = WireMessage(TAG_HELLO, encode_hello(cfg, ROLE_ALICE))
+            send_frames(sock, [hello, WireMessage(TAG_QBURST, payload)])
+            rfile = sock.makefile("rb")
+            assert recv_frame(rfile).tag == TAG_HELLO
+            assert recv_frame(rfile) == WireMessage(TAG_ABORT, ABORT_PHASE.encode())
+            rfile.close()
+        bob.join(10.0)
+        eve.join(10.0)
+        assert not bob.is_alive() and not eve.is_alive()
     assert outcome["bob"].abort_reason == ABORT_PHASE
 
 
@@ -273,4 +275,5 @@ def test_peer_death_surfaces_as_transport_failure():
         assert out.abort_reason == ABORT_TRANSPORT
         assert out.final_key is None
     finally:
+        proc.stdout.close()
         proc.wait(timeout=10)

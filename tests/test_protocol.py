@@ -57,7 +57,6 @@ from qkdlab.protocol import (
     DepolarizingChannel,
     DetectorModel,
     EntangledSource,
-    IdentityChannel,
     InterceptResendChannel,
     LeakyTwoCopySource,
     PerfectSource,
@@ -70,7 +69,6 @@ from qkdlab.protocol import (
     TranscriptRecord,
     WireMessage,
     _NAME_TAGS,
-    basis_flip_invariance,
     check_basis_independence,
     choose_reconciliation_code,
     decode_bases_a_and_r,
@@ -86,7 +84,6 @@ from qkdlab.protocol import (
     encode_qburst,
     encode_syndrome,
     estimate_error,
-    randomize_key,
     replay_protocol,
     run_protocol,
     run_protocol3,
@@ -150,11 +147,11 @@ def test_biased_key_bits_break_basis_independence():
         assert abs(got - math.sqrt(2.0) * abs(0.5 - bias)) < 1e-12
 
 
-def test_flip_invariance_zero_iff_compliant():
-    assert basis_flip_invariance(PerfectSource()) < 1e-12
-    assert basis_flip_invariance(RotatedZSource(0.8)) < 1e-12
-    assert basis_flip_invariance(EntangledSource(0.4)) < 1e-12
-    assert basis_flip_invariance(LeakyTwoCopySource(0.5)) == pytest.approx(0.25)
+def test_basis_independence_zero_iff_compliant():
+    assert check_basis_independence(PerfectSource()) < 1e-12
+    assert check_basis_independence(RotatedZSource(0.8)) < 1e-12
+    assert check_basis_independence(EntangledSource(0.4)) < 1e-12
+    assert check_basis_independence(LeakyTwoCopySource(0.5)) == pytest.approx(0.25)
 
 
 def test_source_factory_roundtrip():
@@ -461,30 +458,6 @@ def test_ladder_always_returns_matching_length():
     for n in [7, 16, 100, 257]:
         code = choose_reconciliation_code(n, 0.03, 0.05, 1e-4)
         assert code.n == n
-
-
-# ---------------------------------------------------------------------------
-# key randomization
-
-
-def test_randomize_key_roundtrip():
-    y = BitVec.from_str("10110100")
-    w, masked = randomize_key(y, random.Random(0))
-    assert masked + w == y
-    assert w.n == y.n
-
-
-def test_randomize_key_output_is_uniform():
-    rng = random.Random(1)
-    y = BitVec.from_str("1011")
-    counts = [0] * 16
-    trials = 20_000
-    for _ in range(trials):
-        _, masked = randomize_key(y, rng)
-        counts[masked.value] += 1
-    expected = trials / 16.0
-    chi2 = sum((c - expected) ** 2 / expected for c in counts)
-    assert chi2 < 40.0  # 15 degrees of freedom; fixed seed
 
 
 # ---------------------------------------------------------------------------
