@@ -11,7 +11,7 @@ import tracemalloc
 
 import pytest
 
-from qkdlab.cli import EXIT_ABORT, EXIT_CONFIG, EXIT_OK, load_config, main
+from qkdlab.cli import EXIT_ABORT, EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, load_config, main
 from qkdlab.protocol import Transcript, replay_protocol, run_protocol
 
 
@@ -380,6 +380,21 @@ def read_listening_port(proc):
     line = proc.stdout.readline()
     assert line.startswith("LISTENING "), line
     return int(line.split()[1])
+
+
+@pytest.mark.parametrize("role, served_by", [("bob", "serve_party"), ("eve", "eve_proxy")])
+def test_listener_is_closed_when_the_party_fails(tmp_path, monkeypatch, role, served_by):
+    listeners = []
+
+    def no_peer(*args, listener, **kwargs):
+        listeners.append(listener)
+        raise TimeoutError("no peer connected")
+
+    monkeypatch.setattr(f"qkdlab.cli.{served_by}", no_peer)
+    argv = [role, "--listen", "127.0.0.1:0"]
+    argv += ["--config", write_config(tmp_path)] if role == "bob" else ["--connect", "127.0.0.1:9"]
+    assert main(argv) == EXIT_INTERNAL
+    assert len(listeners) == 1 and listeners[0].fileno() == -1
 
 
 def test_cli_roles_match_in_process_run(tmp_path):

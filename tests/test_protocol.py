@@ -262,6 +262,15 @@ def test_detector_efficiency_validation():
         DetectorModel(efficiency=1.2)
 
 
+@pytest.mark.parametrize("epsilon, efficiency", [(63.0, 1.0), (15.0, 0.5)])
+def test_burst_limit_is_exactly_two_to_the_twenty(epsilon, efficiency):
+    # omega_size = 2 * ceil(2n(1+eps)/eff^2) = 256n here: n=4096 fills the cap
+    at_cap = SessionConfig(n=4096, epsilon=epsilon, detector=DetectorModel(efficiency))
+    assert at_cap.omega_size == 1 << 20
+    with pytest.raises(ValueError, match="burst limit"):
+        SessionConfig(n=4097, epsilon=epsilon, detector=DetectorModel(efficiency))
+
+
 # ---------------------------------------------------------------------------
 # secret pool and seed derivation
 

@@ -16,6 +16,7 @@ from qkdlab.qsim import (
     DensityMatrix,
     StateVector,
     _signal_permutation_indices,
+    _walsh_signs,
     audit_protocol3,
     build_key_circuit,
     entangle_attack,
@@ -81,6 +82,21 @@ def symmetrize(rho: DensityMatrix, n_s: int) -> DensityMatrix:
 
 
 # -- states -----------------------------------------------------------------
+# Row v of _walsh_signs(n), scaled by 2^(-n/2), is |v>_X: the states the key
+# readout projects onto.
+
+
+def test_basis_state_x_single_qubit():
+    assert np.array_equal(_walsh_signs(1), [[1, 1], [1, -1]])  # |+>, |-> times sqrt 2
+
+
+def test_x_basis_orthonormal_n3():
+    x = _walsh_signs(3) / math.sqrt(8)
+    assert np.allclose(x @ x.T, np.eye(8), atol=1e-12)
+
+
+def test_x_basis_signs_frozen():
+    assert np.allclose(_walsh_signs(2)[BitVec.from_str("11").value], [1, -1, -1, 1])
 
 
 def test_state_validation():
