@@ -2,9 +2,9 @@
 
 Exit codes: 0 success; 2 protocol abort (an expected outcome, not an
 error); 3 configuration problem; 4 internal invariant violation.  The
-default master seed comes from the QKDLAB_SEED environment variable, then
-the config file, then 0; the --seed flag beats them all.  Identical config
-and seed give byte-identical output files.
+default master seed comes from the config file, then the QKDLAB_SEED
+environment variable, then 0; the --seed flag beats them all.  Identical
+config and seed give byte-identical output files.
 """
 
 from __future__ import annotations
@@ -26,7 +26,9 @@ from .codes import code_from_descriptor, descriptor_length
 from .netchan import eve_proxy, open_listener, serve_party
 from .protocol import (
     STATS_FIELDS,
+    DepolarizingChannel,
     DetectorModel,
+    InterceptResendChannel,
     SessionConfig,
     channel_from_config,
     run_protocol,
@@ -372,19 +374,31 @@ def cmd_bob(args) -> int:
     return _run_party(args, "bob", args.listen)
 
 
+# proxy mode -> the channel it applies to the signal burst, from --p
+PROXY_CHANNELS = {
+    "passive": lambda p: None,
+    "intercept_resend": lambda p: InterceptResendChannel(),
+    "depolarize": DepolarizingChannel,
+}
+
+
 def cmd_eve(args) -> int:
     lhost, lport = _parse_endpoint(args.listen)
     fhost, fport = _parse_endpoint(args.connect)
-    if args.mode not in ("passive", "intercept_resend", "depolarize"):
+    if args.mode not in PROXY_CHANNELS:
         raise ConfigError(f"unknown proxy mode {args.mode!r}")
+    try:
+        channel = PROXY_CHANNELS[args.mode](args.p)
+    except ValueError as err:
+        raise ConfigError(f"bad proxy channel: {err}")
+    seed = resolve_seed(args.seed, {})
     with open_listener(lhost, lport) as listener:
         print(f"LISTENING {listener.getsockname()[1]}", flush=True)
         eve_proxy(
             listener=listener,
             forward=(fhost, fport),
-            mode=args.mode,
-            p=args.p,
-            seed=args.seed if args.seed is not None else 0,
+            channel=channel,
+            seed=seed,
             timeout=args.timeout,
         )
     return EXIT_OK
@@ -499,9 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     eve = sub.add_parser("eve", help="man-in-the-middle proxy")
     eve.add_argument("--listen", required=True, help="host:port facing the sender")
     eve.add_argument("--connect", required=True, help="host:port of the receiver")
-    eve.add_argument(
-        "--mode", default="passive", help="passive | intercept_resend | depolarize"
-    )
+    eve.add_argument("--mode", default="passive", help=" | ".join(PROXY_CHANNELS))
     eve.add_argument("--p", type=float, default=0.1, help="depolarize weight")
     eve.add_argument("--seed", type=int, default=None)
     eve.add_argument("--timeout", type=float, default=30.0)

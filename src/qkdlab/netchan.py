@@ -6,9 +6,13 @@ as one burst, chunked into QBURST frames of at most BURST_CHUNK states,
 each headed by its first signal index and the burst length.  A party pumps
 its state machine against a single connection and does nothing else: the
 receiving session itself realizes the configured channel on the whole
-burst, exactly as it does in process.  The proxy sits between the two
-sockets, forwarding frames verbatim except for the signal burst, which it
-can transform with any channel model.
+burst, exactly as it does in process, and `serve_party` returns that
+session once it is terminal.  The proxy sits between the two sockets,
+forwarding frames verbatim except for the signal burst, which it can
+transform with any channel model; the CLI turns a bad proxy mode or weight
+into a configuration error before it binds.  The party and both proxy
+directions read through one frame loop, which ends at a clean close, a
+broken link or a malformed frame.
 
 The proxy holds the chunks of the burst until the last one arrives and
 transforms all of it in one batch, so its random stream is consumed
@@ -18,15 +22,14 @@ proxied run and an in-process run produce identical transcripts.
 
 from __future__ import annotations
 
+import contextlib
 import socket
 import threading
 import time
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
-from .gf2 import BitVec
 from .protocol import (
     ABORT_TRANSPORT,
     BURST_HEAD,
@@ -35,12 +38,8 @@ from .protocol import (
     AliceSession,
     BobSession,
     ChannelModel,
-    DepolarizingChannel,
-    InterceptResendChannel,
     ProtocolError,
-    RunStats,
     SessionConfig,
-    Transcript,
     WireMessage,
     states_from_bytes,
     states_to_bytes,
@@ -64,11 +63,7 @@ def send_frames(sock: socket.socket, messages: Sequence[WireMessage]) -> None:
 
 def _read_exact(rfile, count: int) -> bytes | None:
     data = rfile.read(count)
-    if data is None or len(data) == 0:
-        return None
-    if len(data) < count:
-        return None
-    return data
+    return data if data and len(data) == count else None
 
 
 def recv_frame(rfile) -> WireMessage | None:
@@ -83,6 +78,14 @@ def recv_frame(rfile) -> WireMessage | None:
     if body is None:
         return None
     return WireMessage(body[0], body[1:])
+
+
+def _frames(sock: socket.socket) -> Iterator[WireMessage]:
+    """The frames arriving on `sock` until the peer closes it, the link
+    fails or a frame is malformed."""
+    with sock.makefile("rb") as rfile, contextlib.suppress(OSError, ProtocolError):
+        while (frame := recv_frame(rfile)) is not None:
+            yield frame
 
 
 def connect_with_retry(host: str, port: int, timeout: float) -> socket.socket:
@@ -104,16 +107,6 @@ def open_listener(host: str = "127.0.0.1", port: int = 0) -> socket.socket:
     return sock
 
 
-@dataclass
-class PartyOutcome:
-    role: str
-    final_key: BitVec | None
-    stats: RunStats
-    transcript: Transcript
-    abort_reason: str | None
-    session: object
-
-
 def serve_party(
     cfg: SessionConfig,
     role: str,
@@ -121,12 +114,15 @@ def serve_party(
     connect: tuple[str, int] | None = None,
     listener: socket.socket | None = None,
     timeout: float = 30.0,
-) -> PartyOutcome:
-    """Run one side of the protocol over a socket.
+) -> AliceSession | BobSession:
+    """Run one side of the protocol over a socket and return its session,
+    terminal; the outcome is in its `final_key`, `abort_reason`, `stats`
+    and `transcript`.
 
     The receiver side accepts one connection on `listener`, which stays
     open and belongs to the caller; the sender side dials `connect`,
-    retrying until the peer is up.  A dropped connection surfaces as a
+    retrying until the peer is up.  A connection that closes or fails
+    before the session is over, its opening send included, surfaces as a
     transport abort on the surviving side.
 
     Frames go to the session as they arrive, the signal burst as its
@@ -150,53 +146,26 @@ def serve_party(
         raise ValueError(f"unknown role {role!r}")
 
     sock.settimeout(timeout)
-    rfile = sock.makefile("rb")
+    frames = _frames(sock)
     try:
         send_frames(sock, session.start())
-        while not session.terminal:
-            try:
-                frame = recv_frame(rfile)
-            except (OSError, ProtocolError):
-                frame = None
-            if frame is None:
-                session._fail(ABORT_TRANSPORT, announce=False)
-                break
-            try:
-                send_frames(sock, session.on_message(frame))
-            except OSError:
-                if not session.terminal:
-                    session._fail(ABORT_TRANSPORT, announce=False)
-                break
+        # a session over at start() reads nothing: the peer may never close
+        while not session.terminal and (frame := next(frames, None)) is not None:
+            send_frames(sock, session.on_message(frame))
+    except OSError:
+        pass  # the session ends as a transport failure below
     finally:
-        rfile.close()
-        try:
+        frames.close()
+        with contextlib.suppress(OSError):
             sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
         sock.close()
-
-    return PartyOutcome(
-        role=role,
-        final_key=session.final_key,
-        stats=session.stats,
-        transcript=session.transcript,
-        abort_reason=session.abort_reason,
-        session=session,
-    )
+    if not session.terminal:
+        session._fail(ABORT_TRANSPORT, announce=False)
+    return session
 
 
 # ---------------------------------------------------------------------------
 # the wire adversary
-
-
-def _proxy_channel(mode: str, p: float) -> ChannelModel | None:
-    if mode == "passive":
-        return None
-    if mode == "intercept_resend":
-        return InterceptResendChannel()
-    if mode == "depolarize":
-        return DepolarizingChannel(p)
-    raise ValueError(f"unknown proxy mode {mode!r}")
 
 
 def _transform_burst(
@@ -221,22 +190,21 @@ def eve_proxy(
     *,
     listener: socket.socket,
     forward: tuple[str, int],
-    mode: str = "passive",
-    p: float = 0.1,
+    channel: ChannelModel | None = None,
     seed: int = 0,
     timeout: float = 30.0,
     capture: list | None = None,
 ) -> None:
-    """Sit between sender and receiver, transforming the signal burst.
+    """Sit between sender and receiver, passing the signal burst through
+    `channel`.
 
     It accepts one connection on the caller's `listener` and dials `forward`.
-    `mode` is passive, intercept_resend, or depolarize (weight `p`).  The
-    random stream is derived exactly as the in-process run derives its
-    channel stream, so equal master seeds give equal outcomes.  `capture`,
-    if given, collects (direction, tag, payload) for every forwarded frame
-    as the downstream side sees it.
+    Without a `channel` the proxy is passive and forwards every frame as it
+    comes.  The random stream is derived exactly as the in-process run
+    derives its channel stream, so equal master seeds give equal outcomes.
+    `capture`, if given, collects (direction, tag, payload) for every
+    forwarded frame as the downstream side sees it.
     """
-    channel = _proxy_channel(mode, p)
     rng = np.random.default_rng(stream_seed(seed, "eve|channel"))
     listener.settimeout(timeout)
     upstream, _ = listener.accept()
@@ -244,23 +212,19 @@ def eve_proxy(
     downstream = connect_with_retry(forward[0], forward[1], timeout)
     downstream.settimeout(timeout)
 
-    def record(direction: str, frames: list[WireMessage]) -> None:
-        if capture is not None:
-            for f in frames:
-                capture.append((direction, f.tag, f.payload))
-
-    def a_to_b() -> None:
-        rfile = upstream.makefile("rb")
+    def relay(
+        src: socket.socket,
+        dst: socket.socket,
+        direction: str,
+        channel: ChannelModel | None,
+    ) -> None:
+        """Forward the frames from `src` to `dst` until `src` ends, then
+        half-close `dst`; with a `channel`, the signal burst goes on
+        transformed once its last chunk is in."""
         burst: list[WireMessage] = []  # chunks of the burst in flight
         held = 0  # states in those chunks
         try:
-            while True:
-                try:
-                    frame = recv_frame(rfile)
-                except (OSError, ProtocolError):
-                    frame = None
-                if frame is None:
-                    break
+            for frame in _frames(src):
                 if (
                     channel is not None
                     and frame.tag == TAG_QBURST
@@ -272,47 +236,25 @@ def eve_proxy(
                     if held < total:
                         continue
                     out = _transform_burst(burst, channel, rng)
-                    burst, held = [], 0
                 else:
                     # a burst cut short goes on as it came, for the receiver
                     # to reject
                     out = burst + [frame]
-                    burst, held = [], 0
-                record(">", out)
-                send_frames(downstream, out)
+                burst, held = [], 0
+                if capture is not None:
+                    capture.extend((direction, f.tag, f.payload) for f in out)
+                send_frames(dst, out)
         except OSError:
             pass
         finally:
-            rfile.close()
-            try:
-                downstream.shutdown(socket.SHUT_WR)
-            except OSError:
-                pass
+            with contextlib.suppress(OSError):
+                dst.shutdown(socket.SHUT_WR)
 
-    def b_to_a() -> None:
-        rfile = downstream.makefile("rb")
-        try:
-            while True:
-                try:
-                    frame = recv_frame(rfile)
-                except (OSError, ProtocolError):
-                    frame = None
-                if frame is None:
-                    break
-                record("<", [frame])
-                send_frames(upstream, [frame])
-        except OSError:
-            pass
-        finally:
-            rfile.close()
-            try:
-                upstream.shutdown(socket.SHUT_WR)
-            except OSError:
-                pass
-
-    forward_thread = threading.Thread(target=b_to_a, daemon=True)
-    forward_thread.start()
-    a_to_b()
-    forward_thread.join(timeout)
+    backward = threading.Thread(
+        target=relay, args=(downstream, upstream, "<", None), daemon=True
+    )
+    backward.start()
+    relay(upstream, downstream, ">", channel)
+    backward.join(timeout)
     upstream.close()
     downstream.close()

@@ -523,8 +523,10 @@ class SessionConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("need at least one key bit")
-        if not 0.0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be positive and finite")
+        # the burst cap below implies epsilon < 2^18; checking that first
+        # keeps omega_size's ceil finite
+        if not 0.0 < self.epsilon < 2**18:
+            raise ValueError("epsilon must sit in (0, 2^18)")
         if not 0.0 < self.delta_max < 0.5:
             raise ValueError("delta_max must sit in (0, 1/2)")
         # the efficiency floor keeps 1/efficiency^2 finite; the burst cap

@@ -70,6 +70,7 @@ def test_unbuildable_code_policy_rejected(tmp_path, policy):
     [
         {"n": 16, "epsilon": float("nan")},
         {"n": 16, "epsilon": float("inf")},
+        {"n": 16, "epsilon": 1e308},  # 2 n (1 + epsilon) overflows to infinity
         {"n": 65535, "epsilon": 40000},  # |Omega| beyond HELLO's 32-bit field
         {"n": 16, "pool_bits": -1},
         {"n": 16, "pool_bits": 1.5},
@@ -80,6 +81,7 @@ def test_unbuildable_code_policy_rejected(tmp_path, policy):
     ids=[
         "nan_epsilon",
         "inf_epsilon",
+        "huge_epsilon",
         "omega_beyond_wire",
         "negative_pool",
         "fractional_pool",
@@ -395,6 +397,27 @@ def test_listener_is_closed_when_the_party_fails(tmp_path, monkeypatch, role, se
     argv += ["--config", write_config(tmp_path)] if role == "bob" else ["--connect", "127.0.0.1:9"]
     assert main(argv) == EXIT_INTERNAL
     assert len(listeners) == 1 and listeners[0].fileno() == -1
+
+
+@pytest.mark.parametrize(
+    "mode_args",
+    [["--mode", "mirror"], ["--mode", "depolarize", "--p", "2"]],
+    ids=["mode", "weight"],
+)
+def test_bad_proxy_channel_is_a_config_error_before_binding(capsys, mode_args):
+    argv = ["eve", "--listen", "127.0.0.1:0", "--connect", "127.0.0.1:9", *mode_args]
+    assert main(argv) == EXIT_CONFIG
+    assert "LISTENING" not in capsys.readouterr().out
+
+
+def test_proxy_seed_resolves_like_the_parties(monkeypatch):
+    seeds = []
+    monkeypatch.setattr("qkdlab.cli.eve_proxy", lambda *, seed, **kwargs: seeds.append(seed))
+    monkeypatch.setenv("QKDLAB_SEED", "7")
+    argv = ["eve", "--listen", "127.0.0.1:0", "--connect", "127.0.0.1:9"]
+    assert main(argv) == EXIT_OK
+    assert main([*argv, "--seed", "3"]) == EXIT_OK
+    assert seeds == [7, 3]
 
 
 def test_cli_roles_match_in_process_run(tmp_path):

@@ -12,9 +12,11 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
+from qkdlab import netchan
 from qkdlab.codes import code_from_descriptor
 from qkdlab.netchan import (
     eve_proxy,
@@ -26,6 +28,7 @@ from qkdlab.netchan import (
 from qkdlab.protocol import (
     ABORT_DELTA,
     ABORT_PHASE,
+    ABORT_SOURCE,
     ABORT_TRANSPORT,
     ABORT_VERSION,
     BURST_CHUNK,
@@ -36,6 +39,7 @@ from qkdlab.protocol import (
     DepolarizingChannel,
     DetectorModel,
     InterceptResendChannel,
+    LeakyTwoCopySource,
     ProtocolError,
     SecretPool,
     SessionConfig,
@@ -148,7 +152,7 @@ def test_loopback_version_mismatch():
 def test_passive_proxy_keeps_run_intact_and_pool_bits_off_the_wire():
     cfg = SessionConfig(n=64, epsilon=0.35, seed=5)
     capture = []
-    out = _loopback(cfg, proxy=dict(mode="passive", capture=capture))
+    out = _loopback(cfg, proxy=dict(capture=capture))
     ref = run_protocol(cfg)
     assert out["alice"].final_key == out["bob"].final_key == ref.bob_key
     assert out["bob"].transcript == ref.transcript
@@ -156,7 +160,7 @@ def test_passive_proxy_keeps_run_intact_and_pool_bits_off_the_wire():
     wire = b"".join(payload for _, _, payload in capture)
     stats = out["bob"].stats
     rec = code_from_descriptor(stats.rec_descriptor)
-    kappa = out["bob"].session.kappa
+    kappa = out["bob"].kappa
     raw_syndrome = rec.syndrome(kappa)
     pool = SecretPool(stream_seed(cfg.seed, "pool"), cfg.pool_capacity)
     otp = pool.take(stats.tau)
@@ -172,7 +176,7 @@ def test_intercept_proxy_reproduces_in_process_attack_exactly():
         n=512, epsilon=0.35, seed=1, channel=InterceptResendChannel(), delta_max=0.15
     )
     clean = SessionConfig(n=512, epsilon=0.35, seed=1, delta_max=0.15)
-    out = _loopback(clean, proxy=dict(mode="intercept_resend", seed=1))
+    out = _loopback(clean, proxy=dict(channel=InterceptResendChannel(), seed=1))
     ref = run_protocol(cfg)
     assert ref.stats.abort_reason == ABORT_DELTA
     assert out["alice"].abort_reason == ABORT_DELTA
@@ -185,7 +189,7 @@ def test_intercept_proxy_reproduces_in_process_attack_exactly():
 def test_depolarize_proxy_reproduces_in_process_noise_exactly():
     cfg = SessionConfig(n=128, epsilon=0.35, seed=4, channel=DepolarizingChannel(0.1))
     clean = SessionConfig(n=128, epsilon=0.35, seed=4)
-    out = _loopback(clean, proxy=dict(mode="depolarize", p=0.1, seed=4))
+    out = _loopback(clean, proxy=dict(channel=DepolarizingChannel(0.1), seed=4))
     ref = run_protocol(cfg)
     assert out["alice"].final_key == out["bob"].final_key == ref.bob_key
     assert out["bob"].transcript == ref.transcript
@@ -193,7 +197,7 @@ def test_depolarize_proxy_reproduces_in_process_noise_exactly():
 
 @pytest.mark.parametrize(
     "channel, proxy",
-    [(InterceptResendChannel(), None), (DepolarizingChannel(0.1), dict(mode="depolarize", p=0.1))],
+    [(InterceptResendChannel(), None), (DepolarizingChannel(0.1), dict(channel=DepolarizingChannel(0.1)))],
     ids=["intercept_resend", "depolarizing"],
 )
 def test_two_chunk_burst_same_in_process_over_sockets_and_through_proxy(channel, proxy):
@@ -227,7 +231,7 @@ def test_proxy_forwards_a_malformed_burst_for_the_receiver_to_reject(payload):
             kwargs=dict(
                 listener=eve_listener,
                 forward=("127.0.0.1", bob_listener.getsockname()[1]),
-                mode="depolarize",
+                channel=DepolarizingChannel(0.1),
                 timeout=10.0,
             ),
             daemon=True,
@@ -277,3 +281,28 @@ def test_peer_death_surfaces_as_transport_failure():
     finally:
         proc.stdout.close()
         proc.wait(timeout=10)
+
+
+def test_a_failed_opening_send_ends_in_transport_failure(monkeypatch):
+    def reset(sock, messages):
+        raise ConnectionResetError("connection reset by peer")
+
+    monkeypatch.setattr(netchan, "send_frames", reset)
+    cfg = SessionConfig(n=16, epsilon=0.35, seed=0)
+    with open_listener() as listener:
+        out = serve_party(cfg, "alice", connect=listener.getsockname(), timeout=10.0)
+    assert out.abort_reason == ABORT_TRANSPORT
+    assert out.final_key is None
+
+
+def test_a_session_over_at_start_reads_nothing():
+    cfg = SessionConfig(n=16, epsilon=0.35, seed=0, source=LeakyTwoCopySource(0.5))
+    timeout = 5.0
+    # the listener's backlog holds the connection open: a peer that never
+    # closes, so a read would wait for the timeout
+    with open_listener() as listener:
+        start = time.monotonic()
+        out = serve_party(cfg, "alice", connect=listener.getsockname(), timeout=timeout)
+        elapsed = time.monotonic() - start
+    assert out.abort_reason == ABORT_SOURCE
+    assert elapsed < timeout / 5
