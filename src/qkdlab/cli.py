@@ -25,6 +25,7 @@ from . import qsim
 from .codes import code_from_descriptor, descriptor_length
 from .netchan import eve_proxy, open_listener, serve_party
 from .protocol import (
+    ABORT_TRANSPORT,
     STATS_FIELDS,
     DepolarizingChannel,
     DetectorModel,
@@ -394,13 +395,17 @@ def cmd_eve(args) -> int:
     seed = resolve_seed(args.seed, {})
     with open_listener(lhost, lport) as listener:
         print(f"LISTENING {listener.getsockname()[1]}", flush=True)
-        eve_proxy(
-            listener=listener,
-            forward=(fhost, fport),
-            channel=channel,
-            seed=seed,
-            timeout=args.timeout,
-        )
+        try:
+            eve_proxy(
+                listener=listener,
+                forward=(fhost, fport),
+                channel=channel,
+                seed=seed,
+                timeout=args.timeout,
+            )
+        except OSError as err:
+            print(f"aborted: {ABORT_TRANSPORT}: {err}", file=sys.stderr)
+            return EXIT_ABORT
     return EXIT_OK
 
 

@@ -121,9 +121,10 @@ def serve_party(
 
     The receiver side accepts one connection on `listener`, which stays
     open and belongs to the caller; the sender side dials `connect`,
-    retrying until the peer is up.  A connection that closes or fails
-    before the session is over, its opening send included, surfaces as a
-    transport abort on the surviving side.
+    retrying until the peer is up.  A peer that never connects or never
+    accepts within `timeout`, and a connection that closes or fails before
+    the session is over, its opening send included, end the session in a
+    transport abort.
 
     Frames go to the session as they arrive, the signal burst as its
     QBURST chunks.  The receiving session realizes the config's channel
@@ -135,30 +136,31 @@ def serve_party(
         session: AliceSession | BobSession = AliceSession(cfg)
         if connect is None:
             raise ValueError("sender side needs a connect address")
-        sock = connect_with_retry(connect[0], connect[1], timeout)
     elif role == "bob":
         session = BobSession(cfg)
         if listener is None:
             raise ValueError("receiver side needs a listener")
         listener.settimeout(timeout)
-        sock, _ = listener.accept()
     else:
         raise ValueError(f"unknown role {role!r}")
 
-    sock.settimeout(timeout)
-    frames = _frames(sock)
     try:
-        send_frames(sock, session.start())
-        # a session over at start() reads nothing: the peer may never close
-        while not session.terminal and (frame := next(frames, None)) is not None:
-            send_frames(sock, session.on_message(frame))
+        if role == "alice":
+            sock = connect_with_retry(connect[0], connect[1], timeout)
+        else:
+            sock, _ = listener.accept()
+        with sock, contextlib.closing(_frames(sock)) as frames:
+            sock.settimeout(timeout)
+            try:
+                send_frames(sock, session.start())
+                # a session over at start() reads nothing: the peer may never close
+                while not session.terminal and (frame := next(frames, None)) is not None:
+                    send_frames(sock, session.on_message(frame))
+            finally:
+                with contextlib.suppress(OSError):
+                    sock.shutdown(socket.SHUT_RDWR)
     except OSError:
         pass  # the session ends as a transport failure below
-    finally:
-        frames.close()
-        with contextlib.suppress(OSError):
-            sock.shutdown(socket.SHUT_RDWR)
-        sock.close()
     if not session.terminal:
         session._fail(ABORT_TRANSPORT, announce=False)
     return session
@@ -198,7 +200,9 @@ def eve_proxy(
     """Sit between sender and receiver, passing the signal burst through
     `channel`.
 
-    It accepts one connection on the caller's `listener` and dials `forward`.
+    It accepts one connection on the caller's `listener` and dials `forward`;
+    when no sender connects or the receiver cannot be reached within
+    `timeout`, it raises `OSError`, with the accepted connection closed.
     Without a `channel` the proxy is passive and forwards every frame as it
     comes.  The random stream is derived exactly as the in-process run
     derives its channel stream, so equal master seeds give equal outcomes.
@@ -206,11 +210,6 @@ def eve_proxy(
     forwarded frame as the downstream side sees it.
     """
     rng = np.random.default_rng(stream_seed(seed, "eve|channel"))
-    listener.settimeout(timeout)
-    upstream, _ = listener.accept()
-    upstream.settimeout(timeout)
-    downstream = connect_with_retry(forward[0], forward[1], timeout)
-    downstream.settimeout(timeout)
 
     def relay(
         src: socket.socket,
@@ -250,11 +249,14 @@ def eve_proxy(
             with contextlib.suppress(OSError):
                 dst.shutdown(socket.SHUT_WR)
 
-    backward = threading.Thread(
-        target=relay, args=(downstream, upstream, "<", None), daemon=True
-    )
-    backward.start()
-    relay(upstream, downstream, ">", channel)
-    backward.join(timeout)
-    upstream.close()
-    downstream.close()
+    listener.settimeout(timeout)
+    upstream, _ = listener.accept()
+    with upstream, connect_with_retry(forward[0], forward[1], timeout) as downstream:
+        upstream.settimeout(timeout)
+        downstream.settimeout(timeout)
+        backward = threading.Thread(
+            target=relay, args=(downstream, upstream, "<", None), daemon=True
+        )
+        backward.start()
+        relay(upstream, downstream, ">", channel)
+        backward.join(timeout)

@@ -176,6 +176,50 @@ def stream_seed(master: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def _shuffle(rng: random.Random, x: list, stop: int = 1) -> None:
+    """`rng.shuffle(x)` with the same `rng.getrandbits` calls, and so the
+    same result; with another `stop` the walk ends at position `stop`, as
+    `random.sample`'s pool walk does.
+
+    CPython draws `randbelow(i + 1)` for i from len(x) - 1 down: words of
+    `(i + 1).bit_length()` bits, drawn again while above i.  That width is
+    constant over each power-of-two run of bounds, so it is taken once a run.
+    """
+    getrandbits = rng.getrandbits
+    top = len(x)  # the next bound
+    while top > stop:
+        width = top.bit_length()
+        low = max(stop, (1 << (width - 1)) - 1)
+        for i in range(top - 1, low - 1, -1):
+            j = getrandbits(width)
+            while j > i:
+                j = getrandbits(width)
+            x[i], x[j] = x[j], x[i]
+        top = low
+
+
+def _sample(rng: random.Random, population: Sequence, k: int) -> list:
+    """`rng.sample(population, k)` with the same `rng.getrandbits` calls.
+
+    CPython's pool walk is `_shuffle`'s walk stopped after k draws: it
+    moves the last free entry into each vacancy instead of swapping, which
+    picks the same entries.  The pick made at bound b ends at position
+    b - 1, so the picks in order are the pool's tail reversed.  When the
+    population is larger than a k-element set would be, CPython samples
+    into a set instead; that branch, and a k out of range, go to
+    `rng.sample` itself.
+    """
+    n = len(population)
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if n > setsize or not 0 <= k <= n:
+        return rng.sample(population, k)
+    pool = list(population)
+    _shuffle(rng, pool, n - k)
+    return pool[n - k :][::-1]
+
+
 class SecretPool:
     """Deterministic pre-shared secret bits, consumed strictly in order.
 
@@ -777,7 +821,7 @@ def sift(a_bits, b_symbols, r_mask, n: int, rng) -> SiftResult:
     candidates = np.flatnonzero(key_mask).tolist()
     if len(test) < n or len(candidates) < n:
         return SiftResult(tuple(test), None, ABORT_SIFT)
-    key_set = tuple(sorted(rng.sample(candidates, n)))
+    key_set = tuple(sorted(_sample(rng, candidates, n)))
     return SiftResult(tuple(test), key_set, None)
 
 
@@ -1016,7 +1060,7 @@ class AliceSession(_Session):
         src = cfg.source
         rng = self._emit_rng
         self.a_bits = rng.integers(0, 2, size=m).astype(np.uint8)
-        r_index = self._choice_rng.sample(range(m), m // 2)
+        r_index = _sample(self._choice_rng, range(m), m // 2)
         self.r_mask = np.zeros(m, dtype=np.uint8)
         self.r_mask[r_index] = 1
         # the basis actually keyed into the source: a for tested positions,
@@ -1238,7 +1282,7 @@ class BobSession(_Session):
     def _announce_key_material(self, delta: float) -> list[WireMessage]:
         cfg = self.cfg
         perm = list(range(cfg.n))
-        self._choice_rng.shuffle(perm)
+        _shuffle(self._choice_rng, perm)
         perm = np.array(perm, dtype=np.intp)
         pa = cfg.pa_code
         self.stats.r = pa.k
@@ -1376,7 +1420,7 @@ def run_protocol3(
     choice = random.Random(stream_seed(seed, "protocol3|choice"))
     m = 2 * math.ceil(2.0 * n * (1.0 + epsilon))
     r_mask = np.zeros(m, dtype=bool)
-    r_mask[choice.sample(range(m), m // 2)] = True
+    r_mask[_sample(choice, range(m), m // 2)] = True
     bases = rng.integers(0, 2, size=m)
     errs = rng.random(m) < np.where(bases == 0, p_z, p_x)
 
@@ -1388,7 +1432,7 @@ def run_protocol3(
     if delta > delta_max:
         return None, ABORT_DELTA, delta
     perm = list(range(n))
-    choice.shuffle(perm)
+    _shuffle(choice, perm)
     kappa = _sifted_word(errs, res.key_set, perm)
     if code.n != n:
         raise ValueError("code length must match the key size")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import socket
 import subprocess
 import sys
 import tracemalloc
@@ -364,10 +365,11 @@ def test_audit_code_length_must_match_n(capsys):
 
 
 @contextlib.contextmanager
-def spawn_cli(*args):
-    """A qkdlab subprocess, killed if still running and reaped on exit."""
+def spawn_cli(*args, dev=False):
+    """A qkdlab subprocess, killed if still running and reaped on exit;
+    `dev` runs it under `-X dev`, which reports unclosed resources."""
     with subprocess.Popen(
-        [sys.executable, "-m", "qkdlab", *args],
+        [sys.executable, *(["-X", "dev"] if dev else []), "-m", "qkdlab", *args],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -388,15 +390,50 @@ def read_listening_port(proc):
 def test_listener_is_closed_when_the_party_fails(tmp_path, monkeypatch, role, served_by):
     listeners = []
 
-    def no_peer(*args, listener, **kwargs):
+    def crash(*args, listener, **kwargs):
         listeners.append(listener)
-        raise TimeoutError("no peer connected")
+        raise RuntimeError("the party crashed")
 
-    monkeypatch.setattr(f"qkdlab.cli.{served_by}", no_peer)
+    monkeypatch.setattr(f"qkdlab.cli.{served_by}", crash)
     argv = [role, "--listen", "127.0.0.1:0"]
     argv += ["--config", write_config(tmp_path)] if role == "bob" else ["--connect", "127.0.0.1:9"]
     assert main(argv) == EXIT_INTERNAL
     assert len(listeners) == 1 and listeners[0].fileno() == -1
+
+
+@pytest.mark.parametrize("role", ["alice", "bob"])
+def test_a_peer_that_never_connects_exits_2_and_writes_the_outcome(
+    tmp_path, capsys, refused_port, role
+):
+    transcript, key = tmp_path / "party.transcript", tmp_path / "party.key"
+    outputs = ["--transcript-out", str(transcript), "--key-out", str(key)]
+    if role == "alice":
+        address = ["--connect", f"127.0.0.1:{refused_port}"]
+    else:  # nobody dials the listener
+        address = ["--listen", "127.0.0.1:0"]
+    argv = [role, *address, "--timeout", "0.3", "--config", write_config(tmp_path), *outputs]
+    assert main(argv) == EXIT_ABORT
+    assert "aborted: transport_failure" in capsys.readouterr().err
+    assert key.read_text() == "aborted\n"
+    assert transcript.exists()
+
+
+def test_proxy_that_cannot_reach_the_receiver_exits_2_without_leaking(refused_port):
+    with spawn_cli(
+        "eve",
+        "--listen",
+        "127.0.0.1:0",
+        "--connect",
+        f"127.0.0.1:{refused_port}",
+        "--timeout",
+        "0.5",
+        dev=True,
+    ) as eve:
+        with socket.create_connection(("127.0.0.1", read_listening_port(eve))):
+            _, err = eve.communicate(timeout=30)
+    assert eve.returncode == EXIT_ABORT
+    assert err.startswith("aborted: transport_failure")
+    assert "ResourceWarning" not in err
 
 
 @pytest.mark.parametrize(

@@ -306,3 +306,15 @@ def test_a_session_over_at_start_reads_nothing():
         elapsed = time.monotonic() - start
     assert out.abort_reason == ABORT_SOURCE
     assert elapsed < timeout / 5
+
+
+@pytest.mark.parametrize("role", ["alice", "bob"])
+def test_a_peer_that_never_connects_ends_in_transport_failure(role, refused_port):
+    cfg = SessionConfig(n=16, epsilon=0.35, seed=0)
+    with open_listener() as listener:
+        if role == "alice":
+            out = serve_party(cfg, role, connect=("127.0.0.1", refused_port), timeout=0.3)
+        else:  # nobody dials the listener
+            out = serve_party(cfg, role, listener=listener, timeout=0.3)
+    assert out.abort_reason == ABORT_TRANSPORT
+    assert out.final_key is None

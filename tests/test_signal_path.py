@@ -102,17 +102,26 @@ def _sift_by_definition(a_bits, b_symbols, r_mask, n, rng):
     return tuple(test), tuple(sorted(rng.sample(candidates, n)))
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_sift_matches_elementwise_definition(seed):
+@pytest.mark.parametrize(
+    "seed, shape",
+    [pytest.param(seed, None, id=str(seed)) for seed in range(12)]
+    # at most 5 keys from more than 21 candidates: random.sample's set branch
+    + [pytest.param(12, (300, 3), id="set_branch")],
+)
+def test_sift_matches_elementwise_definition(seed, shape):
     gen = np.random.default_rng(seed)
     m = int(gen.integers(1, 300))
     n = int(gen.integers(1, max(2, m // 4)))
+    if shape is not None:
+        m, n = shape
     a = gen.integers(0, 2, size=m).astype(np.uint8)
     b = gen.choice(np.array([0, 1, 2], dtype=np.uint8), size=m, p=[0.45, 0.45, 0.1])
     r_mask = gen.integers(0, 2, size=m).astype(np.uint8)
     got = sift(a, b, r_mask, n, random.Random(seed))
     want = _sift_by_definition(a.tolist(), b.tolist(), r_mask.tolist(), n, random.Random(seed))
     assert (got.test_set, got.key_set) == want
+    if shape is not None:
+        assert np.count_nonzero((r_mask == 0) & (1 - a == b)) > 21
     assert all(type(i) is int for i in got.test_set)
     # lists of Python ints and numpy arrays give the same split
     as_lists = sift(a.tolist(), b.tolist(), r_mask.tolist(), n, random.Random(seed))
