@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import socket
+import struct
 import threading
 import time
 from collections.abc import Iterator, Sequence
@@ -41,29 +42,31 @@ from .protocol import (
     ProtocolError,
     SessionConfig,
     WireMessage,
-    states_from_bytes,
+    decode_qburst,
+    qburst_chunk,
     states_to_bytes,
     stream_seed,
 )
 
 MAX_FRAME = 1 << 24
+FRAME_HEAD = struct.Struct(">IB")  # frame length (tag plus payload), tag
 CONNECT_RETRY_DELAY = 0.05
 
 
 def send_frames(sock: socket.socket, messages: Sequence[WireMessage]) -> None:
     parts = []
     for msg in messages:
-        body = bytes([msg.tag]) + msg.payload
-        if len(body) > MAX_FRAME:
+        length = 1 + len(msg.payload)
+        if length > MAX_FRAME:
             raise ProtocolError("frame too large")
-        parts.append(len(body).to_bytes(4, "big") + body)
+        parts += (FRAME_HEAD.pack(length, msg.tag), msg.payload)
     if parts:
         sock.sendall(b"".join(parts))
 
 
 def _read_exact(rfile, count: int) -> bytes | None:
     data = rfile.read(count)
-    return data if data and len(data) == count else None
+    return data if len(data) == count else None
 
 
 def recv_frame(rfile) -> WireMessage | None:
@@ -74,10 +77,11 @@ def recv_frame(rfile) -> WireMessage | None:
     length = int.from_bytes(head, "big")
     if not 1 <= length <= MAX_FRAME:
         raise ProtocolError(f"bad frame length {length}")
-    body = _read_exact(rfile, length)
-    if body is None:
+    tag = _read_exact(rfile, 1)
+    payload = _read_exact(rfile, length - 1)
+    if tag is None or payload is None:
         return None
-    return WireMessage(body[0], body[1:])
+    return WireMessage(tag[0], payload)
 
 
 def _frames(sock: socket.socket) -> Iterator[WireMessage]:
@@ -176,15 +180,15 @@ def _transform_burst(
     """The chunks of one signal burst with `channel` applied to all their
     states in one batch; heads and chunk sizes stay as sent.  Chunks that
     do not hold whole states go on unchanged, for the receiver to reject."""
-    bodies = [c.payload[BURST_HEAD.size :] for c in chunks]
-    if any(len(body) % STATE_BYTES for body in bodies):
+    payloads = [c.payload for c in chunks]
+    if any((len(p) - BURST_HEAD.size) % STATE_BYTES for p in payloads):
         return chunks
-    out = states_to_bytes(channel.apply_batch(states_from_bytes(b"".join(bodies)), rng))
+    out = memoryview(states_to_bytes(channel.apply_batch(decode_qburst(payloads), rng)))
     transformed, at = [], 0
-    for chunk, body in zip(chunks, bodies):
-        head = chunk.payload[: BURST_HEAD.size]
-        transformed.append(WireMessage(TAG_QBURST, head + out[at : at + len(body)]))
-        at += len(body)
+    for p in payloads:
+        size = len(p) - BURST_HEAD.size
+        transformed.append(qburst_chunk(p[: BURST_HEAD.size], out[at : at + size]))
+        at += size
     return transformed
 
 

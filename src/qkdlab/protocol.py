@@ -114,6 +114,15 @@ ABORT_VERSION = "version_mismatch"
 ABORT_PHASE = "phase_order"
 ABORT_TRANSPORT = "transport_failure"
 ABORT_MALFORMED = "malformed_message"
+# the reasons an ABORT payload may name, by their wire bytes
+_ABORT_NAMES = {
+    r.encode(): r
+    for r in (
+        ABORT_SOURCE, ABORT_SIFT, ABORT_DELTA, ABORT_RECONCILE, ABORT_CONFIRM,
+        ABORT_POOL, ABORT_VERSION, ABORT_PHASE, ABORT_TRANSPORT, ABORT_MALFORMED,
+    )
+}
+ABORT_DETAIL_BYTES = 32  # kept of an ABORT payload that names no reason
 
 SOURCE_TOLERANCE = 1e-10
 
@@ -146,24 +155,35 @@ STATE_BYTES = 64  # one 2x2 complex128 density matrix, big-endian
 BURST_CHUNK = 1 << 16
 
 
-def states_from_bytes(blob: bytes) -> np.ndarray:
-    """Signal states packed back to back on the wire, as an (m, 2, 2) array."""
-    flat = np.frombuffer(blob, dtype=">f8").astype(np.float64)
-    return flat.view(np.complex128).reshape(len(blob) // STATE_BYTES, 2, 2)
-
-
 def states_to_bytes(states: np.ndarray) -> bytes:
     return states.reshape(len(states), 4).view(np.float64).astype(">f8").tobytes()
 
 
-def encode_qburst(states: bytes) -> list[WireMessage]:
-    """One signal burst (packed states) as QBURST messages of at most
-    BURST_CHUNK states, each headed by its first index and the burst length."""
-    total = len(states) // STATE_BYTES
+def decode_qburst(payloads: Sequence[bytes]) -> np.ndarray:
+    """The states of QBURST payloads that each hold whole states, in order,
+    as one native (m, 2, 2) array, read from the wire bytes in one pass."""
+    flat = np.concatenate(
+        [np.frombuffer(p, ">f8", offset=BURST_HEAD.size) for p in payloads], dtype=np.float64
+    )
+    return flat.view(np.complex128).reshape(-1, 2, 2)
+
+
+def qburst_chunk(head: bytes, states) -> WireMessage:
+    """One QBURST message: `head` followed by the packed states in
+    `states`, any bytes-like object, copied once."""
+    return WireMessage(TAG_QBURST, b"".join((head, states)))
+
+
+def encode_qburst(states) -> list[WireMessage]:
+    """One signal burst (packed states in any C-contiguous buffer) as
+    QBURST messages of at most BURST_CHUNK states, each headed by its first
+    index and the burst length."""
+    wire = memoryview(states).cast("B")
+    total = len(wire) // STATE_BYTES
     step = BURST_CHUNK * STATE_BYTES
     return [
-        WireMessage(TAG_QBURST, BURST_HEAD.pack(at // STATE_BYTES, total) + states[at : at + step])
-        for at in range(0, len(states), step)
+        qburst_chunk(BURST_HEAD.pack(at // STATE_BYTES, total), wire[at : at + step])
+        for at in range(0, len(wire), step)
     ]
 
 
@@ -460,8 +480,9 @@ class DepolarizingChannel(ChannelModel):
         self.p = p
 
     def apply_batch(self, states, rng):
-        eye = np.eye(2, dtype=np.complex128) / 2.0
-        return (1.0 - self.p) * states + self.p * eye[None, :, :]
+        out = (1.0 - self.p) * states
+        out += self.p * (np.eye(2, dtype=np.complex128) / 2.0)
+        return out
 
 
 class InterceptResendChannel(ChannelModel):
@@ -649,7 +670,7 @@ def encode_hello(cfg: SessionConfig, role: int) -> bytes:
 
 
 def encode_bases_b(symbols: np.ndarray) -> bytes:
-    return struct.pack(">I", len(symbols)) + bytes(symbols.astype(np.uint8).tolist())
+    return struct.pack(">I", len(symbols)) + symbols.astype(np.uint8).tobytes()
 
 
 def decode_bases_b(payload: bytes) -> np.ndarray:
@@ -1004,7 +1025,12 @@ class _Session:
             return self._fail(ABORT_PHASE)
         self._record(self.peer_name, [msg])
         if msg.tag == TAG_ABORT:
-            reason = msg.payload.decode(errors="replace") or ABORT_TRANSPORT
+            # the peer names a known reason or none; anything else is
+            # malformed, so the peer never writes the reason string
+            reason = _ABORT_NAMES.get(msg.payload) if msg.payload else ABORT_TRANSPORT
+            if reason is None:
+                self.abort_detail = f"{msg.name()}: {msg.payload[:ABORT_DETAIL_BYTES]!r}"
+                reason = ABORT_MALFORMED
             return self._fail(reason, announce=False)
         try:
             return getattr(self, f"_phase_{self.phase}")(msg)
@@ -1068,12 +1094,14 @@ class AliceSession(_Session):
         sent_basis = np.where(self.r_mask == 1, self.a_bits, 1 - self.a_bits)
         p_one = np.array([src.key_bit_probability(0), src.key_bit_probability(1)])
         self.g_bits = (rng.random(m) < p_one[sent_basis]).astype(np.uint8)
-        lut = np.array(
-            [[src.emit(a, g) for g in range(2)] for a in range(2)]
-        )
-        states = lut[sent_basis, self.g_bits]
+        # the four states' wire bytes, row 2a + g; the burst is gathered
+        # from them straight into wire order
+        table = np.frombuffer(
+            states_to_bytes(np.array([src.emit(a, g) for a in range(2) for g in range(2)])),
+            dtype=np.uint8,
+        ).reshape(4, STATE_BYTES)
         self.phase = "await_bases"
-        return encode_qburst(states_to_bytes(states))
+        return encode_qburst(table.take(2 * sent_basis + self.g_bits, axis=0))
 
     def _phase_await_bases(self, msg: WireMessage) -> list[WireMessage]:
         b_symbols = decode_bases_b(msg.payload)
@@ -1217,8 +1245,7 @@ class BobSession(_Session):
         if len(msg.payload) < BURST_HEAD.size:
             return self._fail(ABORT_PHASE)
         first, total = BURST_HEAD.unpack_from(msg.payload)
-        body = msg.payload[BURST_HEAD.size :]
-        count, partial = divmod(len(body), STATE_BYTES)
+        count, partial = divmod(len(msg.payload) - BURST_HEAD.size, STATE_BYTES)
         if (
             partial
             or count == 0
@@ -1227,7 +1254,7 @@ class BobSession(_Session):
             or first + count > total
         ):
             return self._fail(ABORT_PHASE)
-        self._chunks.append(body)
+        self._chunks.append(msg.payload)
         self._received += count
         if self._received < self._omega:
             return []
@@ -1237,7 +1264,7 @@ class BobSession(_Session):
         """Realizes the configured channel on the whole burst, then measures."""
         m = self._omega
         cfg = self.cfg
-        states = states_from_bytes(b"".join(self._chunks))
+        states = decode_qburst(self._chunks)
         self._chunks = []  # every state is in `states` now
         eve_rng = np.random.default_rng(stream_seed(cfg.seed, "eve|channel"))
         states = cfg.channel.apply_batch(states, eve_rng)
@@ -1390,50 +1417,3 @@ def replay_protocol(cfg: SessionConfig, transcript: Transcript) -> ProtocolResul
                 raise ReplayMismatch(f"record {i}: produced {a}, transcript has {b}")
         raise ReplayMismatch("transcript mismatch")
     return result
-
-
-# ---------------------------------------------------------------------------
-# adversarial-preparation variant, sampled classically
-
-
-def run_protocol3(
-    attack: np.ndarray,
-    n: int,
-    code: LinearCode,
-    *,
-    epsilon: float = 0.05,
-    delta_max: float = 0.109,
-    seed: int = 0,
-) -> tuple[BitVec | None, str | None, float | None]:
-    """Classical sampling of the adversary-prepares variant: fixed sender
-    bits, Z-basis verification on the tested half, X-basis key generation
-    on the rest.  Returns (final key or None, abort reason, observed rate).
-    """
-    attack = np.asarray(attack, dtype=np.complex128)
-    chi = attack[:, 0]
-    rho = np.outer(chi, chi.conj()).reshape(2, 2, 2, 2)
-    sigma = np.einsum("asat->st", rho)  # receiver's qubit
-    p_z = float(sigma[1, 1].real)
-    p_x = float(0.5 * (1.0 - 2.0 * sigma[0, 1].real))
-
-    rng = np.random.default_rng(stream_seed(seed, "protocol3"))
-    choice = random.Random(stream_seed(seed, "protocol3|choice"))
-    m = 2 * math.ceil(2.0 * n * (1.0 + epsilon))
-    r_mask = np.zeros(m, dtype=bool)
-    r_mask[_sample(choice, range(m), m // 2)] = True
-    bases = rng.integers(0, 2, size=m)
-    errs = rng.random(m) < np.where(bases == 0, p_z, p_x)
-
-    # the sender's bits are all zero: Z tests, X keys
-    res = sift(np.zeros(m, dtype=np.int64), bases, r_mask, n, choice)
-    if res.abort_reason:
-        return None, res.abort_reason, None
-    delta = float(np.mean(errs[np.asarray(res.test_set, dtype=np.intp)]))
-    if delta > delta_max:
-        return None, ABORT_DELTA, delta
-    perm = list(range(n))
-    _shuffle(choice, perm)
-    kappa = _sifted_word(errs, res.key_set, perm)
-    if code.n != n:
-        raise ValueError("code length must match the key size")
-    return code.coset_key(kappa), None, delta

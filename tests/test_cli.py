@@ -8,12 +8,14 @@ import json
 import socket
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import pytest
 
 from qkdlab.cli import EXIT_ABORT, EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, load_config, main
-from qkdlab.protocol import Transcript, replay_protocol, run_protocol
+from qkdlab.netchan import open_listener, recv_frame, send_frames
+from qkdlab.protocol import TAG_ABORT, Transcript, WireMessage, replay_protocol, run_protocol
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -416,6 +418,28 @@ def test_a_peer_that_never_connects_exits_2_and_writes_the_outcome(
     assert "aborted: transport_failure" in capsys.readouterr().err
     assert key.read_text() == "aborted\n"
     assert transcript.exists()
+
+
+def test_a_peer_abort_text_never_reaches_the_aborted_line(tmp_path, capsys):
+    """An ABORT whose payload names no reason prints as malformed_message,
+    not as the peer's bytes."""
+    sent = b"you lose\naborted: \xff"
+
+    def fake_bob(listener):
+        sock, _ = listener.accept()
+        with sock, sock.makefile("rb") as rfile:
+            recv_frame(rfile)  # Alice's HELLO
+            send_frames(sock, [WireMessage(TAG_ABORT, sent)])
+
+    with open_listener() as listener:
+        bob = threading.Thread(target=fake_bob, args=(listener,))
+        bob.start()
+        port = listener.getsockname()[1]
+        argv = ["alice", "--connect", f"127.0.0.1:{port}", "--config", write_config(tmp_path)]
+        code = main(argv)
+        bob.join(10)
+    assert code == EXIT_ABORT
+    assert capsys.readouterr().err == "aborted: malformed_message\n"
 
 
 def test_proxy_that_cannot_reach_the_receiver_exits_2_without_leaking(refused_port):

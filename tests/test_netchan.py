@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from qkdlab import netchan
+from qkdlab import netchan, protocol
 from qkdlab.codes import code_from_descriptor
 from qkdlab.netchan import (
     eve_proxy,
@@ -34,8 +34,10 @@ from qkdlab.protocol import (
     BURST_CHUNK,
     ROLE_ALICE,
     TAG_ABORT,
+    TAG_DONE,
     TAG_HELLO,
     TAG_QBURST,
+    AliceSession,
     DepolarizingChannel,
     DetectorModel,
     InterceptResendChannel,
@@ -61,6 +63,39 @@ def test_frame_roundtrip_and_eof():
     assert recv_frame(rfile) is None
     rfile.close()
     right.close()
+
+
+def _burst(monkeypatch):
+    """The signal burst of an n=16 session, in chunks of 10 states."""
+    monkeypatch.setattr(protocol, "BURST_CHUNK", 10)
+    return AliceSession(SessionConfig(n=16, epsilon=0.35, seed=4))._emit_signals()
+
+
+def test_frames_round_trip_empty_short_and_burst_payloads(monkeypatch):
+    burst = _burst(monkeypatch)
+    assert len(burst) > 2
+    msgs = [WireMessage(TAG_DONE, b""), WireMessage(TAG_ABORT, b"x"), *burst]
+    msgs.append(WireMessage(TAG_DONE, b""))
+    left, right = socket.socketpair()
+    with left, right, right.makefile("rb") as rfile:
+        send_frames(left, msgs)
+        left.shutdown(socket.SHUT_WR)
+        got = []
+        while (frame := recv_frame(rfile)) is not None:
+            got.append(frame)
+    assert got == msgs
+    assert all(type(frame.payload) is bytes for frame in got)
+
+
+@pytest.mark.parametrize("keep", [4, 5, 6, 20])
+def test_frame_cut_off_mid_frame_reads_as_a_clean_close(monkeypatch, keep):
+    (chunk, *_) = _burst(monkeypatch)
+    frame = (1 + len(chunk.payload)).to_bytes(4, "big") + bytes([chunk.tag]) + chunk.payload
+    left, right = socket.socketpair()
+    with left, right, right.makefile("rb") as rfile:
+        left.sendall(frame[:keep])
+        left.shutdown(socket.SHUT_WR)
+        assert recv_frame(rfile) is None
 
 
 def test_frame_length_validation():

@@ -75,6 +75,7 @@ from qkdlab.protocol import (
     decode_bases_b,
     decode_delta,
     decode_perm,
+    decode_qburst,
     decode_syndrome,
     encode_bases_a_and_r,
     encode_bases_b,
@@ -86,10 +87,8 @@ from qkdlab.protocol import (
     estimate_error,
     replay_protocol,
     run_protocol,
-    run_protocol3,
     sift,
     source_from_config,
-    states_from_bytes,
     states_to_bytes,
     stream_seed,
 )
@@ -327,7 +326,7 @@ def test_qburst_roundtrip():
     (msg,) = encode_qburst(states_to_bytes(states))
     assert msg.tag == TAG_QBURST
     assert BURST_HEAD.unpack_from(msg.payload) == (0, 17)
-    assert np.array_equal(states_from_bytes(msg.payload[BURST_HEAD.size :]), states)
+    assert np.array_equal(decode_qburst([msg.payload]), states)
 
 
 def test_bases_roundtrips():
@@ -1084,6 +1083,50 @@ def test_abort_with_undecodable_reason_still_aborts():
     bob = BobSession(_FUZZ_CFG)
     bob.on_message(WireMessage(TAG_ABORT, b"\xff\xfe"))
     assert bob.aborted and bob.final_key is None
+    assert bob.abort_reason == ABORT_MALFORMED
+
+
+_ABORT_REASONS = sorted(
+    v for k, v in vars(protocol_module).items() if k.startswith("ABORT_") and isinstance(v, str)
+)
+
+
+@pytest.mark.parametrize("reason", _ABORT_REASONS)
+def test_abort_naming_a_reason_keeps_it(reason):
+    for party in (AliceSession(_FUZZ_CFG), BobSession(_FUZZ_CFG)):
+        party.on_message(WireMessage(TAG_ABORT, reason.encode()))
+        assert party.abort_reason == party.stats.abort_reason == reason
+        assert party.abort_detail is None
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [b"you lose\nline2 \xff", b"phase_order\n", b"PHASE_ORDER", b"x" * 40, b"\x00" * (1 << 16)],
+    ids=["newline", "name_plus_newline", "upper_case", "long", "64k"],
+)
+def test_peer_cannot_choose_the_abort_reason(payload):
+    bob = BobSession(_FUZZ_CFG)
+    bob.on_message(WireMessage(TAG_ABORT, payload))
+    assert bob.abort_reason == bob.stats.abort_reason == ABORT_MALFORMED
+    assert bob.abort_detail == f"ABORT: {payload[:32]!r}"
+    assert "\n" not in bob.abort_detail and len(bob.abort_detail) <= 7 + 4 * 32 + 3
+
+
+@pytest.mark.parametrize("index", range(13))
+def test_honest_message_retagged_as_abort_ends_in_a_named_reason(index):
+    honest = _honest_messages()[index]
+
+    def rewrite(i, msg):
+        return [WireMessage(TAG_ABORT, msg.payload)] if i == index else [msg]
+
+    alice, bob = _pump_with(_FUZZ_CFG, rewrite)
+    (receiver,) = [party for party in (alice, bob) if party.aborted]
+    if honest.payload:
+        assert receiver.abort_reason == ABORT_MALFORMED
+        assert receiver.abort_detail == f"ABORT: {honest.payload[:32]!r}"
+    else:  # DONE
+        assert receiver.abort_reason == ABORT_TRANSPORT
+    assert receiver.final_key is None
 
 
 def test_stats_row_matches_field_order():
@@ -1102,39 +1145,3 @@ def test_net_rate_accounts_for_syndrome_and_confirmation():
     res = run_protocol(_noiseless_cfg())
     s = res.stats
     assert s.key_rate_net == (s.r - s.tau - s.confirm_bits) / s.n
-
-
-# ---------------------------------------------------------------------------
-# adversarial-preparation variant
-
-
-def test_prepared_identity_gives_full_length_key():
-    from qkdlab.codes import hamming_blocks
-
-    key, reason, delta = run_protocol3(np.eye(4), 16, hamming_blocks(16), seed=0, epsilon=1.0)
-    assert reason is None
-    assert delta == 0.0
-    assert key is not None and key.n == hamming_blocks(16).k
-
-
-def test_prepared_superposition_fails_the_test():
-    from qkdlab.codes import hamming_blocks
-
-    h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-    key, reason, delta = run_protocol3(
-        np.kron(np.eye(2), h), 64, hamming_blocks(64), seed=0, epsilon=0.5, delta_max=0.109
-    )
-    assert reason == ABORT_DELTA
-    assert 0.4 < delta < 0.6
-    assert key is None
-
-
-def test_prepared_keys_vary_with_seed():
-    from qkdlab.codes import hamming_blocks
-
-    code = hamming_blocks(16)
-    keys = {
-        run_protocol3(np.eye(4), 16, code, seed=s, epsilon=1.0)[0].value
-        for s in range(8)
-    }
-    assert len(keys) > 1

@@ -1,5 +1,6 @@
-"""The signal path: emission as one chunked QBURST burst, vectorized
-sifting, and the linear-time BitVec constructors the key-material steps use.
+"""The signal path: emission as one chunked QBURST burst gathered from the
+source's four wire states, decoding in one pass, vectorized sifting, and
+the linear-time BitVec constructors the key-material steps use.
 
 Each fast route is checked against the element-by-element definition it
 replaces; end-to-end byte equality is covered by the golden transcripts.
@@ -8,39 +9,51 @@ replaces; end-to-end byte equality is covered by the golden transcripts.
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qkdlab import protocol
 from qkdlab.gf2 import BitVec
-from qkdlab.netchan import MAX_FRAME
+from qkdlab.netchan import MAX_FRAME, _transform_burst
 from qkdlab.protocol import (
     BURST_CHUNK,
     BURST_HEAD,
+    ROLE_ALICE,
     ROLE_BOB,
     STATE_BYTES,
     TAG_HELLO,
     TAG_QBURST,
     AliceSession,
+    BobSession,
     DepolarizingChannel,
+    EntangledSource,
+    PerfectSource,
+    RotatedZSource,
     SessionConfig,
     WireMessage,
+    decode_qburst,
     encode_hello,
     encode_qburst,
     estimate_error,
     run_protocol,
     sift,
-    states_from_bytes,
     states_to_bytes,
 )
 
 
-def _emitted(n: int = 16, seed: int = 5) -> tuple[SessionConfig, list[WireMessage]]:
-    cfg = SessionConfig(n=n, epsilon=0.35, seed=seed)
+def _emitting(cfg: SessionConfig) -> tuple[AliceSession, WireMessage]:
+    """Alice after `start`, and the HELLO that makes her emit."""
     alice = AliceSession(cfg)
     alice.start()
-    return cfg, alice.on_message(WireMessage(TAG_HELLO, encode_hello(cfg, ROLE_BOB)))
+    return alice, WireMessage(TAG_HELLO, encode_hello(cfg, ROLE_BOB))
+
+
+def _emitted(n: int = 16, seed: int = 5) -> tuple[SessionConfig, list[WireMessage]]:
+    cfg = SessionConfig(n=n, epsilon=0.35, seed=seed)
+    alice, hello = _emitting(cfg)
+    return cfg, alice.on_message(hello)
 
 
 def test_burst_messages_are_the_wire_signals():
@@ -79,13 +92,104 @@ def test_chunk_size_does_not_change_the_session(monkeypatch):
     assert chunked.bob_key == whole.bob_key and chunked.stats.delta == whole.stats.delta
 
 
-def test_state_blob_round_trip():
+def test_state_blob_round_trip(monkeypatch):
     _, (msg,) = _emitted()
     blob = msg.payload[BURST_HEAD.size :]
-    states = states_from_bytes(blob)
+    states = decode_qburst([msg.payload])
     assert states.shape == (len(blob) // STATE_BYTES, 2, 2)
+    assert states.dtype == np.complex128 and states.dtype.isnative
     assert states_to_bytes(states) == blob
-    assert np.array_equal(states_from_bytes(blob[3 * STATE_BYTES : 4 * STATE_BYTES])[0], states[3])
+    # the chunks of a chunked burst decode to the same states, in order
+    monkeypatch.setattr(protocol, "BURST_CHUNK", 3)
+    chunks = encode_qburst(blob)
+    assert len(chunks) > 1
+    assert np.array_equal(decode_qburst([c.payload for c in chunks]), states)
+    assert np.array_equal(decode_qburst([chunks[1].payload]), states[3:6])
+
+
+@pytest.mark.parametrize(
+    "source",
+    [PerfectSource(bias=0.3), RotatedZSource(0.4), EntangledSource(0.2)],
+    ids=["perfect_bias", "rotated_z", "entangled"],
+)
+def test_burst_is_the_wire_bytes_of_each_sent_state(source):
+    """The burst gathered from the four-row table is byte for byte the
+    wire encoding of the (m, 2, 2) array of sent states.  Emission is called
+    directly: a biased source never passes the compliance gate, but its
+    skewed key bits still exercise the gather."""
+    cfg = SessionConfig(n=64, epsilon=0.35, seed=8, source=source)
+    alice = AliceSession(cfg)
+    (msg,) = alice._emit_signals()
+    lut = np.array([[source.emit(a, g) for g in range(2)] for a in range(2)])
+    sent_basis = np.where(alice.r_mask == 1, alice.a_bits, 1 - alice.a_bits)
+    assert msg.payload[BURST_HEAD.size :] == states_to_bytes(lut[sent_basis, alice.g_bits])
+
+
+def test_depolarizing_batch_matches_its_definition_bit_for_bit():
+    rng = np.random.default_rng(3)
+    v = rng.normal(size=(200, 2)) + 1j * rng.normal(size=(200, 2))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    states = np.einsum("mi,mj->mij", v, v.conj())
+    eye = np.eye(2, dtype=np.complex128) / 2.0
+    for p in (0.0, 0.02, 0.1, 1 / 3, 1.0):
+        want = (1.0 - p) * states + p * eye[None, :, :]
+        assert DepolarizingChannel(p).apply_batch(states, None).tobytes() == want.tobytes()
+
+
+def test_proxy_forwards_the_depolarized_bytes_with_heads_as_sent(monkeypatch):
+    _, (msg,) = _emitted(n=32)
+    blob = msg.payload[BURST_HEAD.size :]
+    monkeypatch.setattr(protocol, "BURST_CHUNK", 20)
+    chunks = encode_qburst(blob)
+    assert len(chunks) > 1
+    p = 0.1
+    states = decode_qburst([msg.payload])
+    eye = np.eye(2, dtype=np.complex128) / 2.0
+    want = states_to_bytes((1.0 - p) * states + p * eye[None, :, :])
+    out = _transform_burst(chunks, DepolarizingChannel(p), np.random.default_rng(0))
+    assert [len(c.payload) for c in out] == [len(c.payload) for c in chunks]
+    assert [c.payload[: BURST_HEAD.size] for c in out] == [c.payload[: BURST_HEAD.size] for c in chunks]
+    assert all(c.tag == TAG_QBURST for c in out)
+    assert b"".join(c.payload[BURST_HEAD.size :] for c in out) == want
+
+
+def _peak(run) -> int:
+    """The `tracemalloc` peak of `run()`, in bytes, counted from its start."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Writing the burst takes the burst itself plus its chunks; decoding it takes
+# one native copy plus the channel's output.  The slack covers the index
+# arrays and Alice's test half.
+BURST_PEAK_FACTOR = 2.6
+
+
+def test_emission_allocates_the_burst_about_twice():
+    cfg = SessionConfig(n=2048, seed=2)
+    alice, hello = _emitting(cfg)
+    burst = []
+    peak = _peak(lambda: burst.extend(alice.on_message(hello)))
+    assert sum(len(m.payload) for m in burst) > cfg.omega_size * STATE_BYTES
+    assert peak < BURST_PEAK_FACTOR * cfg.omega_size * STATE_BYTES
+
+
+def test_collect_allocates_the_burst_about_twice(monkeypatch):
+    monkeypatch.setattr(protocol, "BURST_CHUNK", 1000)
+    cfg = SessionConfig(n=2048, seed=2, channel=DepolarizingChannel(0.1))
+    alice, hello = _emitting(cfg)
+    burst = alice.on_message(hello)
+    assert len(burst) > 4
+    bob = BobSession(cfg)
+    bob.on_message(WireMessage(TAG_HELLO, encode_hello(cfg, ROLE_ALICE)))
+    replies = []
+    peak = _peak(lambda: [replies.extend(bob.on_message(m)) for m in burst])
+    assert bob.phase == "await_bases_a" and len(replies) == 1
+    assert peak < BURST_PEAK_FACTOR * cfg.omega_size * STATE_BYTES
 
 
 def _sift_by_definition(a_bits, b_symbols, r_mask, n, rng):
