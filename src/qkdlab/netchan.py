@@ -32,7 +32,6 @@ from collections.abc import Iterator, Sequence
 import numpy as np
 
 from .protocol import (
-    ABORT_TRANSPORT,
     BURST_HEAD,
     STATE_BYTES,
     TAG_QBURST,
@@ -44,7 +43,6 @@ from .protocol import (
     WireMessage,
     decode_qburst,
     qburst_chunk,
-    states_to_bytes,
     stream_seed,
 )
 
@@ -165,8 +163,7 @@ def serve_party(
                     sock.shutdown(socket.SHUT_RDWR)
     except OSError:
         pass  # the session ends as a transport failure below
-    if not session.terminal:
-        session._fail(ABORT_TRANSPORT, announce=False)
+    session.hang_up()
     return session
 
 
@@ -183,7 +180,12 @@ def _transform_burst(
     payloads = [c.payload for c in chunks]
     if any((len(p) - BURST_HEAD.size) % STATE_BYTES for p in payloads):
         return chunks
-    out = memoryview(states_to_bytes(channel.apply_batch(decode_qburst(payloads), rng)))
+    # the chunks slice the big-endian copy itself, and the channel's output
+    # is freed before they are built: the transform holds at most two copies
+    states = channel.apply_batch(decode_qburst(payloads), rng)
+    wire = states.reshape(-1, 4).view(np.float64).astype(">f8")
+    del states
+    out = memoryview(wire).cast("B")
     transformed, at = [], 0
     for p in payloads:
         size = len(p) - BURST_HEAD.size

@@ -809,10 +809,10 @@ class Transcript:
 # sifting, estimation, reconciliation helpers
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SiftResult:
-    test_set: tuple[int, ...]
-    key_set: tuple[int, ...] | None
+    test_set: np.ndarray  # sorted np.intp positions
+    key_set: np.ndarray | None
     abort_reason: str | None
 
 
@@ -834,16 +834,19 @@ def _sift_masks(a, b, r) -> tuple[np.ndarray, np.ndarray]:
 def sift(a_bits, b_symbols, r_mask, n: int, rng) -> SiftResult:
     """Split announced positions into the test set T (every test position)
     and the key set S (n key candidates sampled uniformly with the supplied
-    rng).  Aborts when either set comes up short.
+    rng).  Aborts when either set comes up short.  Both sets are sorted
+    np.intp arrays; the draw picks candidate ranks, which name the same
+    candidates as a draw over the candidates themselves.
     """
     m = min(len(a_bits), len(b_symbols), len(r_mask))
     test_mask, key_mask = _sift_masks(a_bits[:m], b_symbols[:m], r_mask[:m])
-    test = np.flatnonzero(test_mask).tolist()
-    candidates = np.flatnonzero(key_mask).tolist()
-    if len(test) < n or len(candidates) < n:
-        return SiftResult(tuple(test), None, ABORT_SIFT)
-    key_set = tuple(sorted(_sample(rng, candidates, n)))
-    return SiftResult(tuple(test), key_set, None)
+    test = np.flatnonzero(test_mask)
+    candidates = np.flatnonzero(key_mask)
+    if test.size < n or candidates.size < n:
+        return SiftResult(test, None, ABORT_SIFT)
+    picked = np.zeros(candidates.size, dtype=bool)
+    picked[np.fromiter(_sample(rng, range(candidates.size), n), np.intp, n)] = True
+    return SiftResult(test, candidates[picked], None)
 
 
 def estimate_error(sender_bits, receiver_bits) -> float:
@@ -868,6 +871,7 @@ def _block_failure(n_block: int, radius: int, p: float, blocks: int) -> float:
     return 1.0 - (1.0 - q) ** blocks
 
 
+@functools.lru_cache(maxsize=64)
 def choose_reconciliation_code(
     n: int, delta_obs: float, epsilon: float, target_fail: float
 ) -> LinearCode:
@@ -878,7 +882,9 @@ def choose_reconciliation_code(
     odd-length majority blocks, and a verbatim fallback that always works.
     Leftover tail bits ride along verbatim in every block family.  Each
     candidate's syndrome length tau follows from its shape, so only the
-    pick (the first of the cheapest, in the order above) is built.
+    pick (the first of the cheapest, in the order above) is built.  The
+    picks of the 64 latest inputs are kept, so the sender's call in a
+    session returns the code the receiver's identical call has just built.
     """
     p = min(delta_obs + epsilon, 0.49)
     candidates = []
@@ -897,10 +903,10 @@ def choose_reconciliation_code(
     return build()
 
 
-def _sifted_word(bits: np.ndarray, key_set, perm) -> BitVec:
+def _sifted_word(bits: np.ndarray, key_set: np.ndarray, perm) -> BitVec:
     """The sifted key: bits at the key positions, component i moved to
     position perm[i]."""
-    return BitVec.from_array(bits[np.asarray(key_set, dtype=np.intp)]).permute(perm)
+    return BitVec.from_array(bits[key_set]).permute(perm)
 
 
 def _confirm_mac(confirm_key: BitVec, kappa: BitVec) -> bytes:
@@ -1015,6 +1021,12 @@ class _Session:
         self.phase = "dead"
         return [WireMessage(TAG_ABORT, reason.encode())] if announce else []
 
+    def hang_up(self) -> None:
+        """Ends a session still waiting for a message that will not come,
+        as the transport failure it is; a terminal session stays as it is."""
+        if not self.terminal:
+            self._fail(ABORT_TRANSPORT, announce=False)
+
     def on_message(self, msg: WireMessage) -> Sequence[WireMessage]:
         if self.terminal:
             return []
@@ -1061,11 +1073,11 @@ class AliceSession(_Session):
         self._emit_rng = np.random.default_rng(stream_seed(cfg.seed, "alice|emit"))
         self._choice_rng = random.Random(stream_seed(cfg.seed, "alice|choice"))
         self.a_bits: np.ndarray | None = None
-        self.b_symbols: np.ndarray | None = None
         self.g_bits: np.ndarray | None = None
         self.r_mask: np.ndarray | None = None
-        self.test_set: tuple[int, ...] = ()
-        self.key_set: tuple[int, ...] = ()
+        self._key_mask: np.ndarray | None = None  # key candidates, once T is known
+        self.test_set = np.empty(0, dtype=np.intp)
+        self.key_set = np.empty(0, dtype=np.intp)
         self.perm: np.ndarray | None = None
         self.kappa: BitVec | None = None
 
@@ -1086,7 +1098,7 @@ class AliceSession(_Session):
         src = cfg.source
         rng = self._emit_rng
         self.a_bits = rng.integers(0, 2, size=m).astype(np.uint8)
-        r_index = _sample(self._choice_rng, range(m), m // 2)
+        r_index = np.fromiter(_sample(self._choice_rng, range(m), m // 2), np.intp, m // 2)
         self.r_mask = np.zeros(m, dtype=np.uint8)
         self.r_mask[r_index] = 1
         # the basis actually keyed into the source: a for tested positions,
@@ -1107,27 +1119,25 @@ class AliceSession(_Session):
         b_symbols = decode_bases_b(msg.payload)
         if b_symbols.size != self.cfg.omega_size:
             return self._fail(ABORT_PHASE)
-        self.b_symbols = b_symbols
         # T is now public knowledge; S arrives from the peer next
-        test_mask, _ = _sift_masks(self.a_bits, b_symbols, self.r_mask)
-        self.test_set = tuple(np.flatnonzero(test_mask).tolist())
+        test_mask, self._key_mask = _sift_masks(self.a_bits, b_symbols, self.r_mask)
+        self.test_set = np.flatnonzero(test_mask)
         self.stats.t_size = len(self.test_set)
         self.phase = "await_subset"
         return [WireMessage(TAG_BASES_A_AND_R, encode_bases_a_and_r(self.a_bits, self.r_mask))]
 
     def _phase_await_subset(self, msg: WireMessage) -> list[WireMessage]:
         key_idx = np.flatnonzero(decode_bits(msg.payload))
-        _, key_mask = _sift_masks(self.a_bits, self.b_symbols, self.r_mask)
         ok = (
             key_idx.size == self.cfg.n
-            and key_idx[-1] < key_mask.size
-            and bool(key_mask[key_idx].all())
+            and key_idx[-1] < self._key_mask.size
+            and bool(self._key_mask[key_idx].all())
         )
         if len(self.test_set) < self.cfg.n or not ok:
             return self._fail(ABORT_SIFT)
-        self.key_set = tuple(key_idx.tolist())
+        self.key_set = key_idx
         self.stats.s_size = len(self.key_set)
-        g_test = self.g_bits[np.asarray(self.test_set, dtype=np.intp)]
+        g_test = self.g_bits[self.test_set]
         self.phase = "await_delta"
         return [WireMessage(TAG_TEST_BITS, encode_bits(g_test))]
 
@@ -1223,8 +1233,8 @@ class BobSession(_Session):
         self._received = 0
         self.b_symbols: np.ndarray | None = None
         self.h_bits: np.ndarray | None = None
-        self.test_set: tuple[int, ...] = ()
-        self.key_set: tuple[int, ...] = ()
+        self.test_set = np.empty(0, dtype=np.intp)
+        self.key_set = np.empty(0, dtype=np.intp)
         self.kappa: BitVec | None = None
         # released on DONE: Alice may abort silently on a flipped DELTA_DECISION
         self._pending_key: BitVec | None = None
@@ -1288,7 +1298,7 @@ class BobSession(_Session):
         self.key_set = result.key_set
         self.stats.s_size = len(result.key_set)
         mask = np.zeros(self.cfg.omega_size, dtype=np.uint8)
-        mask[list(result.key_set)] = 1
+        mask[result.key_set] = 1
         self.phase = "await_test_bits"
         return [WireMessage(TAG_SUBSET_S, encode_bits(mask))]
 
@@ -1296,7 +1306,7 @@ class BobSession(_Session):
         g_test = decode_bits(msg.payload)
         if g_test.size != len(self.test_set):
             return self._fail(ABORT_PHASE)
-        h_test = self.h_bits[np.asarray(self.test_set, dtype=np.intp)]
+        h_test = self.h_bits[self.test_set]
         delta = estimate_error(g_test, h_test)
         self.stats.delta = delta
         proceed = delta <= self.cfg.delta_max
@@ -1390,9 +1400,8 @@ def run_protocol(cfg: SessionConfig) -> ProtocolResult:
         stats = bob.stats
     # Nothing is left to deliver, so a party still waiting would wait for
     # good: end it as the socket path does when the peer closes.
-    for party in (alice, bob):
-        if not party.terminal:
-            party._fail(ABORT_TRANSPORT, announce=False)
+    alice.hang_up()
+    bob.hang_up()
     return ProtocolResult(
         alice_key=alice.final_key,
         bob_key=bob.final_key,

@@ -387,8 +387,8 @@ def test_sift_hand_enumeration():
     r_mask = [1, 1, 1, 1, 0, 0, 0, 0]
     res = sift(a, b, r_mask, 1, random.Random(0))
     assert res.abort_reason is None
-    assert res.test_set == (0, 3)
-    assert res.key_set in ((4,), (7,))
+    assert res.test_set.tolist() == [0, 3]
+    assert res.key_set.tolist() in ([4], [7])
 
 
 def test_sift_aborts_when_no_opposite_basis_matches():
@@ -405,7 +405,7 @@ def test_sift_aborts_when_no_opposite_basis_matches():
 def test_sift_aborts_on_all_null():
     res = sift([0] * 8, [2] * 8, [1] * 4 + [0] * 4, 1, random.Random(0))
     assert res.abort_reason == ABORT_SIFT
-    assert res.test_set == ()
+    assert res.test_set.tolist() == []
 
 
 def test_sift_test_half_size_statistics():
@@ -466,6 +466,39 @@ def test_ladder_always_returns_matching_length():
     for n in [7, 16, 100, 257]:
         code = choose_reconciliation_code(n, 0.03, 0.05, 1e-4)
         assert code.n == n
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 4096),
+    delta=st.floats(0.0, 0.5),
+    epsilon=st.floats(1e-7, 0.5),
+    target=st.sampled_from([1e-8, 1e-4, 1e-2]),
+)
+def test_ladder_memo_returns_the_unmemoized_pick(n, delta, epsilon, target):
+    got = choose_reconciliation_code(n, delta, epsilon, target)
+    want = choose_reconciliation_code.__wrapped__(n, delta, epsilon, target)
+    assert got.descriptor() == want.descriptor()
+    assert got.n - got.k == want.n - want.k
+    assert choose_reconciliation_code(n, delta, epsilon, target) is got
+
+
+def test_ladder_memo_is_bounded():
+    maxsize = choose_reconciliation_code.cache_info().maxsize
+    assert maxsize is not None
+    for i in range(maxsize + 1):
+        choose_reconciliation_code(16, i / (4 * maxsize), 0.05, 1e-4)
+    assert choose_reconciliation_code.cache_info().currsize == maxsize
+
+
+def test_a_session_builds_its_ladder_pick_once():
+    # Bob picks the code first; Alice's call with his announced delta hits
+    choose_reconciliation_code.cache_clear()
+    cfg = SessionConfig(n=256, epsilon=0.35, seed=5, channel=DepolarizingChannel(0.06))
+    res = run_protocol(cfg)
+    assert res.stats.abort_reason is None and res.alice_key == res.bob_key
+    info = choose_reconciliation_code.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -610,11 +643,9 @@ def test_nulls_are_visible_and_discarded():
     cfg = SessionConfig(n=32, epsilon=0.35, seed=3, detector=DetectorModel(efficiency=0.5))
     res = run_protocol(cfg)
     assert (res.bob.b_symbols == 2).sum() > 0
-    for i in res.bob.test_set:
-        assert res.bob.b_symbols[i] != 2
-    if res.bob.key_set:
-        for i in res.bob.key_set:
-            assert res.bob.b_symbols[i] != 2
+    assert res.bob.test_set.size and res.bob.key_set.size
+    assert np.all(res.bob.b_symbols[res.bob.test_set] != 2)
+    assert np.all(res.bob.b_symbols[res.bob.key_set] != 2)
 
 
 def test_leaky_source_is_rejected_before_any_signal():
@@ -987,6 +1018,24 @@ def test_flipped_delta_decision_leaves_neither_party_a_key(monkeypatch):
     assert res.bob.terminal and res.bob.abort_reason == ABORT_TRANSPORT
     assert res.stats.abort_reason == ABORT_DELTA
     assert res.alice_key is None and res.bob_key is None
+
+
+def test_hang_up_ends_only_a_waiting_session():
+    waiting = BobSession(_noiseless_cfg())
+    waiting.hang_up()
+    assert waiting.abort_reason == ABORT_TRANSPORT and waiting.phase == "dead"
+    assert len(waiting.transcript) == 0
+    done = run_protocol(_noiseless_cfg())
+    rejected = run_protocol(_noiseless_cfg(source=LeakyTwoCopySource(0.5)))
+    assert done.alice.done and rejected.alice.abort_reason == ABORT_SOURCE
+
+    def outcome(party):
+        return party.done, party.abort_reason, party.phase, party.final_key, len(party.transcript)
+
+    for party in (done.alice, done.bob, rejected.alice):
+        before = outcome(party)
+        party.hang_up()
+        assert outcome(party) == before
 
 
 def test_rewritten_code_leaves_nobody_a_key():

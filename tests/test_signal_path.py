@@ -13,6 +13,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qkdlab import protocol
 from qkdlab.gf2 import BitVec
@@ -164,8 +166,9 @@ def _peak(run) -> int:
 
 
 # Writing the burst takes the burst itself plus its chunks; decoding it takes
-# one native copy plus the channel's output.  The slack covers the index
-# arrays and Alice's test half.
+# one native copy plus the channel's output, and the proxy's transform then
+# trades that output for the big-endian copy its chunks are cut from.  The
+# slack covers the index arrays and Alice's test half.
 BURST_PEAK_FACTOR = 2.6
 
 
@@ -192,6 +195,18 @@ def test_collect_allocates_the_burst_about_twice(monkeypatch):
     assert peak < BURST_PEAK_FACTOR * cfg.omega_size * STATE_BYTES
 
 
+def test_proxy_transform_allocates_the_burst_about_twice(monkeypatch):
+    monkeypatch.setattr(protocol, "BURST_CHUNK", 1000)
+    cfg = SessionConfig(n=2048, seed=2, channel=DepolarizingChannel(0.1))
+    alice, hello = _emitting(cfg)
+    burst = alice.on_message(hello)
+    assert len(burst) > 4
+    out = []
+    peak = _peak(lambda: out.extend(_transform_burst(burst, cfg.channel, np.random.default_rng(0))))
+    assert [len(m.payload) for m in out] == [len(m.payload) for m in burst]
+    assert peak < BURST_PEAK_FACTOR * cfg.omega_size * STATE_BYTES
+
+
 def _sift_by_definition(a_bits, b_symbols, r_mask, n, rng):
     test, candidates = [], []
     for i, (a, b, in_r) in enumerate(zip(a_bits, b_symbols, r_mask)):
@@ -204,6 +219,12 @@ def _sift_by_definition(a_bits, b_symbols, r_mask, n, rng):
     if len(test) < n or len(candidates) < n:
         return tuple(test), None
     return tuple(test), tuple(sorted(rng.sample(candidates, n)))
+
+
+def _split(res) -> tuple:
+    """A SiftResult's sets as the tuples `_sift_by_definition` returns."""
+    keys = None if res.key_set is None else tuple(res.key_set.tolist())
+    return tuple(res.test_set.tolist()), keys
 
 
 @pytest.mark.parametrize(
@@ -223,13 +244,49 @@ def test_sift_matches_elementwise_definition(seed, shape):
     r_mask = gen.integers(0, 2, size=m).astype(np.uint8)
     got = sift(a, b, r_mask, n, random.Random(seed))
     want = _sift_by_definition(a.tolist(), b.tolist(), r_mask.tolist(), n, random.Random(seed))
-    assert (got.test_set, got.key_set) == want
+    assert _split(got) == want
     if shape is not None:
         assert np.count_nonzero((r_mask == 0) & (1 - a == b)) > 21
-    assert all(type(i) is int for i in got.test_set)
+    assert got.test_set.dtype == np.intp
     # lists of Python ints and numpy arrays give the same split
     as_lists = sift(a.tolist(), b.tolist(), r_mask.tolist(), n, random.Random(seed))
-    assert as_lists == got
+    assert _split(as_lists) == _split(got) and as_lists.abort_reason == got.abort_reason
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3000), n=st.integers(1, 750))
+# random.sample's set branch: 3 keys from about 670 candidates
+@example(seed=12, m=3000, n=3)
+# its pool branch, near the largest key set this m affords
+@example(seed=12, m=3000, n=600)
+def test_sift_keys_are_sorted_candidates_as_defined(seed, m, n):
+    n = min(n, max(1, m // 4))
+    gen = np.random.default_rng(seed)
+    a = gen.integers(0, 2, size=m).astype(np.uint8)
+    b = gen.choice(np.array([0, 1, 2], dtype=np.uint8), size=m, p=[0.45, 0.45, 0.1])
+    r_mask = gen.integers(0, 2, size=m).astype(np.uint8)
+    got = sift(a, b, r_mask, n, random.Random(seed))
+    want = _sift_by_definition(a.tolist(), b.tolist(), r_mask.tolist(), n, random.Random(seed))
+    assert _split(got) == want
+    assert got.test_set.dtype == np.intp
+    if got.key_set is not None:
+        assert got.key_set.dtype == np.intp
+        assert np.all(np.diff(got.key_set) > 0)
+        assert np.all((r_mask[got.key_set] == 0) & (b[got.key_set] == 1 - a[got.key_set]))
+
+
+def test_both_sessions_keep_the_sets_as_equal_index_arrays():
+    cfg = SessionConfig(n=2048, epsilon=0.35, seed=4, channel=DepolarizingChannel(0.1))
+    res = run_protocol(cfg)
+    assert res.stats.abort_reason is None and res.alice_key == res.bob_key
+    for name in ("test_set", "key_set"):
+        ours, theirs = getattr(res.alice, name), getattr(res.bob, name)
+        assert ours.dtype == theirs.dtype == np.intp
+        assert np.array_equal(ours, theirs)
+    # long sequences of Python ints are what an index array replaces
+    for party in (res.alice, res.bob):
+        long = [k for k, v in vars(party).items() if isinstance(v, (list, tuple)) and len(v) > 64]
+        assert long == []
 
 
 def test_estimate_error_takes_arrays_and_lists():
