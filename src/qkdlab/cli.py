@@ -313,9 +313,12 @@ def cmd_audit(args) -> int:
         code = code_from_descriptor(descriptor)
     except ValueError as err:
         raise ConfigError(str(err))
-    report = qsim.audit_protocol3(
-        attack, args.n, code, delta_max=args.delta_max, test_size=args.test_size
-    )
+    try:
+        report = qsim.audit_protocol3(
+            attack, args.n, code, delta_max=args.delta_max, test_size=args.test_size
+        )
+    except ValueError as err:  # the audit's own domain checks
+        raise ConfigError(str(err))
     checks = audit_checks(report)
     doc = {"report": json.loads(report.to_json()), "checks": checks}
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"

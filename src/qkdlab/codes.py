@@ -7,9 +7,10 @@ kappa is G^T kappa, constant on cosets of the dual code.
 
 Decoding is the total function "message of a nearest codeword", with ties
 broken toward the lexicographically smallest message (component 0 compared
-first).  Two interchangeable routes compute it, and syndrome correction
-likewise: a coset-leader table when the redundancy is small, and brute force
-over all codewords when the dimension is small.  A single LinearCode is desk
+first).  Decoding and syndrome correction are one search, for the lightest
+patterns in a coset of the code (its leaders).  A coset-leader table answers
+it when the redundancy is small, and the coset listed as one preimage shifted
+by every codeword when the dimension is small.  A single LinearCode is desk
 scale (n up to ~25).
 
 Protocol-size codes are BlockCodes: direct sums of small inner codes that
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -62,11 +62,6 @@ class CorrectableSet:
         if not 0 <= self.max_weight <= self.n:
             raise ValueError(f"weight bound {self.max_weight} outside [0, {self.n}]")
 
-    def __contains__(self, x: BitVec) -> bool:
-        if x.n != self.n:
-            raise DimensionError(f"pattern length {x.n} != {self.n}")
-        return x.weight() <= self.max_weight
-
     def __iter__(self) -> Iterator[BitVec]:
         for w in range(self.max_weight + 1):
             for pos in itertools.combinations(range(self.n), w):
@@ -74,9 +69,6 @@ class CorrectableSet:
                 for p in pos:
                     v |= 1 << p
                 yield BitVec(self.n, v)
-
-    def size(self) -> int:
-        return sum(math.comb(self.n, w) for w in range(self.max_weight + 1))
 
 
 class LinearCode:
@@ -104,7 +96,6 @@ class LinearCode:
         self._parity: GF2Matrix | None = None
         self._codewords: list[int] | None = None
         self._leaders: dict[int, list[int]] | None = None
-        self._msg_map: GF2Matrix | None = None
 
     @functools.cached_property
     def _gen_t(self) -> GF2Matrix:
@@ -180,14 +171,10 @@ class LinearCode:
             return self.n + 1  # no nonzero codeword; conventionally beyond n
         return min(c.bit_count() for c in self.codewords()[1:])
 
-    def message_of_codeword(self, c: BitVec) -> BitVec:
-        """The unique y with G y = c, by inverting k independent rows of G."""
-        if self._msg_map is None:
-            rows = self.gen.independent_rows()
-            sub = GF2Matrix.from_row_vecs([self.gen.row(i) for i in rows], self.k)
-            pick = GF2Matrix(self.k, self.n, tuple(1 << i for i in rows))
-            self._msg_map = sub.inverse() @ pick
-        return self._msg_map.apply(c)
+    @functools.cached_property
+    def _messages(self) -> dict[int, int]:
+        """Message of every codeword, read off the codeword table."""
+        return {cw: m for m, cw in enumerate(self.codewords())}
 
     # -- decoding --------------------------------------------------------------
 
@@ -215,77 +202,41 @@ class LinearCode:
             self._leaders = {s: leaders for s, (_, leaders) in table.items()}
         return self._leaders
 
-    def _decode_with_leaders(self, v: BitVec) -> BitVec:
-        leaders = self.leader_table()[self.syndrome(v).value]
-        best = None
-        for e in leaders:
-            m = self.message_of_codeword(BitVec(self.n, v.value ^ e))
-            key = _lex_key(m.value, self.k) if len(leaders) > 1 else 0
-            if best is None or key < best[0]:
-                best = (key, m)
-        return best[1]  # type: ignore[index]
+    def _lightest(self, s: int) -> list[int]:
+        """Every minimum-weight n-bit pattern with syndrome s.
 
-    def _decode_brute(self, v: BitVec) -> BitVec:
-        best = None
-        for m, cw in enumerate(self.codewords()):
-            d = (cw ^ v.value).bit_count()
-            if best is None or d < best[0]:
-                best = (d, _lex_key(m, self.k), m)
-            elif d == best[0]:
-                key = _lex_key(m, self.k)
-                if key < best[1]:
-                    best = (d, key, m)
-        return BitVec(self.k, best[2])  # type: ignore[index]
+        The leader table holds them when the redundancy is small.  Otherwise
+        the coset of s is one preimage shifted by every codeword, and the
+        lightest of those are kept.
+        """
+        if self.n - self.k <= LEADER_TABLE_LIMIT:
+            return self.leader_table()[s]
+        coset = [self._syndrome_preimage(s) ^ cw for cw in self.codewords()]
+        w = min(p.bit_count() for p in coset)
+        return [p for p in coset if p.bit_count() == w]
 
     def decode(self, v: BitVec) -> BitVec:
-        """Message of a nearest codeword; lexicographically smallest on ties."""
+        """Message of a nearest codeword; lexicographically smallest on ties.
+
+        The nearest codewords are v shifted by the lightest patterns of its
+        syndrome.
+        """
         if v.n != self.n:
             raise DimensionError(f"word length {v.n} != {self.n}")
-        if self.k == 0:
-            return BitVec(0, 0)
-        if self.n - self.k == 0:
-            return self.message_of_codeword(v)
-        if self.n - self.k <= LEADER_TABLE_LIMIT:
-            return self._decode_with_leaders(v)
-        if self.k <= BRUTE_FORCE_LIMIT:
-            return self._decode_brute(v)
-        raise ValueError(f"code [{self.n},{self.k}] too large for any decode route")
-
-    def _pattern_with_leaders(self, diff: int) -> int:
-        leaders = self.leader_table().get(diff)
-        if leaders is None:
-            raise DecodingFailure("syndrome outside the leader table")
-        return min(leaders, key=lambda p: _lex_key(p, self.n))
-
-    def _pattern_brute(self, diff: int) -> int:
-        """The table's pick without the table: every pattern with syndrome
-        diff is one preimage shifted by a codeword; keep the lightest, then
-        the lexicographically smallest."""
-        base = self._syndrome_preimage(diff)
-        return min(
-            (base ^ cw for cw in self.codewords()),
-            key=lambda p: (p.bit_count(), _lex_key(p, self.n)),
-        )
+        msgs = self._messages
+        found = (msgs[v.value ^ e] for e in self._lightest(self.syndrome(v).value))
+        return BitVec(self.k, min(found, key=lambda m: _lex_key(m, self.k)))
 
     def correct_with_syndrome(self, v: BitVec, target: BitVec) -> BitVec:
-        """Nearest word to v whose syndrome equals target.
+        """Nearest word to v whose syndrome equals target: v shifted by the
+        lexicographically smallest lightest pattern of the syndrome
+        difference.
 
-        Raises DecodingFailure when the implied error pattern falls outside
-        the decoder radius, so a caller can abort instead of silently
-        miscorrecting.
+        Raises DecodingFailure when that pattern falls outside the decoder
+        radius, so a caller can abort instead of silently miscorrecting.
         """
-        if self.k == 0:
-            # Parity check is the identity: the target syndrome names the word.
-            return BitVec(self.n, target.value)
         diff = (self.syndrome(v) + target).value
-        if self.n == self.k:
-            return v  # no redundancy, nothing to correct
-        if self.n - self.k <= LEADER_TABLE_LIMIT:
-            e = self._pattern_with_leaders(diff)
-        elif self.k <= BRUTE_FORCE_LIMIT:
-            e = self._pattern_brute(diff)
-        else:
-            raise ValueError(f"code [{self.n},{self.k}] too large for any correction route")
+        e = min(self._lightest(diff), key=lambda p: _lex_key(p, self.n))
         if e.bit_count() > self.decoder_radius:
             raise DecodingFailure(
                 f"nearest pattern weight {e.bit_count()} exceeds radius {self.decoder_radius}"
@@ -336,6 +287,11 @@ class TrivialCode(LinearCode):
     def decode(self, v: BitVec) -> BitVec:
         self._check(v, self.n)
         return v if self.k else BitVec(0, 0)
+
+    def correct_with_syndrome(self, v: BitVec, target: BitVec) -> BitVec:
+        self._check(v, self.n)
+        self._check(target, self.n - self.k)
+        return v if self.k else target
 
 
 class BlockCode(LinearCode):

@@ -12,7 +12,7 @@ in the same little-endian order, in time linear in n.
 
 Matrices store one packed integer per row.  Elimination always pivots on the
 lowest-index row and column available, so every derived object (rank, kernel
-basis, inverse) is deterministic for a given matrix.
+basis) is deterministic for a given matrix.
 """
 
 from __future__ import annotations
@@ -138,17 +138,6 @@ class BitVec:
         """Hamming weight."""
         return self.value.bit_count()
 
-    # -- rearrangement -----------------------------------------------------
-
-    def permute(self, perm) -> BitVec:
-        """Move component i to position perm[i]."""
-        perm = np.asarray(perm)
-        if not is_permutation(perm, self.n):
-            raise ValueError("not a permutation of the component indices")
-        out = np.empty(self.n, dtype=np.uint8)
-        out[perm.astype(np.intp)] = self.to_array()
-        return BitVec.from_array(out)
-
 
 def is_permutation(perm: np.ndarray, n: int) -> bool:
     """Whether the integer array perm holds each of 0..n-1 exactly once, in
@@ -161,16 +150,13 @@ def is_permutation(perm: np.ndarray, n: int) -> bool:
     return bool(np.all(np.bincount(perm.astype(np.intp), minlength=n) == 1))
 
 
-def _row_reduce(rows: list[int], cols: int) -> tuple[list[int], list[int], list[int]]:
+def _row_reduce(rows: list[int], cols: int) -> tuple[list[int], list[int]]:
     """Row-reduce in place to reduced echelon form.
 
     Pivots are chosen at the lowest available column, using the lowest
-    remaining row.  Returns (reduced rows, pivot column list, pivot row
-    origin list) where origin[i] is the index the i-th pivot row had in the
-    input ordering.
+    remaining row.  Returns (reduced rows, pivot column list).
     """
     rows = list(rows)
-    origin = list(range(len(rows)))
     pivots: list[int] = []
     rank = 0
     for col in range(cols):
@@ -179,13 +165,12 @@ def _row_reduce(rows: list[int], cols: int) -> tuple[list[int], list[int], list[
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        origin[rank], origin[pivot] = origin[pivot], origin[rank]
         for i in range(len(rows)):
             if i != rank and rows[i] & mask:
                 rows[i] ^= rows[rank]
         pivots.append(col)
         rank += 1
-    return rows, pivots, origin[: len(pivots)]
+    return rows, pivots
 
 
 @dataclass(frozen=True)
@@ -264,20 +249,8 @@ class GF2Matrix:
                 w &= w - 1
         return GF2Matrix(self.cols, self.rows, tuple(words))
 
-    def __matmul__(self, other: GF2Matrix) -> GF2Matrix:
-        if self.cols != other.rows:
-            raise DimensionError(f"{self.cols} columns against {other.rows} rows")
-        ot = other.transpose()
-        words = []
-        for w in self.row_words:
-            row = 0
-            for j, c in enumerate(ot.row_words):
-                row |= ((w & c).bit_count() & 1) << j
-            words.append(row)
-        return GF2Matrix(self.rows, other.cols, tuple(words))
-
     def rank(self) -> int:
-        _, pivots, _ = _row_reduce(list(self.row_words), self.cols)
+        _, pivots = _row_reduce(list(self.row_words), self.cols)
         return len(pivots)
 
     def kernel_basis(self) -> list[BitVec]:
@@ -287,7 +260,7 @@ class GF2Matrix:
         vector for free column f has x[f] = 1 and x[p] = (reduced row of p)[f]
         for each pivot column p.
         """
-        reduced, pivots, _ = _row_reduce(list(self.row_words), self.cols)
+        reduced, pivots = _row_reduce(list(self.row_words), self.cols)
         pivot_set = set(pivots)
         basis = []
         for free in range(self.cols):
@@ -299,20 +272,3 @@ class GF2Matrix:
                     vec |= 1 << p
             basis.append(BitVec(self.cols, vec))
         return basis
-
-    def independent_rows(self) -> list[int]:
-        """Indices of a deterministic maximal linearly independent row set."""
-        _, _, origin = _row_reduce(list(self.row_words), self.cols)
-        return sorted(origin)
-
-    def inverse(self) -> GF2Matrix:
-        """Inverse of a square invertible matrix (Gauss-Jordan)."""
-        if self.rows != self.cols:
-            raise DimensionError("inverse of a non-square matrix")
-        n = self.rows
-        # Augment each row with the identity in the high bits.
-        aug = [w | (1 << (n + i)) for i, w in enumerate(self.row_words)]
-        reduced, pivots, _ = _row_reduce(aug, 2 * n)
-        if pivots != list(range(n)):
-            raise ValueError("matrix is singular")
-        return GF2Matrix(n, n, tuple(r >> n for r in reduced))

@@ -604,7 +604,7 @@ class SessionConfig:
             raise ValueError("pool_bits must be a non-negative integer")
         self.pa_code  # a policy that names no buildable code is a config error
 
-    @property
+    @functools.cached_property
     def omega_size(self) -> int:
         eff = self.detector.efficiency
         half = math.ceil(2.0 * self.n * (1.0 + self.epsilon) / (eff * eff))
@@ -903,10 +903,12 @@ def choose_reconciliation_code(
     return build()
 
 
-def _sifted_word(bits: np.ndarray, key_set: np.ndarray, perm) -> BitVec:
+def _sifted_word(bits: np.ndarray, key_set: np.ndarray, perm: np.ndarray) -> BitVec:
     """The sifted key: bits at the key positions, component i moved to
     position perm[i]."""
-    return BitVec.from_array(bits[key_set]).permute(perm)
+    word = np.empty(len(perm), dtype=np.uint8)
+    word[perm] = bits[key_set]
+    return BitVec.from_array(word)
 
 
 def _confirm_mac(confirm_key: BitVec, kappa: BitVec) -> bytes:

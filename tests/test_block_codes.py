@@ -1,6 +1,6 @@
 """Blockwise code operations against the global generator and parity check,
-the two syndrome-correction routes against each other, and the correction
-promise of every code the reconciliation ladder picks."""
+syndrome correction from the leader table against the coset scan, and the
+correction promise of every code the reconciliation ladder picks."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkdlab import codes
 from qkdlab.codes import (
     BlockCode,
     DecodingFailure,
@@ -142,18 +143,33 @@ def test_correction_failure_names_the_first_failing_block():
         assert str(got.value) == str(want.value)
 
 
-def test_correction_routes_agree():
+def _correction_outcome(code, word, target):
+    try:
+        return code.correct_with_syndrome(word, target)
+    except DecodingFailure as exc:
+        return f"DecodingFailure: {exc}"
+
+
+def test_correction_routes_agree(monkeypatch):
+    # the leader table (the default at these redundancies) against the
+    # coset scan, forced by a negative table limit: same word or same failure
     rng = random.Random(41)
-    codes = [repetition(n) for n in range(3, 14)]
-    codes += [random_code(n, k, seed=rng.getrandbits(16)) for n, k in [(8, 3), (9, 4), (10, 5)]]
-    for code in codes:
-        for _ in range(60):
-            word = BitVec.random(code.n, rng)
-            target = BitVec.random(code.n - code.k, rng)
-            diff = (code.syndrome(word) + target).value
-            pick = code._pattern_brute(diff)
-            assert pick == code._pattern_with_leaders(diff), code.name
-            assert code.syndrome(BitVec(code.n, pick)).value == diff
+    inner = [repetition(n) for n in range(3, 14)]
+    inner += [random_code(n, k, seed=rng.getrandbits(16)) for n, k in [(8, 3), (9, 4), (10, 5)]]
+    cases = [
+        (code, BitVec.random(code.n, rng), BitVec.random(code.n - code.k, rng))
+        for code in inner
+        for _ in range(60)
+    ]
+    got = []
+    for limit in (codes.LEADER_TABLE_LIMIT, -1):
+        monkeypatch.setattr(codes, "LEADER_TABLE_LIMIT", limit)
+        got.append([_correction_outcome(*case) for case in cases])
+    assert got[0] == got[1]
+    fixed = [(case, out) for case, out in zip(cases, got[0]) if isinstance(out, BitVec)]
+    assert 0 < len(fixed) < len(cases)  # both outcomes are compared
+    for (code, _, target), out in fixed:
+        assert code.syndrome(out) == target
 
 
 def test_large_block_code_coset_key_is_blockwise():

@@ -356,6 +356,21 @@ def test_audit_rejects_bad_attack_and_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "extra, reason",
+    [
+        (["--attack", "identity", "--n", "5"], "exact only up to 4 signals"),
+        (
+            ["--attack", "rotation:theta=3.14159", "--n", "4", "--delta-max", "0.0"],
+            "probability numerically zero",
+        ),
+    ],
+)
+def test_audit_outside_its_domain_is_a_config_error(extra, reason, capsys):
+    assert main(["audit", *extra]) == EXIT_CONFIG
+    assert reason in capsys.readouterr().err
+
+
 def test_audit_code_length_must_match_n(capsys):
     argv = ["audit", "--n", "4", "--attack", "identity", "--code", "repetition:n=9"]
     assert main(argv) == EXIT_CONFIG

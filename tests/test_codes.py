@@ -6,7 +6,10 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qkdlab import codes
 from qkdlab.codes import (
     BlockCode,
     CorrectableSet,
@@ -90,13 +93,41 @@ def test_decode_matches_oracle_hamming7_exhaustive():
         assert c.decode(v) == decode_oracle(c, v)
 
 
-def test_decode_routes_agree_on_random_codes():
+def test_decode_routes_agree_on_random_codes(monkeypatch):
+    # the leader table (the default at these redundancies) against the
+    # coset scan, forced by a negative table limit
     rng = random.Random(11)
-    for n, k in [(8, 3), (9, 4), (10, 5)]:
-        c = random_code(n, k, seed=rng.getrandbits(16))
-        for v_val in range(1 << n):
-            v = BitVec(n, v_val)
-            assert c._decode_with_leaders(v) == c._decode_brute(v)
+    cs = [random_code(n, k, seed=rng.getrandbits(16)) for n, k in [(8, 3), (9, 4), (10, 5)]]
+    got = []
+    for limit in (codes.LEADER_TABLE_LIMIT, -1):
+        monkeypatch.setattr(codes, "LEADER_TABLE_LIMIT", limit)
+        got.append([c.decode(BitVec(c.n, v)) for c in cs for v in range(1 << c.n)])
+    assert got[0] == got[1]
+    assert got[0][: 1 << 8] == [decode_oracle(cs[0], BitVec(8, v)) for v in range(1 << 8)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 10).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    st.integers(0, 2**16),
+    st.data(),
+)
+def test_lightest_patterns_match_exhaustive_oracle(shape, seed, data):
+    n, k = shape
+    code = random_code(n, k, seed)
+    s = data.draw(st.integers(0, (1 << (n - k)) - 1))
+    checks = code.parity_check().row_words
+    coset = [
+        e
+        for e in range(1 << n)
+        if sum((((row & e).bit_count() & 1) << i) for i, row in enumerate(checks)) == s
+    ]
+    w = min(e.bit_count() for e in coset)
+    want = sorted(e for e in coset if e.bit_count() == w)
+    for limit in (codes.LEADER_TABLE_LIMIT, -1):  # leader table, then coset scan
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(codes, "LEADER_TABLE_LIMIT", limit)
+            assert sorted(code._lightest(s)) == want
 
 
 def test_decode_tie_break_is_lexicographic():
@@ -106,15 +137,6 @@ def test_decode_tie_break_is_lexicographic():
         v = BitVec(4, v_val)
         assert c.decode(v) == decode_oracle(c, v)
     assert c.decode(BitVec.from_str("0011")) == BitVec.from_str("0")
-
-
-def test_message_of_codeword_roundtrip():
-    rng = random.Random(5)
-    for _ in range(4):
-        c = random_code(9, 4, seed=rng.getrandbits(16))
-        for y_val in range(16):
-            y = BitVec(4, y_val)
-            assert c.message_of_codeword(c.encode(y)) == y
 
 
 # -- coset keys ----------------------------------------------------------------
@@ -300,13 +322,11 @@ def test_block_families_cover_length():
 
 
 def test_correctable_set_ball():
-    s = CorrectableSet(5, max_weight=2)
-    assert s.size() == 1 + 5 + 10
-    assert BitVec.from_str("01010") in s
-    assert BitVec.from_str("01011") not in s
-    listed = list(s)
+    listed = list(CorrectableSet(5, max_weight=2))
+    assert BitVec.from_str("01010") in listed
+    assert BitVec.from_str("01011") not in listed
     assert listed[0] == BitVec(5, 0)
-    assert len(listed) == s.size()
+    assert len(listed) == len(set(listed)) == 16  # 1 + 5 + 10
     weights = [x.weight() for x in listed]
     assert weights == sorted(weights)
 

@@ -70,11 +70,6 @@ def test_dot_and_weight():
     assert BitVec.ones(5).weight() == 5
 
 
-def test_permute():
-    # permute moves component i to position perm[i]
-    assert str(BitVec.from_str("100").permute([2, 0, 1])) == "001"
-
-
 # ---------------------------------------------------------------------------
 # the numpy bit-array bridge
 
@@ -108,18 +103,6 @@ def test_entries_outside_zero_one_are_rejected(bits, data, bad):
         BitVec.from_bits(a.tolist())
 
 
-@settings(max_examples=80, deadline=None)
-@given(BITS, st.data())
-def test_array_permutation_moves_component_i_to_perm_i(bits, data):
-    perm = data.draw(st.permutations(range(len(bits))))
-    moved = [0] * len(bits)
-    for i, p in enumerate(perm):
-        moved[p] = bits[i]
-    v = BitVec.from_bits(bits)
-    assert v.permute(perm) == BitVec.from_bits(moved)
-    assert v.permute(np.array(perm, dtype=">u2")) == BitVec.from_bits(moved)
-
-
 def _perm_candidates(n: int):
     return st.tuples(
         st.just(n),
@@ -142,11 +125,6 @@ def test_permutation_check_matches_sorting(case):
         assert is_permutation(np.array(perm, dtype=np.int64), n) == ok
     if min(perm, default=0) >= 0:
         assert is_permutation(np.array(perm, dtype=np.uint64), n) == ok
-    if ok:
-        BitVec.zeros(n).permute(perm)
-    else:
-        with pytest.raises(ValueError):
-            BitVec.zeros(n).permute(perm)
 
 
 def test_zero_length_vector():
@@ -254,39 +232,3 @@ def test_kernel_exhaustive_oracle():
         for b in m.kernel_basis():
             spanned |= {s ^ b.value for s in spanned}
         assert spanned == truth
-
-
-def test_matmul_against_apply():
-    rng = random.Random(47)
-    a = GF2Matrix.random(3, 5, rng)
-    b = GF2Matrix.random(5, 4, rng)
-    ab = a @ b
-    for v in range(16):
-        x = BitVec(4, v)
-        assert ab.apply(x) == a.apply(b.apply(x))
-
-
-def test_inverse_roundtrip():
-    rng = random.Random(53)
-    found = 0
-    while found < 10:
-        m = GF2Matrix.random(6, 6, rng)
-        if m.rank() < 6:
-            continue
-        found += 1
-        inv = m.inverse()
-        assert m @ inv == GF2Matrix.identity(6)
-        assert inv @ m == GF2Matrix.identity(6)
-
-
-def test_inverse_singular_rejected():
-    with pytest.raises(ValueError):
-        GF2Matrix.zeros(3, 3).inverse()
-
-
-def test_independent_rows():
-    m = GF2Matrix.from_row_vecs([BitVec.from_str(r) for r in ("100", "100", "010")])
-    rows = m.independent_rows()
-    assert len(rows) == 2
-    sub = GF2Matrix.from_row_vecs([m.row(i) for i in rows], 3)
-    assert sub.rank() == 2

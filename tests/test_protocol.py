@@ -7,6 +7,7 @@ configured sizes, with fixed seeds throughout; nothing here should flake.
 from __future__ import annotations
 
 import collections
+import dataclasses
 import functools
 import math
 import random
@@ -268,6 +269,14 @@ def test_burst_limit_is_exactly_two_to_the_twenty(epsilon, efficiency):
     assert at_cap.omega_size == 1 << 20
     with pytest.raises(ValueError, match="burst limit"):
         SessionConfig(n=4097, epsilon=epsilon, detector=DetectorModel(efficiency))
+
+
+def test_replaced_config_has_its_own_burst_size():
+    cfg = SessionConfig(n=64, epsilon=0.5)
+    assert cfg.omega_size == 2 * math.ceil(2 * 64 * 1.5)
+    bigger = dataclasses.replace(cfg, n=100)
+    assert bigger.omega_size == 2 * math.ceil(2 * 100 * 1.5)
+    assert cfg.omega_size == 2 * math.ceil(2 * 64 * 1.5)
 
 
 # ---------------------------------------------------------------------------

@@ -298,17 +298,21 @@ def test_estimate_error_takes_arrays_and_lists():
 @pytest.mark.parametrize("n", [0, 1, 7, 64, 65, 300])
 def test_from_bits_and_permute_match_bitwise_definition(n):
     rng = random.Random(n)
-    bits = [rng.randrange(2) for _ in range(n)]
+    record = np.array([rng.randrange(2) for _ in range(3 * n)], dtype=np.uint8)
+    key_set = np.array(sorted(rng.sample(range(3 * n), n)), dtype=np.intp)
+    bits = [int(record[i]) for i in key_set]
     v = BitVec.from_bits(bits)
     assert v == BitVec(n, sum(bit << i for i, bit in enumerate(bits)))
     assert BitVec.from_bits(np.array(bits, dtype=np.uint8)) == v
     assert BitVec.from_bits(bool(bit) for bit in bits) == v
+    # the sifted key: key bit i of the record moved to position perm[i]
     perm = list(range(n))
     rng.shuffle(perm)
     moved = [0] * n
     for i, p in enumerate(perm):
         moved[p] = bits[i]
-    assert v.permute(perm) == BitVec.from_bits(moved)
+    sifted = protocol._sifted_word(record, key_set, np.array(perm, dtype=np.intp))
+    assert sifted == BitVec.from_bits(moved)
 
 
 def test_from_bits_still_rejects_non_bits():
