@@ -82,35 +82,27 @@ def resolve_seed(flag_seed: int | None, raw: dict) -> int:
     return 0
 
 
+_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(SessionConfig))
+# config entries that name a model, built from their own sub-config
+_MODEL_BUILDERS = {
+    "source": source_from_config,
+    "channel": channel_from_config,
+    "detector": lambda raw: DetectorModel(**raw),
+}
+
+
 def build_session_config(raw: dict, flag_seed: int | None = None) -> SessionConfig:
-    known = {
-        "n",
-        "epsilon",
-        "delta_max",
-        "source",
-        "channel",
-        "detector",
-        "code_policy",
-        "seed",
-        "pool_bits",
-        "rec_target_fail",
-    }
-    unknown = set(raw) - known
+    unknown = set(raw) - set(_CONFIG_FIELDS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if not isinstance(raw.get("n"), int):
         raise ConfigError("config needs an integer key size 'n'")
-    kwargs: dict = {"n": raw["n"], "seed": resolve_seed(flag_seed, raw)}
-    for name in ("epsilon", "delta_max", "code_policy", "pool_bits", "rec_target_fail"):
-        if name in raw:
-            kwargs[name] = raw[name]
+    kwargs: dict = {"seed": resolve_seed(flag_seed, raw)}
     try:
-        if "source" in raw:
-            kwargs["source"] = source_from_config(raw["source"])
-        if "channel" in raw:
-            kwargs["channel"] = channel_from_config(raw["channel"])
-        if "detector" in raw:
-            kwargs["detector"] = DetectorModel(**raw["detector"])
+        for name in _CONFIG_FIELDS:
+            if name in raw and name != "seed":
+                build = _MODEL_BUILDERS.get(name)
+                kwargs[name] = build(raw[name]) if build else raw[name]
         return SessionConfig(**kwargs)
     except (TypeError, ValueError, KeyError) as err:
         raise ConfigError(f"bad configuration: {err}")

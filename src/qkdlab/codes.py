@@ -13,12 +13,13 @@ it when the redundancy is small, and the coset listed as one preimage shifted
 by every codeword when the dimension is small.  A single LinearCode is desk
 scale (n up to ~25).
 
-Protocol-size codes are BlockCodes: direct sums of small inner codes that
-are built and checked once per process, plus trivial [n, n] and [n, 0]
-codes that act on words directly.  A BlockCode maps each run of equal
-short inner codes with one reshape and one mod-2 matmul on numpy bit
-arrays, so building and using one costs time linear in n; the global n-by-k
-generator is assembled only when a caller reads `gen`.
+Protocol-size codes are BlockCodes: direct sums of runs of small inner
+codes that are built and checked once per process.  The trivial [n, n] and
+[n, 0] codes, and the tail of every block family, are runs of n one-bit
+codes.  A BlockCode maps each run of a short inner code with one reshape
+and one mod-2 matmul on numpy bit arrays, so building and using one costs
+time linear in n; the global n-by-k generator is assembled only when a
+caller reads `gen`.
 """
 
 from __future__ import annotations
@@ -103,9 +104,6 @@ class LinearCode:
 
     def __repr__(self) -> str:
         return f"LinearCode({self.name!r}, n={self.n}, k={self.k}, t={self.decoder_radius})"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LinearCode) and self.gen == other.gen
 
     @functools.cached_property
     def _gen_bits(self) -> np.ndarray:
@@ -252,92 +250,50 @@ class LinearCode:
         return self.name
 
 
-class TrivialCode(LinearCode):
-    """[n, n] (every word a codeword) or [n, 0] (only zero).
-
-    Both act on words directly, so they cost time linear in n at any
-    length; the n-by-n or n-by-0 generator is built only if `gen` is read.
-    """
-
-    def __init__(self, name: str, n: int, full: bool, decoder_radius: int) -> None:
-        self._setup(name, n, n if full else 0, decoder_radius)
-
-    @functools.cached_property
-    def gen(self) -> GF2Matrix:
-        if self.k:
-            return GF2Matrix.identity(self.n)
-        return GF2Matrix.zeros(self.n, 0)
-
-    def _check(self, v: BitVec, n: int) -> None:
-        if v.n != n:
-            raise DimensionError(f"word length {v.n} != {n}")
-
-    def encode(self, y: BitVec) -> BitVec:
-        self._check(y, self.k)
-        return y if self.k else BitVec(self.n, 0)
-
-    def coset_key(self, kappa: BitVec) -> BitVec:
-        self._check(kappa, self.n)
-        return kappa if self.k else BitVec(0, 0)
-
-    def syndrome(self, v: BitVec) -> BitVec:
-        self._check(v, self.n)
-        return BitVec(0, 0) if self.k else v
-
-    def decode(self, v: BitVec) -> BitVec:
-        self._check(v, self.n)
-        return v if self.k else BitVec(0, 0)
-
-    def correct_with_syndrome(self, v: BitVec, target: BitVec) -> BitVec:
-        self._check(v, self.n)
-        self._check(target, self.n - self.k)
-        return v if self.k else target
-
-
 class BlockCode(LinearCode):
-    """Direct sum of inner codes laid out contiguously, block 0 lowest.
+    """Direct sum of runs of inner codes laid out contiguously, block 0
+    lowest; a run (code, count) is count consecutive blocks of one code.
 
-    Consecutive blocks that share one inner code object form a run, and
-    every map but `decode` works run by run on a (count, inner width) bit
-    array: one mod-2 matmul for a short inner code, the slice itself or
-    zeros for a trivial one, and one packed map per block for a long one.
-    Nothing is checked or reduced globally: a direct sum of
-    full-column-rank blocks has full column rank, and every inner code
-    checked its own generator when it was built.  The syndrome of the sum
-    is the inner syndromes in block order, which equals applying the
-    block-diagonal parity check.
+    Every map but `decode` works run by run on a (count, inner width) bit
+    array: one mod-2 matmul for a short inner code, and one packed map per
+    block for a long one.  Nothing is checked or reduced globally: a direct
+    sum of full-column-rank blocks has full column rank, and every inner
+    code checked its own generator when it was built.  The syndrome of the
+    sum is the inner syndromes in block order, which equals applying the
+    block-diagonal parity check.  A block with no message bits reverses any
+    pattern, so the decoder radius is the least radius of the other blocks.
     """
 
-    def __init__(self, name: str, inners: list[LinearCode]) -> None:
-        self.inners = list(inners)
-        groups = (list(g) for _, g in itertools.groupby(self.inners, key=id))
-        self._runs = [(g[0], len(g)) for g in groups]
-        radius = min((c.decoder_radius for c in self.inners), default=0)
-        self._setup(name, sum(c.n for c in self.inners), sum(c.k for c in self.inners), radius)
+    def __init__(self, name: str, runs: list[tuple[LinearCode, int]]) -> None:
+        self.runs = list(runs)
+        n = sum(c.n * count for c, count in self.runs)
+        k = sum(c.k * count for c, count in self.runs)
+        self._setup(name, n, k, min((c.decoder_radius for c, _ in self.runs if c.k), default=n))
 
     @functools.cached_property
     def gen(self) -> GF2Matrix:
         """Block-diagonal stack of the inner generators."""
         words: list[int] = []
         k_off = 0
-        for c in self.inners:
-            words.extend(w << k_off for w in c.gen.row_words)
-            k_off += c.k
+        for c, count in self.runs:
+            for _ in range(count):
+                words.extend(w << k_off for w in c.gen.row_words)
+                k_off += c.k
         return GF2Matrix(self.n, self.k, tuple(words))
 
     def _cut(self, v: BitVec, width: Callable[[LinearCode], int]) -> list[np.ndarray]:
         """v as one (count, width(inner)) bit array per run."""
-        total = sum(width(c) * count for c, count in self._runs)
+        total = sum(width(c) * count for c, count in self.runs)
         if v.n != total:
             raise DimensionError(f"word length {v.n} != {total}")
         bits, out, off = v.to_array(), [], 0
-        for c, count in self._runs:
+        for c, count in self.runs:
             out.append(bits[off : off + count * width(c)].reshape(count, width(c)))
             off += count * width(c)
         return out
 
     def _map(self, op: str, v: BitVec, width_in, width_out) -> BitVec:
-        runs = zip(self._runs, self._cut(v, width_in))
+        runs = zip(self.runs, self._cut(v, width_in))
         return _lay_out([_run_map(c, op, blocks, width_out(c)) for (c, _), blocks in runs])
 
     def encode(self, y: BitVec) -> BitVec:
@@ -355,15 +311,20 @@ class BlockCode(LinearCode):
         if v.n != self.n:
             raise DimensionError(f"word length {v.n} != {self.n}")
         out = off = k_off = 0
-        for c in self.inners:
-            out |= c.decode(BitVec(c.n, (v.value >> off) & ((1 << c.n) - 1))).value << k_off
-            off, k_off = off + c.n, k_off + c.k
+        for c, count in self.runs:
+            for _ in range(count):
+                block = (v.value >> off) & ((1 << c.n) - 1)
+                if c.k == c.n:  # every word is a codeword
+                    out |= c._messages[block] << k_off
+                elif c.k:
+                    out |= c.decode(BitVec(c.n, block)).value << k_off
+                off, k_off = off + c.n, k_off + c.k
         return BitVec(self.k, out)
 
     def correct_with_syndrome(self, v: BitVec, target: BitVec) -> BitVec:
         """As LinearCode's, with the DecodingFailure naming the first block
         whose implied error pattern falls outside the decoder radius."""
-        cuts = zip(self._runs, self._cut(v, lambda c: c.n), self._cut(target, lambda c: c.n - c.k))
+        cuts = zip(self.runs, self._cut(v, lambda c: c.n), self._cut(target, lambda c: c.n - c.k))
         parts, first = [], 0  # first: index of the run's first block
         for (c, count), blocks, targets in cuts:
             parts.append(_correct_run(c, blocks, targets, first))
@@ -378,8 +339,6 @@ def _bit_array(m: GF2Matrix) -> np.ndarray:
 def _run_map(c: LinearCode, op: str, blocks: np.ndarray, width: int) -> np.ndarray:
     """Code c's map `op` on every row of a (count, width_in) bit array, as a
     (count, width) array."""
-    if isinstance(c, TrivialCode):  # each of its maps is the identity or zero
-        return blocks if blocks.shape[1] == width else np.zeros((len(blocks), width), np.uint8)
     if c.n > INNER_CACHE_LIMIT:  # block by block on packed words
         rows = [getattr(c, op)(BitVec.from_array(b)).to_array() for b in blocks]
         return np.array(rows, dtype=np.uint8).reshape(len(blocks), width)
@@ -463,14 +422,19 @@ def hamming(m: int) -> LinearCode:
     return _inner(_hamming, m, (1 << m) - 1)
 
 
-def identity_code(n: int) -> LinearCode:
+# The one-bit codes every trivial code and block-family tail is a run of.
+_IDENTITY_BIT = LinearCode("identity:n=1", GF2Matrix.identity(1), 0)
+_ZERO_BIT = LinearCode("zero:n=1", GF2Matrix.zeros(1, 0), 1)
+
+
+def identity_code(n: int) -> BlockCode:
     """[n, n]: every word is a codeword; corrects nothing, costs nothing."""
-    return TrivialCode(f"identity:n={n}", n, True, 0)
+    return BlockCode(f"identity:n={n}", [(_IDENTITY_BIT, n)])
 
 
-def zero_code(n: int) -> LinearCode:
+def zero_code(n: int) -> BlockCode:
     """[n, 0]: the syndrome is the whole word, so correction is verbatim."""
-    return TrivialCode(f"zero:n={n}", n, False, n)
+    return BlockCode(f"zero:n={n}", [(_ZERO_BIT, n)])
 
 
 def random_code(n: int, k: int, seed: int) -> LinearCode:
@@ -489,22 +453,23 @@ def random_code(n: int, k: int, seed: int) -> LinearCode:
     return code
 
 
-def _blocks_with_tail(n: int, inner_n: int, inner, tail, name: str) -> BlockCode:
-    """Whole blocks of the inner code of length inner_n, then a tail code on
-    the rest.  `inner()` builds the inner code; it is not called when no
-    whole block fits, so an oversized inner length costs nothing."""
+def _blocks_with_tail(n: int, inner_n: int, inner, tail: LinearCode, name: str) -> BlockCode:
+    """Whole blocks of the inner code of length inner_n, then the rest as a
+    run of the one-bit code `tail`.  `inner()` builds the inner code; it is
+    not called when no whole block fits, so an oversized inner length costs
+    nothing."""
     if inner_n < 1:
         raise ValueError("inner length must be positive")
     count, rem = divmod(n, inner_n)
-    inners = [inner()] * count if count else []
+    runs = [(inner(), count)] if count else []
     if rem:
-        inners.append(tail(rem))
-    return BlockCode(name, inners)
+        runs.append((tail, rem))
+    return BlockCode(name, runs)
 
 
 def hamming_blocks(n: int) -> BlockCode:
     """[7,4] blocks with an identity tail; the default key-extraction code."""
-    return _blocks_with_tail(n, 7, lambda: hamming(3), identity_code, f"hamming_blocks:n={n}")
+    return _blocks_with_tail(n, 7, lambda: hamming(3), _IDENTITY_BIT, f"hamming_blocks:n={n}")
 
 
 def repetition_blocks(n: int, inner: int) -> BlockCode:
@@ -512,14 +477,14 @@ def repetition_blocks(n: int, inner: int) -> BlockCode:
         n,
         inner,
         lambda: repetition(inner),
-        identity_code,
+        _IDENTITY_BIT,
         f"repetition_blocks:n={n},inner={inner}",
     )
 
 
 def rec_hamming(n: int) -> BlockCode:
     """[7,4] blocks with a verbatim tail; for syndrome reconciliation."""
-    return _blocks_with_tail(n, 7, lambda: hamming(3), zero_code, f"rec_hamming:n={n}")
+    return _blocks_with_tail(n, 7, lambda: hamming(3), _ZERO_BIT, f"rec_hamming:n={n}")
 
 
 def rec_repetition(n: int, inner: int) -> BlockCode:
@@ -527,19 +492,19 @@ def rec_repetition(n: int, inner: int) -> BlockCode:
         n,
         inner,
         lambda: repetition(inner),
-        zero_code,
+        _ZERO_BIT,
         f"rec_repetition:n={n},inner={inner}",
     )
 
 
 def rec_identity(n: int) -> BlockCode:
     """Zero-length syndrome: reconciliation that corrects nothing."""
-    return BlockCode(f"rec_identity:n={n}", [identity_code(n)])
+    return BlockCode(f"rec_identity:n={n}", [(_IDENTITY_BIT, n)])
 
 
 def rec_verbatim(n: int) -> BlockCode:
     """The whole word as syndrome: always corrects, at full cost."""
-    return BlockCode(f"rec_verbatim:n={n}", [zero_code(n)])
+    return BlockCode(f"rec_verbatim:n={n}", [(_ZERO_BIT, n)])
 
 
 def _parse_descriptor(desc: str) -> tuple[str, dict[str, int]]:

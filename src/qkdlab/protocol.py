@@ -307,7 +307,7 @@ class SourceModel:
         self.probs = probs
         self.emission = emission
 
-    def emit(self, a: int, g: int, rng=None) -> np.ndarray:
+    def emit(self, a: int, g: int) -> np.ndarray:
         return self.emission[a][g]
 
     def key_bit_probability(self, a: int) -> float:
@@ -455,25 +455,25 @@ def source_from_config(cfg: dict) -> SourceModel:
 # channel and detector models
 
 
+def _p_one(states: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """Probability of outcome 1 when each state is measured in sigma_z
+    (basis 0) or sigma_x (basis 1)."""
+    return np.where(bases == 0, states[:, 1, 1].real, 0.5 * (1.0 - 2.0 * states[:, 0, 1].real))
+
+
 class ChannelModel:
     """Stateless transform of a batch of single-qubit states; rng injected."""
-
-    kind = "abstract"
 
     def apply_batch(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
 
 class IdentityChannel(ChannelModel):
-    kind = "identity"
-
     def apply_batch(self, states, rng):
         return states
 
 
 class DepolarizingChannel(ChannelModel):
-    kind = "depolarizing"
-
     def __init__(self, p: float) -> None:
         if not 0.0 <= p <= 1.0:
             raise ValueError("depolarizing weight must sit in [0, 1]")
@@ -488,17 +488,10 @@ class DepolarizingChannel(ChannelModel):
 class InterceptResendChannel(ChannelModel):
     """Measures every signal in a random basis and forwards the eigenstate."""
 
-    kind = "intercept_resend"
-
     def apply_batch(self, states, rng):
         m = states.shape[0]
         eve_basis = rng.integers(0, 2, size=m)
-        p_one = np.where(
-            eve_basis == 0,
-            states[:, 1, 1].real,
-            0.5 * (1.0 - 2.0 * states[:, 0, 1].real),
-        )
-        outcome = (rng.random(m) < p_one).astype(np.int64)
+        outcome = (rng.random(m) < _p_one(states, eve_basis)).astype(np.int64)
         lut = np.array(
             [[_bb84_state(a, g) for g in range(2)] for a in range(2)]
         )
@@ -508,8 +501,6 @@ class InterceptResendChannel(ChannelModel):
 class CustomUnitaryChannel(ChannelModel):
     """Couples each signal to a fresh ancilla with a fixed 4x4 unitary and
     discards the ancilla (index layout: signal is the low bit)."""
-
-    kind = "custom"
 
     def __init__(self, unitary: np.ndarray) -> None:
         u = np.asarray(unitary, dtype=np.complex128)
@@ -559,12 +550,7 @@ class DetectorModel:
         determinism contract."""
         m = states.shape[0]
         detected = rng.random(m) < self.efficiency
-        p_one = np.where(
-            bases == 0,
-            states[:, 1, 1].real,
-            0.5 * (1.0 - 2.0 * states[:, 0, 1].real),
-        )
-        outcomes = (rng.random(m) < p_one).astype(np.uint8)
+        outcomes = (rng.random(m) < _p_one(states, bases)).astype(np.uint8)
         return outcomes, detected
 
 
@@ -746,7 +732,10 @@ def decode_syndrome(payload: bytes) -> tuple[str, BitVec]:
     body = payload[6 + dlen :]
     if len(body) != (bitlen + 7) // 8:
         raise ProtocolError("syndrome length mismatch")
-    return desc, BitVec.from_bytes(body, bitlen)
+    try:
+        return desc, BitVec.from_bytes(body, bitlen)
+    except ValueError:
+        raise ProtocolError("syndrome padding bits are set") from None
 
 
 def encode_confirm(mac: bytes) -> bytes:
@@ -1230,7 +1219,6 @@ class BobSession(_Session):
             stream_seed(cfg.seed, "bob|quantum")
         )
         self._choice_rng = random.Random(stream_seed(cfg.seed, "bob|choice"))
-        self._omega = cfg.omega_size
         self._chunks: list[bytes] = []
         self._received = 0
         self.b_symbols: np.ndarray | None = None
@@ -1262,20 +1250,20 @@ class BobSession(_Session):
             partial
             or count == 0
             or first != self._received
-            or total != self._omega
+            or total != self.cfg.omega_size
             or first + count > total
         ):
             return self._fail(ABORT_PHASE)
         self._chunks.append(msg.payload)
         self._received += count
-        if self._received < self._omega:
+        if self._received < self.cfg.omega_size:
             return []
         return self._measure_all()
 
     def _measure_all(self) -> list[WireMessage]:
         """Realizes the configured channel on the whole burst, then measures."""
-        m = self._omega
         cfg = self.cfg
+        m = cfg.omega_size
         states = decode_qburst(self._chunks)
         self._chunks = []  # every state is in `states` now
         eve_rng = np.random.default_rng(stream_seed(cfg.seed, "eve|channel"))

@@ -32,9 +32,16 @@ from qkdlab.protocol import choose_reconciliation_code
 INNER_CODES = st.one_of(
     st.integers(2, 4).map(hamming),
     st.integers(1, 25).map(repetition),
+    st.integers(26, 40).map(repetition),  # past INNER_CACHE_LIMIT: mapped block by block
     st.integers(1, 6).map(identity_code),
     st.integers(1, 6).map(zero_code),
 )
+
+
+def _runs(inners) -> list:
+    """Consecutive inner codes of one name as (code, count) runs."""
+    groups = (list(g) for _, g in itertools.groupby(inners, key=lambda c: c.name))
+    return [(g[0], len(g)) for g in groups]
 
 
 def _pattern(n: int, positions) -> int:
@@ -47,7 +54,7 @@ def _pattern(n: int, positions) -> int:
 @settings(max_examples=60, deadline=None)
 @given(st.lists(INNER_CODES, min_size=1, max_size=6), st.data())
 def test_blockwise_maps_equal_global_matrices(inners, data):
-    code = BlockCode("prop", inners)
+    code = BlockCode("prop", _runs(inners))
     parity = code.parity_check()
     word = BitVec(code.n, data.draw(st.integers(0, (1 << code.n) - 1)))
     msg = BitVec(code.k, data.draw(st.integers(0, (1 << code.k) - 1)))
@@ -78,7 +85,8 @@ def test_blockwise_maps_equal_global_matrices(inners, data):
 def _correct_block_by_block(code: BlockCode, v: BitVec, target: BitVec) -> BitVec:
     """The reference: each inner code's own correct_with_syndrome in turn."""
     out = off = t_off = 0
-    for i, c in enumerate(code.inners):
+    inners = (c for c, count in code.runs for _ in range(count))
+    for i, c in enumerate(inners):
         red = c.n - c.k
         block = BitVec(c.n, (v.value >> off) & ((1 << c.n) - 1))
         t = BitVec(red, (target.value >> t_off) & ((1 << red) - 1))
@@ -100,7 +108,7 @@ CORRECTION_CODES = st.one_of(
     ),
     st.integers(1, 600).map(rec_identity),
     st.integers(1, 600).map(rec_verbatim),
-    st.lists(INNER_CODES, min_size=1, max_size=6).map(lambda inners: BlockCode("prop", inners)),
+    st.lists(INNER_CODES, min_size=1, max_size=6).map(lambda inners: BlockCode("prop", _runs(inners))),
 )
 
 
@@ -130,7 +138,7 @@ def test_vectorized_correction_equals_block_by_block(code, rng):
 
 def test_correction_failure_names_the_first_failing_block():
     # runs: five [7,4] blocks, six even repetition blocks, a verbatim tail
-    code = BlockCode("mix", [hamming(3)] * 5 + [repetition(4)] * 6 + [zero_code(3)])
+    code = BlockCode("mix", [(hamming(3), 5), (repetition(4), 6), (zero_code(3), 1)])
     word = BitVec.random(code.n, random.Random(3))
     for bad in (5, 7, 10):
         # two flips tie in a length-4 block: past its radius of one
@@ -204,7 +212,7 @@ def test_ladder_pick_corrects_every_pattern_within_radius(n, delta, eps):
     else:
         patterns = [_pattern(n, rng.sample(range(n), rng.randint(0, radius))) for _ in range(30)]
         # every flip inside one block is the hardest case of a block code
-        width = code.inners[0].n
+        width = code.runs[0][0].n
         patterns.append(_pattern(n, range(min(radius, width))))
     for e in patterns:
         word = BitVec.random(n, rng)

@@ -265,7 +265,7 @@ def test_correct_with_syndrome_perfect_code_is_total():
 
 
 def test_block_code_layout():
-    c = BlockCode("demo", [repetition(3), identity_code(2)])
+    c = BlockCode("demo", [(repetition(3), 1), (identity_code(2), 1)])
     assert (c.n, c.k) == (5, 3)
     y = BitVec.from_str("101")
     assert c.encode(y) == BitVec.from_str("11101")
@@ -274,7 +274,7 @@ def test_block_code_layout():
 
 
 def test_block_syndrome_is_concatenation():
-    c = BlockCode("demo", [hamming(3), repetition(3)])
+    c = BlockCode("demo", [(hamming(3), 1), (repetition(3), 1)])
     rng = random.Random(23)
     for _ in range(30):
         v = BitVec.random(10, rng)
@@ -299,7 +299,7 @@ def test_block_correct_with_syndrome():
 
 
 def test_block_correction_failure_names_block():
-    c = BlockCode("demo", [repetition(4), repetition(4)])
+    c = BlockCode("demo", [(repetition(4), 2)])
     w = BitVec(8, 0)
     noisy = BitVec(8, 0b11 << 4)  # two flips inside the second block
     with pytest.raises(DecodingFailure, match="block 1"):
@@ -316,6 +316,27 @@ def test_block_families_cover_length():
         (rec_verbatim(6), 6, 0),
     ]:
         assert (c.n, c.k) == (n, k), c.name
+
+
+def test_trivial_codes_and_tails_are_runs_of_one_bit_codes():
+    assert [(c.n, c.k, count) for c, count in rec_verbatim(65535).runs] == [(1, 0, 65535)]
+    assert [(c.n, c.k, count) for c, count in rec_identity(9).runs] == [(1, 1, 9)]
+    assert hamming_blocks(30).runs[-1] == (identity_code(2).runs[0][0], 2)
+    assert rec_hamming(16).runs[-1] == (zero_code(2).runs[0][0], 2)
+
+
+def test_block_radius_skips_blocks_without_message_bits():
+    # two majority-of-five blocks and a verbatim bit: the bit reverses any
+    # flip, so the promise is the blocks' radius of two
+    c = rec_repetition(11, 5)
+    assert c.decoder_radius == 2
+    assert reversal_holds(c)
+    rng = random.Random(31)
+    for _ in range(40):
+        w = BitVec.random(11, rng)
+        noise = sum(1 << p for p in rng.sample(range(5), 2) + rng.sample(range(5, 10), 2))
+        noisy = BitVec(11, w.value ^ noise ^ rng.getrandbits(1) << 10)
+        assert c.correct_with_syndrome(noisy, c.syndrome(w)) == w
 
 
 # -- correctable sets -----------------------------------------------------------------

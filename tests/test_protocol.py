@@ -785,11 +785,20 @@ def test_oversized_descriptor_aborts_before_building(n, step, desc):
     assert alice.abort_reason == ABORT_PHASE
 
 
-@pytest.mark.parametrize("cut", [lambda p: p[:-1], lambda p: p + b"\x00", lambda p: p[:3]])
+@pytest.mark.parametrize(
+    "cut",
+    [
+        lambda p: p[:-1],
+        lambda p: p + b"\x00",
+        lambda p: p[:3],
+        lambda p: p[:-1] + bytes([p[-1] ^ 0x80]),  # a padding bit past the syndrome
+    ],
+)
 def test_malformed_syndrome_payload_aborts(cut):
-    cfg = _noiseless_cfg(seed=13)
+    cfg = _noiseless_cfg(n=60, seed=13)  # a 60-bit syndrome: four padding bits
     res = run_protocol(cfg)
     genuine = next(r.payload for r in res.transcript.records if r.step == "SYNDROME_ENC")
+    assert decode_syndrome(genuine)[1].n % 8
     alice = _drive_alice_from_transcript(
         cfg, res.transcript, swap_step="SYNDROME_ENC", swap_payload=cut(genuine)
     )
