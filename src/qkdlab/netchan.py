@@ -2,8 +2,8 @@
 
 Frames are a 4-byte big-endian length followed by one tag byte and the
 payload; one frame carries one wire message.  The quantum signals travel
-as one burst, chunked into QBURST frames of at most BURST_CHUNK states,
-each headed by its first signal index and the burst length.  A party pumps
+as one QBURST frame: a palette of at most 256 states and one index byte
+per signal, about 1 MiB at the 2^20-signal burst cap.  A party pumps
 its state machine against a single connection and does nothing else: the
 receiving session itself realizes the configured channel on the whole
 burst, exactly as it does in process, and `serve_party` returns that
@@ -14,10 +14,9 @@ into a configuration error before it binds.  The party and both proxy
 directions read through one frame loop, which ends at a clean close, a
 broken link or a malformed frame.
 
-The proxy holds the chunks of the burst until the last one arrives and
-transforms all of it in one batch, so its random stream is consumed
-exactly like the receiver's in-process; with the same master seed, a
-proxied run and an in-process run produce identical transcripts.
+The proxy transforms the whole burst in one batch, so its random stream is
+consumed exactly like the receiver's in-process; with the same master
+seed, a proxied run and an in-process run produce identical transcripts.
 """
 
 from __future__ import annotations
@@ -32,8 +31,6 @@ from collections.abc import Iterator, Sequence
 import numpy as np
 
 from .protocol import (
-    BURST_HEAD,
-    STATE_BYTES,
     TAG_QBURST,
     AliceSession,
     BobSession,
@@ -42,7 +39,7 @@ from .protocol import (
     SessionConfig,
     WireMessage,
     decode_qburst,
-    qburst_chunk,
+    encode_qburst,
     stream_seed,
 )
 
@@ -128,8 +125,7 @@ def serve_party(
     the session is over, its opening send included, end the session in a
     transport abort.
 
-    Frames go to the session as they arrive, the signal burst as its
-    QBURST chunks.  The receiving session realizes the config's channel
+    Frames go to the session as they arrive.  The receiving session realizes the config's channel
     model on the whole burst, over the same named random stream as in
     process, so a socket run and an in-process run of the same config
     produce identical transcripts whatever the channel.
@@ -172,26 +168,16 @@ def serve_party(
 
 
 def _transform_burst(
-    chunks: list[WireMessage], channel: ChannelModel, rng: np.random.Generator
-) -> list[WireMessage]:
-    """The chunks of one signal burst with `channel` applied to all their
-    states in one batch; heads and chunk sizes stay as sent.  Chunks that
-    do not hold whole states go on unchanged, for the receiver to reject."""
-    payloads = [c.payload for c in chunks]
-    if any((len(p) - BURST_HEAD.size) % STATE_BYTES for p in payloads):
-        return chunks
-    # the chunks slice the big-endian copy itself, and the channel's output
-    # is freed before they are built: the transform holds at most two copies
-    states = channel.apply_batch(decode_qburst(payloads), rng)
-    wire = states.reshape(-1, 4).view(np.float64).astype(">f8")
-    del states
-    out = memoryview(wire).cast("B")
-    transformed, at = [], 0
-    for p in payloads:
-        size = len(p) - BURST_HEAD.size
-        transformed.append(qburst_chunk(p[: BURST_HEAD.size], out[at : at + size]))
-        at += size
-    return transformed
+    burst: WireMessage, channel: ChannelModel, rng: np.random.Generator
+) -> WireMessage:
+    """The signal burst with `channel` applied to all its signals in one
+    batch.  A burst that does not decode goes on unchanged, for the receiver
+    to reject."""
+    try:
+        palette, index = decode_qburst(burst.payload)
+    except ProtocolError:
+        return burst
+    return encode_qburst(*channel.apply_batch(palette, index, rng))
 
 
 def eve_proxy(
@@ -225,30 +211,14 @@ def eve_proxy(
     ) -> None:
         """Forward the frames from `src` to `dst` until `src` ends, then
         half-close `dst`; with a `channel`, the signal burst goes on
-        transformed once its last chunk is in."""
-        burst: list[WireMessage] = []  # chunks of the burst in flight
-        held = 0  # states in those chunks
+        transformed."""
         try:
             for frame in _frames(src):
-                if (
-                    channel is not None
-                    and frame.tag == TAG_QBURST
-                    and len(frame.payload) >= BURST_HEAD.size
-                ):
-                    burst.append(frame)
-                    held += (len(frame.payload) - BURST_HEAD.size) // STATE_BYTES
-                    _, total = BURST_HEAD.unpack_from(frame.payload)
-                    if held < total:
-                        continue
-                    out = _transform_burst(burst, channel, rng)
-                else:
-                    # a burst cut short goes on as it came, for the receiver
-                    # to reject
-                    out = burst + [frame]
-                burst, held = [], 0
+                if channel is not None and frame.tag == TAG_QBURST:
+                    frame = _transform_burst(frame, channel, rng)
                 if capture is not None:
-                    capture.extend((direction, f.tag, f.payload) for f in out)
-                send_frames(dst, out)
+                    capture.append((direction, frame.tag, frame.payload))
+                send_frames(dst, [frame])
         except OSError:
             pass
         finally:

@@ -3,17 +3,18 @@
 The protocol runs as two message-driven state machines exchanging tagged
 wire messages; the transport (in-process pump here, framed sockets in
 netchan) only moves bytes.  One session: hello exchange, the burst of
-|Omega| signal states (QBURST messages of up to BURST_CHUNK states each),
-which the receiver passes through the configured channel in one batch,
-then the classical announcements in fixed order: Bob's bases; Alice's
-bases and test-half choice R; Bob's key subset S; Alice's test bits; Bob's
-error rate and verdict; Bob's permutation, code choice, and encrypted
-syndrome; a keyed confirmation hash; done or abort.  Each side checks the
-peer's HELLO as an echo: it must equal, byte for byte, the HELLO this side
-would send in the peer's role.  Alice derives both codes herself, from the
-shared config and Bob's announced error rate; his CODE and SYNDROME_ENC
-descriptors are echoes she checks byte for byte.  In every waiting phase a
-party accepts one tag; any other message ends the session in phase_order.
+|Omega| signals as one QBURST message (the source's four states as a
+palette, then one palette index byte per signal), which the receiver
+passes through the configured channel in one batch, then the classical
+announcements in fixed order: Bob's bases; Alice's bases and test-half
+choice R; Bob's key subset S; Alice's test bits; Bob's error rate and
+verdict; Bob's permutation, code choice, and encrypted syndrome; a keyed
+confirmation hash; done or abort.  Each side checks the peer's HELLO as an
+echo: it must equal, byte for byte, the HELLO this side would send in the
+peer's role.  Alice derives both codes herself, from the shared config and
+Bob's announced error rate; his CODE and SYNDROME_ENC descriptors are
+echoes she checks byte for byte.  In every waiting phase a party accepts
+one tag; any other message ends the session in phase_order.
 
 Randomness is split into named streams derived from one master seed
 (emission coins, subset choices, channel noise, detector outcomes, and the
@@ -33,6 +34,7 @@ import collections
 import functools
 import hashlib
 import math
+import numbers
 import random
 import struct
 from collections.abc import Sequence
@@ -51,7 +53,7 @@ from .codes import (
 )
 from .gf2 import BitVec, is_permutation
 
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
 TAG_HELLO = 0x01
 TAG_QBURST = 0x02
@@ -148,43 +150,34 @@ class WireMessage:
         return TAG_NAMES.get(self.tag, f"TAG_{self.tag:02X}")
 
 
-BURST_HEAD = struct.Struct(">II")  # first signal index, burst length |Omega|
+BURST_HEAD = struct.Struct(">IH")  # burst length |Omega|, palette size k
 STATE_BYTES = 64  # one 2x2 complex128 density matrix, big-endian
-# states per QBURST message: 4 MiB of states, so a frame stays well under
-# netchan's 16 MiB cap at any burst length
-BURST_CHUNK = 1 << 16
+MAX_PALETTE = 256  # states one index byte can name
 
 
-def states_to_bytes(states: np.ndarray) -> bytes:
-    return states.reshape(len(states), 4).view(np.float64).astype(">f8").tobytes()
+def encode_qburst(palette: np.ndarray, index: np.ndarray) -> WireMessage:
+    """The signal burst as one QBURST message: the head, the k palette
+    states, then one byte per signal naming its state in the palette."""
+    wire = palette.reshape(len(palette), 4).view(np.float64).astype(">f8")
+    head = BURST_HEAD.pack(len(index), len(palette))
+    return WireMessage(TAG_QBURST, b"".join((head, wire, index.astype(np.uint8, copy=False))))
 
 
-def decode_qburst(payloads: Sequence[bytes]) -> np.ndarray:
-    """The states of QBURST payloads that each hold whole states, in order,
-    as one native (m, 2, 2) array, read from the wire bytes in one pass."""
-    flat = np.concatenate(
-        [np.frombuffer(p, ">f8", offset=BURST_HEAD.size) for p in payloads], dtype=np.float64
-    )
-    return flat.view(np.complex128).reshape(-1, 2, 2)
-
-
-def qburst_chunk(head: bytes, states) -> WireMessage:
-    """One QBURST message: `head` followed by the packed states in
-    `states`, any bytes-like object, copied once."""
-    return WireMessage(TAG_QBURST, b"".join((head, states)))
-
-
-def encode_qburst(states) -> list[WireMessage]:
-    """One signal burst (packed states in any C-contiguous buffer) as
-    QBURST messages of at most BURST_CHUNK states, each headed by its first
-    index and the burst length."""
-    wire = memoryview(states).cast("B")
-    total = len(wire) // STATE_BYTES
-    step = BURST_CHUNK * STATE_BYTES
-    return [
-        qburst_chunk(BURST_HEAD.pack(at // STATE_BYTES, total), wire[at : at + step])
-        for at in range(0, len(wire), step)
-    ]
+def decode_qburst(payload: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """(palette, index) of a QBURST payload: the palette as a native (k, 2, 2)
+    array and the index as uint8 read in place.  A payload whose length is
+    not the one its head implies, or that names a state outside its palette,
+    is a ProtocolError."""
+    if len(payload) < BURST_HEAD.size:
+        raise ProtocolError("burst head cut short")
+    total, k = BURST_HEAD.unpack_from(payload)
+    if not 1 <= k <= MAX_PALETTE or len(payload) != BURST_HEAD.size + k * STATE_BYTES + total:
+        raise ProtocolError(f"burst of {len(payload)} bytes for {total} signals and {k} states")
+    index = np.frombuffer(payload, np.uint8, offset=BURST_HEAD.size + k * STATE_BYTES)
+    if total and index.max() >= k:
+        raise ProtocolError("burst names a state outside its palette")
+    flat = np.frombuffer(payload, ">f8", count=8 * k, offset=BURST_HEAD.size)
+    return flat.astype(np.float64).view(np.complex128).reshape(k, 2, 2), index
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +432,8 @@ def check_basis_independence(source: SourceModel) -> float:
 
 
 def source_from_config(cfg: dict) -> SourceModel:
+    if not isinstance(cfg, dict):
+        raise TypeError(f"a source is configured by an object, not {cfg!r}")
     kind = cfg.get("kind", "perfect")
     if kind == "perfect":
         return PerfectSource(bias=cfg.get("bias", 0.5))
@@ -455,22 +450,26 @@ def source_from_config(cfg: dict) -> SourceModel:
 # channel and detector models
 
 
-def _p_one(states: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """Probability of outcome 1 when each state is measured in sigma_z
-    (basis 0) or sigma_x (basis 1)."""
-    return np.where(bases == 0, states[:, 1, 1].real, 0.5 * (1.0 - 2.0 * states[:, 0, 1].real))
+def _p_one(palette: np.ndarray, index: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """Probability of outcome 1 when each signal, the palette state its index
+    names, is measured in sigma_z (basis 0) or sigma_x (basis 1)."""
+    table = np.stack([palette[:, 1, 1].real, 0.5 * (1.0 - 2.0 * palette[:, 0, 1].real)])
+    return table[bases, index]
 
 
 class ChannelModel:
-    """Stateless transform of a batch of single-qubit states; rng injected."""
+    """Stateless transform of a burst of single-qubit signals, given as a
+    palette of states and one palette index per signal; rng injected."""
 
-    def apply_batch(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def apply_batch(
+        self, palette: np.ndarray, index: np.ndarray, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
 
 class IdentityChannel(ChannelModel):
-    def apply_batch(self, states, rng):
-        return states
+    def apply_batch(self, palette, index, rng):
+        return palette, index
 
 
 class DepolarizingChannel(ChannelModel):
@@ -479,23 +478,24 @@ class DepolarizingChannel(ChannelModel):
             raise ValueError("depolarizing weight must sit in [0, 1]")
         self.p = p
 
-    def apply_batch(self, states, rng):
-        out = (1.0 - self.p) * states
+    def apply_batch(self, palette, index, rng):
+        out = (1.0 - self.p) * palette
         out += self.p * (np.eye(2, dtype=np.complex128) / 2.0)
-        return out
+        return out, index
+
+
+# the four BB84 states, row 2a + g
+_BB84_PALETTE = np.array([_bb84_state(a, g) for a in range(2) for g in range(2)])
 
 
 class InterceptResendChannel(ChannelModel):
     """Measures every signal in a random basis and forwards the eigenstate."""
 
-    def apply_batch(self, states, rng):
-        m = states.shape[0]
+    def apply_batch(self, palette, index, rng):
+        m = index.size
         eve_basis = rng.integers(0, 2, size=m)
-        outcome = (rng.random(m) < _p_one(states, eve_basis)).astype(np.int64)
-        lut = np.array(
-            [[_bb84_state(a, g) for g in range(2)] for a in range(2)]
-        )
-        return lut[eve_basis, outcome]
+        outcome = rng.random(m) < _p_one(palette, index, eve_basis)
+        return _BB84_PALETTE, (2 * eve_basis + outcome).astype(np.uint8)
 
 
 class CustomUnitaryChannel(ChannelModel):
@@ -508,16 +508,18 @@ class CustomUnitaryChannel(ChannelModel):
             raise ValueError("need a 4x4 unitary")
         self.unitary = u
 
-    def apply_batch(self, states, rng):
-        m = states.shape[0]
-        full = np.zeros((m, 4, 4), dtype=np.complex128)
-        full[:, 0:2, 0:2] = states  # ancilla starts in |0> (high bit clear)
+    def apply_batch(self, palette, index, rng):
+        k = palette.shape[0]
+        full = np.zeros((k, 4, 4), dtype=np.complex128)
+        full[:, 0:2, 0:2] = palette  # ancilla starts in |0> (high bit clear)
         rolled = np.einsum("ij,mjk,lk->mil", self.unitary, full, self.unitary.conj())
-        view = rolled.reshape(m, 2, 2, 2, 2)  # (anc, sig, anc', sig')
-        return np.einsum("masat->mst", view)
+        view = rolled.reshape(k, 2, 2, 2, 2)  # (anc, sig, anc', sig')
+        return np.einsum("masat->mst", view), index
 
 
 def channel_from_config(cfg: dict) -> ChannelModel:
+    if not isinstance(cfg, dict):
+        raise TypeError(f"a channel is configured by an object, not {cfg!r}")
     kind = cfg.get("kind", "identity")
     if kind == "identity":
         return IdentityChannel()
@@ -543,14 +545,14 @@ class DetectorModel:
             raise ValueError("efficiency must sit in (0, 1]")
 
     def measure_batch(
-        self, states: np.ndarray, bases: np.ndarray, rng: np.random.Generator
+        self, palette: np.ndarray, index: np.ndarray, bases: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Returns (outcomes h, detected mask); h is only meaningful where
-        detected.  Draw order (nulls first, then outcomes) is part of the
-        determinism contract."""
-        m = states.shape[0]
+        """Returns (outcomes h, detected mask) for the signals `index` names
+        in `palette`; h is only meaningful where detected.  Draw order (nulls
+        first, then outcomes) is part of the determinism contract."""
+        m = index.size
         detected = rng.random(m) < self.efficiency
-        outcomes = (rng.random(m) < _p_one(states, bases)).astype(np.uint8)
+        outcomes = (rng.random(m) < _p_one(palette, index, bases)).astype(np.uint8)
         return outcomes, detected
 
 
@@ -581,13 +583,16 @@ class SessionConfig:
         if not 0.0 < self.delta_max < 0.5:
             raise ValueError("delta_max must sit in (0, 1/2)")
         # the efficiency floor keeps 1/efficiency^2 finite; the burst cap
-        # bounds a session's memory (2^20 states of 64 bytes per copy)
+        # bounds a session's memory (2^20 signals: one index byte each on
+        # the wire, a few bytes each in every per-signal array)
         if self.n > 0xFFFF or self.detector.efficiency < 2**-15 or self.omega_size > 1 << 20:
             raise ValueError("key size beyond the wire format or the burst limit")
         if self.pool_bits is not None and (
             not isinstance(self.pool_bits, int) or self.pool_bits < 0
         ):
             raise ValueError("pool_bits must be a non-negative integer")
+        if not isinstance(self.rec_target_fail, numbers.Real):
+            raise ValueError("rec_target_fail must be a real number")
         self.pa_code  # a policy that names no buildable code is a config error
 
     @functools.cached_property
@@ -1097,14 +1102,10 @@ class AliceSession(_Session):
         sent_basis = np.where(self.r_mask == 1, self.a_bits, 1 - self.a_bits)
         p_one = np.array([src.key_bit_probability(0), src.key_bit_probability(1)])
         self.g_bits = (rng.random(m) < p_one[sent_basis]).astype(np.uint8)
-        # the four states' wire bytes, row 2a + g; the burst is gathered
-        # from them straight into wire order
-        table = np.frombuffer(
-            states_to_bytes(np.array([src.emit(a, g) for a in range(2) for g in range(2)])),
-            dtype=np.uint8,
-        ).reshape(4, STATE_BYTES)
+        # the palette is the source's four states, row 2a + g
+        palette = np.array([src.emit(a, g) for a in range(2) for g in range(2)])
         self.phase = "await_bases"
-        return encode_qburst(table.take(2 * sent_basis + self.g_bits, axis=0))
+        return [encode_qburst(palette, 2 * sent_basis + self.g_bits)]
 
     def _phase_await_bases(self, msg: WireMessage) -> list[WireMessage]:
         b_symbols = decode_bases_b(msg.payload)
@@ -1219,8 +1220,6 @@ class BobSession(_Session):
             stream_seed(cfg.seed, "bob|quantum")
         )
         self._choice_rng = random.Random(stream_seed(cfg.seed, "bob|choice"))
-        self._chunks: list[bytes] = []
-        self._received = 0
         self.b_symbols: np.ndarray | None = None
         self.h_bits: np.ndarray | None = None
         self.test_set = np.empty(0, dtype=np.intp)
@@ -1239,38 +1238,22 @@ class BobSession(_Session):
         return [WireMessage(TAG_HELLO, encode_hello(self.cfg, ROLE_BOB))]
 
     def _phase_collect(self, msg: WireMessage) -> list[WireMessage]:
-        """Takes the burst chunk by chunk, in order; any chunk that is not
-        the next non-empty run of whole states of this session's burst is
-        out of order."""
-        if len(msg.payload) < BURST_HEAD.size:
-            return self._fail(ABORT_PHASE)
-        first, total = BURST_HEAD.unpack_from(msg.payload)
-        count, partial = divmod(len(msg.payload) - BURST_HEAD.size, STATE_BYTES)
-        if (
-            partial
-            or count == 0
-            or first != self._received
-            or total != self.cfg.omega_size
-            or first + count > total
-        ):
-            return self._fail(ABORT_PHASE)
-        self._chunks.append(msg.payload)
-        self._received += count
-        if self._received < self.cfg.omega_size:
-            return []
-        return self._measure_all()
-
-    def _measure_all(self) -> list[WireMessage]:
-        """Realizes the configured channel on the whole burst, then measures."""
+        """Takes the burst, realizes the configured channel on it, then
+        measures.  A burst that does not decode, or whose length is not this
+        session's |Omega|, is out of order."""
         cfg = self.cfg
         m = cfg.omega_size
-        states = decode_qburst(self._chunks)
-        self._chunks = []  # every state is in `states` now
+        try:
+            palette, index = decode_qburst(msg.payload)
+        except ProtocolError:
+            return self._fail(ABORT_PHASE)
+        if index.size != m:
+            return self._fail(ABORT_PHASE)
         eve_rng = np.random.default_rng(stream_seed(cfg.seed, "eve|channel"))
-        states = cfg.channel.apply_batch(states, eve_rng)
+        palette, index = cfg.channel.apply_batch(palette, index, eve_rng)
         rng = self._quantum_rng
         bases = rng.integers(0, 2, size=m).astype(np.uint8)
-        outcomes, detected = cfg.detector.measure_batch(states, bases, rng)
+        outcomes, detected = cfg.detector.measure_batch(palette, index, bases, rng)
         self.h_bits = outcomes
         self.b_symbols = np.where(detected, bases, np.uint8(2)).astype(np.uint8)
         self.phase = "await_bases_a"

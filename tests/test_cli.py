@@ -80,6 +80,10 @@ def test_unbuildable_code_policy_rejected(tmp_path, policy):
         {"n": 16, "detector": {"efficiency": 1e-170}},  # 1/efficiency^2 overflows
         {"n": 65535, "detector": {"efficiency": 0.01}},  # a 164 GiB burst
         {"n": 4096, "detector": {"efficiency": 0.01}},  # a 10 GiB burst
+        {"n": 16, "source": 5},
+        {"n": 16, "channel": [1]},
+        {"n": 16, "rec_target_fail": "a"},
+        {"n": 16, "rec_target_fail": None},
     ],
     ids=[
         "nan_epsilon",
@@ -91,6 +95,10 @@ def test_unbuildable_code_policy_rejected(tmp_path, policy):
         "vanishing_efficiency",
         "burst_at_wire_cap",
         "burst_at_n_4096",
+        "source_not_an_object",
+        "channel_not_an_object",
+        "text_target_fail",
+        "null_target_fail",
     ],
 )
 def test_out_of_domain_config_is_a_config_error(tmp_path, overrides):

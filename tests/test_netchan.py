@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from qkdlab import netchan, protocol
+from qkdlab import netchan
 from qkdlab.codes import code_from_descriptor
 from qkdlab.netchan import (
     eve_proxy,
@@ -31,7 +31,6 @@ from qkdlab.protocol import (
     ABORT_SOURCE,
     ABORT_TRANSPORT,
     ABORT_VERSION,
-    BURST_CHUNK,
     ROLE_ALICE,
     TAG_ABORT,
     TAG_DONE,
@@ -65,15 +64,13 @@ def test_frame_roundtrip_and_eof():
     right.close()
 
 
-def _burst(monkeypatch):
-    """The signal burst of an n=16 session, in chunks of 10 states."""
-    monkeypatch.setattr(protocol, "BURST_CHUNK", 10)
+def _burst():
+    """The signal burst of an n=16 session."""
     return AliceSession(SessionConfig(n=16, epsilon=0.35, seed=4))._emit_signals()
 
 
-def test_frames_round_trip_empty_short_and_burst_payloads(monkeypatch):
-    burst = _burst(monkeypatch)
-    assert len(burst) > 2
+def test_frames_round_trip_empty_short_and_burst_payloads():
+    burst = _burst()
     msgs = [WireMessage(TAG_DONE, b""), WireMessage(TAG_ABORT, b"x"), *burst]
     msgs.append(WireMessage(TAG_DONE, b""))
     left, right = socket.socketpair()
@@ -88,8 +85,8 @@ def test_frames_round_trip_empty_short_and_burst_payloads(monkeypatch):
 
 
 @pytest.mark.parametrize("keep", [4, 5, 6, 20])
-def test_frame_cut_off_mid_frame_reads_as_a_clean_close(monkeypatch, keep):
-    (chunk, *_) = _burst(monkeypatch)
+def test_frame_cut_off_mid_frame_reads_as_a_clean_close(keep):
+    (chunk,) = _burst()
     frame = (1 + len(chunk.payload)).to_bytes(4, "big") + bytes([chunk.tag]) + chunk.payload
     left, right = socket.socketpair()
     with left, right, right.makefile("rb") as rfile:
@@ -236,9 +233,11 @@ def test_depolarize_proxy_reproduces_in_process_noise_exactly():
     ids=["intercept_resend", "depolarizing"],
 )
 def test_two_chunk_burst_same_in_process_over_sockets_and_through_proxy(channel, proxy):
+    """A burst of 122 882 signals, which v2 sent as two chunks, and v3 as one
+    frame of about 120 KiB."""
     detector = DetectorModel(0.3)
     cfg = SessionConfig(n=2048, epsilon=0.35, seed=2, detector=detector, channel=channel)
-    assert BURST_CHUNK < cfg.omega_size <= 2 * BURST_CHUNK
+    assert cfg.omega_size == 122_882
     ref = run_protocol(cfg)
     runs = [_loopback(cfg)]
     if proxy is not None:
@@ -250,7 +249,15 @@ def test_two_chunk_burst_same_in_process_over_sockets_and_through_proxy(channel,
         assert out["bob"].abort_reason == ref.stats.abort_reason
 
 
-@pytest.mark.parametrize("payload", [b"\x00" * 5, b"\x00" * 8 + b"\x01" * 63])
+@pytest.mark.parametrize(
+    "payload",
+    [
+        b"\x00" * 5,  # a head cut short
+        b"\x00" * 8 + b"\x01" * 63,  # an empty palette
+        # the session's length over one state, with an index naming a second
+        bytes.fromhex("000000580001") + bytes(64) + b"\x01" * 88,
+    ],
+)
 def test_proxy_forwards_a_malformed_burst_for_the_receiver_to_reject(payload):
     cfg = SessionConfig(n=16, epsilon=0.35, seed=0)
     with open_listener() as bob_listener, open_listener() as eve_listener:

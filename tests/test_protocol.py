@@ -35,6 +35,7 @@ from qkdlab.protocol import (
     ABORT_TRANSPORT,
     ABORT_VERSION,
     BURST_HEAD,
+    MAX_PALETTE,
     ROLE_ALICE,
     ROLE_BOB,
     TAG_ABORT,
@@ -90,7 +91,6 @@ from qkdlab.protocol import (
     run_protocol,
     sift,
     source_from_config,
-    states_to_bytes,
     stream_seed,
 )
 
@@ -176,19 +176,22 @@ def test_source_parameter_validation():
 
 def test_depolarizing_flip_probability():
     chan = DepolarizingChannel(0.12)
-    zero = np.zeros((200_000, 2, 2), dtype=np.complex128)
+    zero = np.zeros((1, 2, 2), dtype=np.complex128)
     zero[:, 0, 0] = 1.0
-    out = chan.apply_batch(zero, np.random.default_rng(1))
-    p_one = out[:, 1, 1].real
+    index = np.zeros(200_000, dtype=np.uint8)
+    out, out_index = chan.apply_batch(zero, index, np.random.default_rng(1))
+    assert out_index is index  # the palette changes, the signals keep their states
+    p_one = out[out_index, 1, 1].real
     assert np.allclose(p_one, 0.06)  # p/2 lands on the orthogonal state
 
 
 def test_intercept_resend_error_rate_and_output_purity():
     chan = InterceptResendChannel()
     m = 200_000
-    zero = np.zeros((m, 2, 2), dtype=np.complex128)
+    zero = np.zeros((1, 2, 2), dtype=np.complex128)
     zero[:, 0, 0] = 1.0
-    out = chan.apply_batch(zero, np.random.default_rng(2))
+    palette, index = chan.apply_batch(zero, np.zeros(m, dtype=np.uint8), np.random.default_rng(2))
+    out = palette[index]
     p_err = float(np.mean(out[:, 1, 1].real))
     assert abs(p_err - 0.25) < 0.01
     # every forwarded state is one of the four reference states
@@ -196,10 +199,8 @@ def test_intercept_resend_error_rate_and_output_purity():
     refs = np.stack(
         [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), plus, plus * np.array([[1, -1], [-1, 1]])]
     ).astype(np.complex128)
-    gaps = np.min(
-        np.max(np.abs(out[:, None, :, :] - refs[None, :, :, :]), axis=(2, 3)), axis=1
-    )
-    assert np.max(gaps) < 1e-12
+    assert np.max(np.abs(palette - refs)) < 1e-12
+    assert index.dtype == np.uint8 and index.size == m and index.max() < 4
 
 
 def test_custom_channel_pure_rotation_matches_direct_conjugation():
@@ -218,7 +219,9 @@ def test_custom_channel_pure_rotation_matches_direct_conjugation():
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         v /= np.linalg.norm(v)
         states[i] = np.outer(v, v.conj())
-    out = chan.apply_batch(states, rng)
+    index = rng.integers(0, 16, size=40).astype(np.uint8)
+    out, out_index = chan.apply_batch(states, index, rng)
+    assert out_index is index
     want = np.einsum("ij,mjk,lk->mil", ry, states, ry.conj())
     assert np.max(np.abs(out - want)) < 1e-12
 
@@ -234,7 +237,7 @@ def test_custom_channel_copy_gate_dephases_superpositions():
     states = np.zeros((2, 2, 2), dtype=np.complex128)
     states[0] = np.diag([1.0, 0.0])
     states[1] = 0.5 * np.ones((2, 2))
-    out = chan.apply_batch(states, np.random.default_rng(0))
+    out, _ = chan.apply_batch(states, np.array([1, 0], dtype=np.uint8), np.random.default_rng(0))
     assert np.max(np.abs(out[0] - np.diag([1.0, 0.0]))) < 1e-12
     assert np.max(np.abs(out[1] - 0.5 * np.eye(2))) < 1e-12
 
@@ -246,13 +249,17 @@ def test_custom_channel_rejects_nonunitary():
 
 def test_detector_exact_outcomes_on_eigenstates():
     det = DetectorModel()
-    plus = np.full((50, 2, 2), 0.5, dtype=np.complex128)
-    ones = np.zeros((50, 2, 2), dtype=np.complex128)
-    ones[:, 1, 1] = 1.0
-    h, seen = det.measure_batch(plus, np.ones(50, dtype=np.uint8), np.random.default_rng(4))
+    # the palette |0>, |1>, |+>; signals alternate |1> and |+>
+    palette = np.zeros((3, 2, 2), dtype=np.complex128)
+    palette[0, 0, 0] = palette[1, 1, 1] = 1.0
+    palette[2] = 0.5
+    index = np.tile(np.array([1, 2], dtype=np.uint8), 25)
+    bases = np.tile(np.array([0, 1], dtype=np.uint8), 25)  # each in its eigenbasis
+    h, seen = det.measure_batch(palette, index, bases, np.random.default_rng(4))
+    assert seen.all() and np.array_equal(h, np.tile([1, 0], 25))
+    zeros = np.zeros(50, dtype=np.uint8)  # |0> measured in Z
+    h, seen = det.measure_batch(palette, zeros, zeros, np.random.default_rng(5))
     assert seen.all() and not h.any()
-    h, seen = det.measure_batch(ones, np.zeros(50, dtype=np.uint8), np.random.default_rng(5))
-    assert seen.all() and h.all()
 
 
 def test_detector_efficiency_validation():
@@ -319,7 +326,7 @@ def test_hello_layout():
     version, role, n, epsilon, delta_max, omega = struct.unpack(
         ">HBIddI", encode_hello(cfg, ROLE_BOB)
     )
-    assert version == WIRE_VERSION == 2
+    assert version == WIRE_VERSION == 3
     assert role == ROLE_BOB
     assert n == 64
     assert epsilon == 0.35
@@ -329,13 +336,16 @@ def test_hello_layout():
 
 def test_qburst_roundtrip():
     rng = np.random.default_rng(6)
-    v = rng.normal(size=(17, 2)) + 1j * rng.normal(size=(17, 2))
+    v = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-    states = np.einsum("mi,mj->mij", v, v.conj())
-    (msg,) = encode_qburst(states_to_bytes(states))
+    palette = np.einsum("mi,mj->mij", v, v.conj())
+    index = rng.integers(0, 5, size=17).astype(np.uint8)
+    msg = encode_qburst(palette, index)
     assert msg.tag == TAG_QBURST
-    assert BURST_HEAD.unpack_from(msg.payload) == (0, 17)
-    assert np.array_equal(decode_qburst([msg.payload]), states)
+    assert BURST_HEAD.unpack_from(msg.payload) == (17, 5)
+    assert msg.payload[BURST_HEAD.size + 5 * 64 :] == index.tobytes()
+    got_palette, got_index = decode_qburst(msg.payload)
+    assert np.array_equal(got_palette, palette) and np.array_equal(got_index, index)
 
 
 def test_bases_roundtrips():
@@ -876,12 +886,6 @@ def test_truncated_or_extended_message_ends_in_named_abort(data, cut, tail, exte
         return [WireMessage(msg.tag, payload)]
 
     alice, bob = _pump_with(_FUZZ_CFG, rewrite)
-    if not (alice.terminal or bob.terminal):
-        # a burst cut at a state boundary reads as one still in flight; over
-        # a socket the wait ends in a transport abort
-        assert honest[index].tag == TAG_QBURST and not extend and cut % 64 == 0
-        assert (alice.phase, bob.phase) == ("await_bases", "collect")
-        return
     assert alice.abort_reason == bob.abort_reason
     assert alice.abort_reason in (ABORT_PHASE, ABORT_MALFORMED, ABORT_VERSION)
     assert alice.final_key is None and bob.final_key is None
@@ -944,49 +948,71 @@ def _burst_rewrite(hostile):
     return lambda i, msg: hostile(msg) if msg.tag == TAG_QBURST else [msg]
 
 
-def _reheaded(msg, first, total):
-    return WireMessage(TAG_QBURST, BURST_HEAD.pack(first, total) + msg.payload[BURST_HEAD.size :])
+def _reheaded(msg, total=None, k=None, body=None):
+    """`msg` with its head fields and the bytes after its head replaced."""
+    old_total, old_k = BURST_HEAD.unpack_from(msg.payload)
+    head = BURST_HEAD.pack(old_total if total is None else total, old_k if k is None else k)
+    body = msg.payload[BURST_HEAD.size :] if body is None else body
+    return WireMessage(TAG_QBURST, head + body)
+
+
+def _with_index_byte(msg, at, value):
+    payload = bytearray(msg.payload)
+    payload[at] = value
+    return WireMessage(TAG_QBURST, bytes(payload))
+
+
+_OMEGA = _FUZZ_CFG.omega_size
+_STATES = 4 * 64  # the honest palette's bytes
 
 
 @pytest.mark.parametrize(
     "hostile",
     [
-        lambda m: [_reheaded(m, 1, _FUZZ_CFG.omega_size)],  # wrong first index
-        lambda m: [_reheaded(m, 0, _FUZZ_CFG.omega_size + 1)],  # wrong total
-        lambda m: [WireMessage(TAG_QBURST, m.payload[:-1])],  # a partial state
-        lambda m: [WireMessage(TAG_QBURST, m.payload[: BURST_HEAD.size])],  # empty body
+        lambda m: [_with_index_byte(m, BURST_HEAD.size + _STATES, 4)],  # first index >= k
+        lambda m: [_with_index_byte(m, -1, MAX_PALETTE - 1)],  # last index >= k
+        lambda m: [_reheaded(m, k=0, body=m.payload[-_OMEGA:])],  # empty palette
+        # 257 states: one more than an index byte can name
+        lambda m: [_reheaded(m, k=257, body=bytes(64 * 257) + m.payload[-_OMEGA:])],
+        # a length other than |Omega|, with a body to match it
+        lambda m: [_reheaded(m, total=_OMEGA + 1, body=m.payload[BURST_HEAD.size :] + b"\x00")],
+        lambda m: [_reheaded(m, total=_OMEGA - 1, body=m.payload[BURST_HEAD.size : -1])],
         lambda m: [WireMessage(TAG_QBURST, m.payload[:5])],  # short head
-        lambda m: [m, m],  # a chunk after the burst is complete
-        lambda m: [WireMessage(TAG_QBURST, m.payload + m.payload[-64:])],  # overrun
+        lambda m: [WireMessage(TAG_QBURST, m.payload[:-1])],  # a missing index byte
+        lambda m: [WireMessage(TAG_QBURST, m.payload + b"\x00")],  # a trailing extra byte
+        lambda m: [m, m],  # a second burst after the burst
     ],
-    ids=["first", "total", "partial", "empty", "head", "after", "overrun"],
+    ids=[
+        "first", "index", "empty", "oversized", "total", "short", "head", "partial", "overrun",
+        "after",
+    ],
 )
 def test_hostile_burst_chunk_is_out_of_order(hostile):
+    """Every QBURST that is not one burst of this session's length over a
+    palette of 1 to 256 states it indexes ends in phase_order on both sides."""
     alice, bob = _pump_with(_FUZZ_CFG, _burst_rewrite(hostile))
     assert alice.abort_reason == bob.abort_reason == ABORT_PHASE
 
 
-def test_repeated_chunk_of_a_chunked_burst_is_out_of_order(monkeypatch):
-    monkeypatch.setattr(protocol_module, "BURST_CHUNK", 16)
-    seen = []
+def _assert_hello_version_mismatch(sender, version):
+    def rewrite(i, msg):
+        if i != sender:
+            return [msg]
+        return [WireMessage(TAG_HELLO, version.to_bytes(2, "big") + msg.payload[2:])]
 
-    def hostile(msg):
-        seen.append(msg)
-        return [seen[0]]  # every chunk replaced by the first
-
-    alice, bob = _pump_with(_FUZZ_CFG, _burst_rewrite(hostile))
-    assert alice.abort_reason == bob.abort_reason == ABORT_PHASE
+    alice, bob = _pump_with(_FUZZ_CFG, rewrite)
+    assert alice.abort_reason == bob.abort_reason == ABORT_VERSION
 
 
 @pytest.mark.parametrize("sender", [0, 1])
 def test_version_1_hello_is_a_version_mismatch(sender):
-    def rewrite(i, msg):
-        if i != sender:
-            return [msg]
-        return [WireMessage(TAG_HELLO, (1).to_bytes(2, "big") + msg.payload[2:])]
+    _assert_hello_version_mismatch(sender, 1)
 
-    alice, bob = _pump_with(_FUZZ_CFG, rewrite)
-    assert alice.abort_reason == bob.abort_reason == ABORT_VERSION
+
+@pytest.mark.parametrize("sender", [0, 1])
+def test_version_2_hello_is_a_version_mismatch(sender):
+    """A v2 peer, which sends the burst as 64-byte states in chunks."""
+    _assert_hello_version_mismatch(sender, 2)
 
 
 @pytest.mark.parametrize("receiver", [AliceSession, BobSession])

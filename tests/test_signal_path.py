@@ -1,13 +1,16 @@
-"""The signal path: emission as one chunked QBURST burst gathered from the
-source's four wire states, decoding in one pass, vectorized sifting, and
-the linear-time BitVec constructors the key-material steps use.
+"""The signal path: emission as one QBURST message (a palette of the
+source's four states plus one index byte per signal), the channel and the
+detector working on the palette, vectorized sifting, and the linear-time
+BitVec constructors the key-material steps use.
 
 Each fast route is checked against the element-by-element definition it
-replaces; end-to-end byte equality is covered by the golden transcripts.
+replaces; the palette path against the v2 per-signal path, kept below as
+an oracle.  End-to-end byte equality is covered by the golden transcripts.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import tracemalloc
 
@@ -20,8 +23,8 @@ from qkdlab import protocol
 from qkdlab.gf2 import BitVec
 from qkdlab.netchan import MAX_FRAME, _transform_burst
 from qkdlab.protocol import (
-    BURST_CHUNK,
     BURST_HEAD,
+    MAX_PALETTE,
     ROLE_ALICE,
     ROLE_BOB,
     STATE_BYTES,
@@ -29,8 +32,12 @@ from qkdlab.protocol import (
     TAG_QBURST,
     AliceSession,
     BobSession,
+    CustomUnitaryChannel,
     DepolarizingChannel,
+    DetectorModel,
     EntangledSource,
+    IdentityChannel,
+    InterceptResendChannel,
     PerfectSource,
     RotatedZSource,
     SessionConfig,
@@ -41,7 +48,7 @@ from qkdlab.protocol import (
     estimate_error,
     run_protocol,
     sift,
-    states_to_bytes,
+    stream_seed,
 )
 
 
@@ -58,55 +65,64 @@ def _emitted(n: int = 16, seed: int = 5) -> tuple[SessionConfig, list[WireMessag
     return cfg, alice.on_message(hello)
 
 
+def _collecting(cfg: SessionConfig) -> BobSession:
+    """Bob waiting for the burst."""
+    bob = BobSession(cfg)
+    bob.on_message(WireMessage(TAG_HELLO, encode_hello(cfg, ROLE_ALICE)))
+    assert bob.phase == "collect"
+    return bob
+
+
+def _random_states(gen: np.random.Generator, count: int) -> np.ndarray:
+    """`count` random density matrices, pure and mixed."""
+    v = gen.normal(size=(count, 2, 2)) + 1j * gen.normal(size=(count, 2, 2))
+    rho = np.einsum("mij,mkj->mik", v, v.conj())
+    rho /= np.trace(rho, axis1=1, axis2=2)[:, None, None]
+    pure = gen.random(count) < 0.5
+    u = v[:, :, 0] / np.linalg.norm(v[:, :, 0], axis=1, keepdims=True)
+    rho[pure] = np.einsum("mi,mj->mij", u, u.conj())[pure]
+    return rho
+
+
 def test_burst_messages_are_the_wire_signals():
     cfg, burst = _emitted()
     (msg,) = burst
     assert msg.tag == TAG_QBURST
-    assert BURST_HEAD.unpack_from(msg.payload) == (0, cfg.omega_size)
-    body = msg.payload[BURST_HEAD.size :]
-    assert len(body) == STATE_BYTES * cfg.omega_size
-    assert encode_qburst(body) == burst
-
-
-def test_burst_chunks_carry_their_first_index_and_the_burst_length(monkeypatch):
-    _, (msg,) = _emitted()
-    blob = msg.payload[BURST_HEAD.size :]
-    total = len(blob) // STATE_BYTES
-    monkeypatch.setattr(protocol, "BURST_CHUNK", 10)
-    chunks = encode_qburst(blob)
-    assert len(chunks) == -(-total // 10)
-    heads = [BURST_HEAD.unpack_from(c.payload) for c in chunks]
-    assert heads == [(first, total) for first in range(0, total, 10)]
-    assert b"".join(c.payload[BURST_HEAD.size :] for c in chunks) == blob
-    assert all(len(c.payload) <= BURST_HEAD.size + 10 * STATE_BYTES for c in chunks)
+    assert BURST_HEAD.unpack_from(msg.payload) == (cfg.omega_size, 4)
+    assert len(msg.payload) == BURST_HEAD.size + 4 * STATE_BYTES + cfg.omega_size
+    assert encode_qburst(*decode_qburst(msg.payload)) == msg
 
 
 def test_a_full_chunk_fits_in_one_frame():
-    assert 1 + BURST_HEAD.size + BURST_CHUNK * STATE_BYTES <= MAX_FRAME
+    """The largest QBURST there is, 2^20 signals over a 256-state palette,
+    is one frame under MAX_FRAME, about 1 MiB."""
+    palette = _random_states(np.random.default_rng(1), MAX_PALETTE)
+    index = (np.arange(1 << 20) % MAX_PALETTE).astype(np.uint8)
+    msg = encode_qburst(palette, index)
+    assert len(msg.payload) == BURST_HEAD.size + MAX_PALETTE * STATE_BYTES + (1 << 20)
+    assert 1 + len(msg.payload) <= MAX_FRAME
+    got_palette, got_index = decode_qburst(msg.payload)
+    assert np.array_equal(got_index, index) and got_palette.tobytes() == palette.tobytes()
 
 
-def test_chunk_size_does_not_change_the_session(monkeypatch):
-    cfg = SessionConfig(n=64, epsilon=0.35, seed=3, channel=DepolarizingChannel(0.1))
-    whole = run_protocol(cfg)
-    monkeypatch.setattr(protocol, "BURST_CHUNK", 7)
-    chunked = run_protocol(cfg)
-    assert chunked.transcript == whole.transcript
-    assert chunked.bob_key == whole.bob_key and chunked.stats.delta == whole.stats.delta
-
-
-def test_state_blob_round_trip(monkeypatch):
-    _, (msg,) = _emitted()
-    blob = msg.payload[BURST_HEAD.size :]
-    states = decode_qburst([msg.payload])
-    assert states.shape == (len(blob) // STATE_BYTES, 2, 2)
-    assert states.dtype == np.complex128 and states.dtype.isnative
-    assert states_to_bytes(states) == blob
-    # the chunks of a chunked burst decode to the same states, in order
-    monkeypatch.setattr(protocol, "BURST_CHUNK", 3)
-    chunks = encode_qburst(blob)
-    assert len(chunks) > 1
-    assert np.array_equal(decode_qburst([c.payload for c in chunks]), states)
-    assert np.array_equal(decode_qburst([chunks[1].payload]), states[3:6])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, MAX_PALETTE), m=st.integers(1, 600))
+@example(seed=0, k=MAX_PALETTE, m=1)
+def test_state_blob_round_trip(seed, k, m):
+    """A QBURST payload is exactly its head, 64 bytes per palette state and
+    one byte per signal, and decodes to the same palette, bit for bit, as a
+    native array, and the same index."""
+    gen = np.random.default_rng(seed)
+    palette = _random_states(gen, k)
+    index = gen.integers(0, k, size=m).astype(np.uint8)
+    msg = encode_qburst(palette, index)
+    assert msg.tag == TAG_QBURST
+    assert len(msg.payload) == BURST_HEAD.size + STATE_BYTES * k + m
+    assert BURST_HEAD.unpack_from(msg.payload) == (m, k)
+    got_palette, got_index = decode_qburst(msg.payload)
+    assert got_palette.dtype == np.complex128 and got_palette.dtype.isnative
+    assert got_palette.shape == (k, 2, 2) and got_palette.tobytes() == palette.tobytes()
+    assert got_index.dtype == np.uint8 and np.array_equal(got_index, index)
 
 
 @pytest.mark.parametrize(
@@ -115,44 +131,55 @@ def test_state_blob_round_trip(monkeypatch):
     ids=["perfect_bias", "rotated_z", "entangled"],
 )
 def test_burst_is_the_wire_bytes_of_each_sent_state(source):
-    """The burst gathered from the four-row table is byte for byte the
-    wire encoding of the (m, 2, 2) array of sent states.  Emission is called
-    directly: a biased source never passes the compliance gate, but its
-    skewed key bits still exercise the gather."""
+    """The burst's palette is the source's four states, row 2a + g, and its
+    index gathers from them, bit for bit, the (m, 2, 2) array of sent
+    states.  Emission is called directly: a biased source never passes the
+    compliance gate, but its skewed key bits still exercise the index."""
     cfg = SessionConfig(n=64, epsilon=0.35, seed=8, source=source)
     alice = AliceSession(cfg)
     (msg,) = alice._emit_signals()
+    palette, index = decode_qburst(msg.payload)
     lut = np.array([[source.emit(a, g) for g in range(2)] for a in range(2)])
+    assert palette.tobytes() == lut.tobytes()
     sent_basis = np.where(alice.r_mask == 1, alice.a_bits, 1 - alice.a_bits)
-    assert msg.payload[BURST_HEAD.size :] == states_to_bytes(lut[sent_basis, alice.g_bits])
+    assert np.array_equal(index, 2 * sent_basis + alice.g_bits)
+    assert palette[index].tobytes() == lut[sent_basis, alice.g_bits].tobytes()
 
 
 def test_depolarizing_batch_matches_its_definition_bit_for_bit():
-    rng = np.random.default_rng(3)
-    v = rng.normal(size=(200, 2)) + 1j * rng.normal(size=(200, 2))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    states = np.einsum("mi,mj->mij", v, v.conj())
+    gen = np.random.default_rng(3)
+    states = _random_states(gen, 200)
+    index = gen.integers(0, 200, size=50).astype(np.uint8)
     eye = np.eye(2, dtype=np.complex128) / 2.0
     for p in (0.0, 0.02, 0.1, 1 / 3, 1.0):
         want = (1.0 - p) * states + p * eye[None, :, :]
-        assert DepolarizingChannel(p).apply_batch(states, None).tobytes() == want.tobytes()
+        out, out_index = DepolarizingChannel(p).apply_batch(states, index, None)
+        assert out.tobytes() == want.tobytes() and out_index is index
 
 
-def test_proxy_forwards_the_depolarized_bytes_with_heads_as_sent(monkeypatch):
+def test_proxy_forwards_the_depolarized_bytes_with_heads_as_sent():
     _, (msg,) = _emitted(n=32)
-    blob = msg.payload[BURST_HEAD.size :]
-    monkeypatch.setattr(protocol, "BURST_CHUNK", 20)
-    chunks = encode_qburst(blob)
-    assert len(chunks) > 1
     p = 0.1
-    states = decode_qburst([msg.payload])
+    palette, index = decode_qburst(msg.payload)
     eye = np.eye(2, dtype=np.complex128) / 2.0
-    want = states_to_bytes((1.0 - p) * states + p * eye[None, :, :])
-    out = _transform_burst(chunks, DepolarizingChannel(p), np.random.default_rng(0))
-    assert [len(c.payload) for c in out] == [len(c.payload) for c in chunks]
-    assert [c.payload[: BURST_HEAD.size] for c in out] == [c.payload[: BURST_HEAD.size] for c in chunks]
-    assert all(c.tag == TAG_QBURST for c in out)
-    assert b"".join(c.payload[BURST_HEAD.size :] for c in out) == want
+    want = ((1.0 - p) * palette + p * eye[None, :, :]).astype(">c16")
+    out = _transform_burst(msg, DepolarizingChannel(p), np.random.default_rng(0))
+    assert out.tag == TAG_QBURST and len(out.payload) == len(msg.payload)
+    # head and index bytes go on as sent; only the palette changes
+    head, body = BURST_HEAD.size, BURST_HEAD.size + 4 * STATE_BYTES
+    assert out.payload[:head] == msg.payload[:head]
+    assert out.payload[body:] == msg.payload[body:]
+    assert out.payload[head:body] == want.tobytes()
+
+
+def test_proxy_passes_an_undecodable_burst_on_unchanged():
+    _, (msg,) = _emitted()
+    rng = np.random.default_rng(0)
+    for payload in (msg.payload[:-1], msg.payload + b"\x00", msg.payload[:5]):
+        bad = WireMessage(TAG_QBURST, payload)
+        assert _transform_burst(bad, InterceptResendChannel(), rng) is bad
+    # nothing was drawn for them
+    assert rng.random() == np.random.default_rng(0).random()
 
 
 def _peak(run) -> int:
@@ -165,46 +192,161 @@ def _peak(run) -> int:
         tracemalloc.stop()
 
 
-# Writing the burst takes the burst itself plus its chunks; decoding it takes
-# one native copy plus the channel's output, and the proxy's transform then
-# trades that output for the big-endian copy its chunks are cut from.  The
-# slack covers the index arrays and Alice's test half.
-BURST_PEAK_FACTOR = 2.6
+# v2 sent one 64-byte state per signal.  Emission and collect, their draws'
+# per-signal arrays included, now peak below what that burst alone took;
+# the proxy's transform of a depolarized burst holds about two bytes a signal.
+_CFG_2048 = SessionConfig(n=2048, seed=2, channel=DepolarizingChannel(0.1))
 
 
-def test_emission_allocates_the_burst_about_twice():
-    cfg = SessionConfig(n=2048, seed=2)
-    alice, hello = _emitting(cfg)
+def test_emission_peaks_below_one_v2_burst():
+    alice, hello = _emitting(_CFG_2048)
     burst = []
     peak = _peak(lambda: burst.extend(alice.on_message(hello)))
-    assert sum(len(m.payload) for m in burst) > cfg.omega_size * STATE_BYTES
-    assert peak < BURST_PEAK_FACTOR * cfg.omega_size * STATE_BYTES
+    (msg,) = burst
+    assert len(msg.payload) == BURST_HEAD.size + 4 * STATE_BYTES + _CFG_2048.omega_size
+    assert peak < _CFG_2048.omega_size * STATE_BYTES
 
 
-def test_collect_allocates_the_burst_about_twice(monkeypatch):
-    monkeypatch.setattr(protocol, "BURST_CHUNK", 1000)
-    cfg = SessionConfig(n=2048, seed=2, channel=DepolarizingChannel(0.1))
+@pytest.mark.parametrize(
+    "channel",
+    [DepolarizingChannel(0.1), InterceptResendChannel()],
+    ids=["depolarizing", "intercept_resend"],
+)
+def test_collect_peaks_below_one_v2_burst(channel):
+    cfg = SessionConfig(n=2048, seed=2, channel=channel)
     alice, hello = _emitting(cfg)
-    burst = alice.on_message(hello)
-    assert len(burst) > 4
-    bob = BobSession(cfg)
-    bob.on_message(WireMessage(TAG_HELLO, encode_hello(cfg, ROLE_ALICE)))
+    (burst,) = alice.on_message(hello)
+    bob = _collecting(cfg)
     replies = []
-    peak = _peak(lambda: [replies.extend(bob.on_message(m)) for m in burst])
+    peak = _peak(lambda: replies.extend(bob.on_message(burst)))
     assert bob.phase == "await_bases_a" and len(replies) == 1
-    assert peak < BURST_PEAK_FACTOR * cfg.omega_size * STATE_BYTES
+    assert peak < cfg.omega_size * STATE_BYTES
 
 
-def test_proxy_transform_allocates_the_burst_about_twice(monkeypatch):
-    monkeypatch.setattr(protocol, "BURST_CHUNK", 1000)
-    cfg = SessionConfig(n=2048, seed=2, channel=DepolarizingChannel(0.1))
-    alice, hello = _emitting(cfg)
-    burst = alice.on_message(hello)
-    assert len(burst) > 4
+def test_proxy_transform_peaks_under_four_bytes_a_signal():
+    alice, hello = _emitting(_CFG_2048)
+    (burst,) = alice.on_message(hello)
     out = []
-    peak = _peak(lambda: out.extend(_transform_burst(burst, cfg.channel, np.random.default_rng(0))))
-    assert [len(m.payload) for m in out] == [len(m.payload) for m in burst]
-    assert peak < BURST_PEAK_FACTOR * cfg.omega_size * STATE_BYTES
+    rng = np.random.default_rng(0)
+    peak = _peak(lambda: out.append(_transform_burst(burst, _CFG_2048.channel, rng)))
+    assert len(out[0].payload) == len(burst.payload) and out[0].payload != burst.payload
+    assert peak < 4 * _CFG_2048.omega_size
+
+
+# ---------------------------------------------------------------------------
+# the v2 per-signal path, the oracle for the palette path: the states are
+# gathered first, and the channel and the detector walk every one of them
+
+_BB84 = np.array(PerfectSource().emission)  # [a][g]
+
+
+def _v2_p_one(states, bases):
+    return np.where(bases == 0, states[:, 1, 1].real, 0.5 * (1.0 - 2.0 * states[:, 0, 1].real))
+
+
+def _v2_channel(channel, states, rng):
+    m = states.shape[0]
+    if isinstance(channel, IdentityChannel):
+        return states
+    if isinstance(channel, DepolarizingChannel):
+        out = (1.0 - channel.p) * states
+        out += channel.p * (np.eye(2, dtype=np.complex128) / 2.0)
+        return out
+    if isinstance(channel, InterceptResendChannel):
+        eve_basis = rng.integers(0, 2, size=m)
+        outcome = (rng.random(m) < _v2_p_one(states, eve_basis)).astype(np.int64)
+        return _BB84[eve_basis, outcome]
+    full = np.zeros((m, 4, 4), dtype=np.complex128)
+    full[:, 0:2, 0:2] = states
+    u = channel.unitary
+    rolled = np.einsum("ij,mjk,lk->mil", u, full, u.conj())
+    return np.einsum("masat->mst", rolled.reshape(m, 2, 2, 2, 2))
+
+
+def _v2_measure(detector, states, bases, rng):
+    m = states.shape[0]
+    detected = rng.random(m) < detector.efficiency
+    outcomes = (rng.random(m) < _v2_p_one(states, bases)).astype(np.uint8)
+    return outcomes, detected
+
+
+def _haar_unitary(seed: int) -> np.ndarray:
+    gen = np.random.default_rng(seed)
+    z = gen.normal(size=(4, 4)) + 1j * gen.normal(size=(4, 4))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+SOURCES = st.one_of(
+    st.floats(0.05, 0.95).map(PerfectSource),
+    st.floats(-math.pi, math.pi).map(RotatedZSource),
+    st.floats(-1.5, 1.5).map(EntangledSource),
+)
+CHANNELS = st.one_of(
+    st.just(IdentityChannel()),
+    st.floats(0.0, 1.0).map(DepolarizingChannel),
+    st.just(InterceptResendChannel()),
+    st.integers(0, 2**32 - 1).map(lambda seed: CustomUnitaryChannel(_haar_unitary(seed))),
+)
+
+
+def _assert_collect_matches_v2(cfg: SessionConfig, burst: WireMessage) -> None:
+    """Bob's collect on `burst` against the v2 path on its gathered states:
+    equal channel output bytes, outcomes and announced symbols."""
+    bob = _collecting(cfg)
+    bob.on_message(burst)
+    assert bob.phase == "await_bases_a"
+    palette, index = decode_qburst(burst.payload)
+
+    def eve_rng():
+        return np.random.default_rng(stream_seed(cfg.seed, "eve|channel"))
+
+    states = _v2_channel(cfg.channel, palette[index], eve_rng())
+    out_palette, out_index = cfg.channel.apply_batch(palette, index, eve_rng())
+    assert out_palette[out_index].tobytes() == states.tobytes()
+    rng = np.random.default_rng(stream_seed(cfg.seed, "bob|quantum"))
+    bases = rng.integers(0, 2, size=index.size).astype(np.uint8)
+    h_bits, detected = _v2_measure(cfg.detector, states, bases, rng)
+    assert np.array_equal(bob.h_bits, h_bits)
+    assert np.array_equal(bob.b_symbols, np.where(detected, bases, 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    source=SOURCES,
+    channel=CHANNELS,
+    efficiency=st.one_of(st.just(1.0), st.floats(0.3, 1.0)),
+    n=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_palette_path_equals_the_v2_per_signal_path(source, channel, efficiency, n, seed):
+    """Every emitting source kind (the two-copy source never passes the
+    compliance gate) through every channel kind.  Emission is called
+    directly, so biased sources are covered too."""
+    cfg = SessionConfig(
+        n=n, epsilon=0.35, seed=seed, source=source, channel=channel,
+        detector=DetectorModel(efficiency),
+    )
+    (burst,) = AliceSession(cfg)._emit_signals()
+    _assert_collect_matches_v2(cfg, burst)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    channel=CHANNELS,
+    k=st.integers(1, MAX_PALETTE),
+    efficiency=st.floats(0.3, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_any_palette_collects_as_its_gathered_states(channel, k, efficiency, seed):
+    """A peer may send any palette of up to 256 states; Bob measures the
+    same as if each signal had carried its state."""
+    cfg = SessionConfig(
+        n=16, epsilon=0.35, seed=seed, channel=channel, detector=DetectorModel(efficiency)
+    )
+    gen = np.random.default_rng(seed)
+    index = gen.integers(0, k, size=cfg.omega_size).astype(np.uint8)
+    _assert_collect_matches_v2(cfg, encode_qburst(_random_states(gen, k), index))
 
 
 def _sift_by_definition(a_bits, b_symbols, r_mask, n, rng):
