@@ -13,13 +13,17 @@ it when the redundancy is small, and the coset listed as one preimage shifted
 by every codeword when the dimension is small.  A single LinearCode is desk
 scale (n up to ~25).
 
+Every map takes and returns 1-D uint8 bit arrays, entry i = component i.
+encode, syndrome and coset_key are mod-2 matmuls over the last axis, so a
+(count, n) array maps row by row.  The nearest-pattern search runs on packed
+integers and converts at its own edge.
+
 Protocol-size codes are BlockCodes: direct sums of runs of small inner
 codes that are built and checked once per process.  The trivial [n, n] and
 [n, 0] codes, and the tail of every block family, are runs of n one-bit
-codes.  A BlockCode maps each run of a short inner code with one reshape
-and one mod-2 matmul on numpy bit arrays, so building and using one costs
-time linear in n; the global n-by-k generator is assembled only when a
-caller reads `gen`.
+codes.  A BlockCode hands each run's inner code the (count, width) reshape
+of its slice, so building and using one costs time linear in n; the global
+n-by-k generator is assembled only when a caller reads `gen`.
 """
 
 from __future__ import annotations
@@ -32,15 +36,22 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .gf2 import BitVec, DimensionError, GF2Matrix
+from .gf2 import BitVec, DimensionError, GF2Matrix, bits_to_int, int_to_bits
 
 LEADER_TABLE_LIMIT = 14  # build syndrome tables up to 2^14 cosets
 BRUTE_FORCE_LIMIT = 22  # enumerate codewords up to 2^22
-INNER_CACHE_LIMIT = 25  # inner codes up to this length: built once, run maps by matmul
+INNER_CACHE_LIMIT = 25  # shipped inner codes up to this length are built once per process
 
 
 class DecodingFailure(RuntimeError):
     """Syndrome had no error pattern within the decoder radius."""
+
+
+def _width(v: np.ndarray, width: int, batch: bool = True) -> np.ndarray:
+    """v, checked to be one `width`-bit word, or with batch to end in one."""
+    if (v.shape[-1:] if batch else v.shape) != (width,):
+        raise DimensionError(f"word shape {v.shape} does not fit width {width}")
+    return v
 
 
 def _lex_key(value: int, k: int) -> int:
@@ -107,23 +118,23 @@ class LinearCode:
 
     @functools.cached_property
     def _gen_bits(self) -> np.ndarray:
-        """Generator as an n-by-k uint8 array; BlockCode runs of short codes read it."""
+        """Generator as an n-by-k uint8 array, read by encode and coset_key."""
         return _bit_array(self.gen)
 
     @functools.cached_property
     def _check_bits(self) -> np.ndarray:
-        """Parity check as an (n-k)-by-n uint8 array, read like `_gen_bits`."""
+        """Parity check as an (n-k)-by-n uint8 array, read by syndrome."""
         return _bit_array(self.parity_check())
 
-    # -- linear maps ---------------------------------------------------------
+    # -- linear maps, over the last axis ---------------------------------------
 
-    def encode(self, y: BitVec) -> BitVec:
+    def encode(self, y: np.ndarray) -> np.ndarray:
         """Codeword G y for a k-bit message."""
-        return self.gen.apply(y)
+        return (_width(y, self.k) @ self._gen_bits.T) & 1
 
-    def coset_key(self, kappa: BitVec) -> BitVec:
+    def coset_key(self, kappa: np.ndarray) -> np.ndarray:
         """k-bit key G^T kappa of an n-bit string; constant on dual cosets."""
-        return self._gen_t.apply(kappa)
+        return (_width(kappa, self.n) @ self._gen_bits) & 1
 
     def parity_check(self) -> GF2Matrix:
         """(n-k)-by-n matrix whose rows span the dual code."""
@@ -132,8 +143,8 @@ class LinearCode:
             self._parity = GF2Matrix.from_row_vecs(basis, self.n)
         return self._parity
 
-    def syndrome(self, v: BitVec) -> BitVec:
-        return self.parity_check().apply(v)
+    def syndrome(self, v: np.ndarray) -> np.ndarray:
+        return (_width(v, self.n) @ self._check_bits.T) & 1
 
     def _syndrome_preimage(self, s: int) -> int:
         """Some n-bit pattern whose syndrome is s.
@@ -191,7 +202,7 @@ class LinearCode:
                     e = 0
                     for p in pos:
                         e |= 1 << p
-                    s = self.syndrome(BitVec(self.n, e)).value
+                    s = self.parity_check().apply(BitVec(self.n, e)).value
                     got = table.get(s)
                     if got is None:
                         table[s] = (w, [e])
@@ -213,19 +224,20 @@ class LinearCode:
         w = min(p.bit_count() for p in coset)
         return [p for p in coset if p.bit_count() == w]
 
-    def decode(self, v: BitVec) -> BitVec:
-        """Message of a nearest codeword; lexicographically smallest on ties.
+    def decode(self, v: np.ndarray) -> np.ndarray:
+        """Message of a nearest codeword; lexicographically smallest on ties."""
+        return int_to_bits(self._message(bits_to_int(_width(v, self.n, batch=False))), self.k)
 
-        The nearest codewords are v shifted by the lightest patterns of its
-        syndrome.
-        """
-        if v.n != self.n:
-            raise DimensionError(f"word length {v.n} != {self.n}")
-        msgs = self._messages
-        found = (msgs[v.value ^ e] for e in self._lightest(self.syndrome(v).value))
-        return BitVec(self.k, min(found, key=lambda m: _lex_key(m, self.k)))
+    def _message(self, word: int) -> int:
+        """decode on packed ints: the nearest codewords are the word shifted
+        by the lightest patterns of its syndrome."""
+        if self.k == self.n:  # every word is a codeword
+            return self._messages[word]
+        s = self.parity_check().apply(BitVec(self.n, word)).value
+        found = (self._messages[word ^ e] for e in self._lightest(s))
+        return min(found, key=lambda m: _lex_key(m, self.k))
 
-    def correct_with_syndrome(self, v: BitVec, target: BitVec) -> BitVec:
+    def correct_with_syndrome(self, v: np.ndarray, target: np.ndarray) -> np.ndarray:
         """Nearest word to v whose syndrome equals target: v shifted by the
         lexicographically smallest lightest pattern of the syndrome
         difference.
@@ -233,13 +245,14 @@ class LinearCode:
         Raises DecodingFailure when that pattern falls outside the decoder
         radius, so a caller can abort instead of silently miscorrecting.
         """
-        diff = (self.syndrome(v) + target).value
+        _width(v, self.n, batch=False)
+        diff = bits_to_int(self.syndrome(v) ^ _width(target, self.n - self.k, batch=False))
         e = min(self._lightest(diff), key=lambda p: _lex_key(p, self.n))
         if e.bit_count() > self.decoder_radius:
             raise DecodingFailure(
                 f"nearest pattern weight {e.bit_count()} exceeds radius {self.decoder_radius}"
             )
-        return BitVec(self.n, v.value ^ e)
+        return v ^ int_to_bits(e, self.n)
 
     def correctable_set(self) -> CorrectableSet:
         return CorrectableSet(self.n, max_weight=self.decoder_radius)
@@ -254,14 +267,14 @@ class BlockCode(LinearCode):
     """Direct sum of runs of inner codes laid out contiguously, block 0
     lowest; a run (code, count) is count consecutive blocks of one code.
 
-    Every map but `decode` works run by run on a (count, inner width) bit
-    array: one mod-2 matmul for a short inner code, and one packed map per
-    block for a long one.  Nothing is checked or reduced globally: a direct
-    sum of full-column-rank blocks has full column rank, and every inner
-    code checked its own generator when it was built.  The syndrome of the
-    sum is the inner syndromes in block order, which equals applying the
-    block-diagonal parity check.  A block with no message bits reverses any
-    pattern, so the decoder radius is the least radius of the other blocks.
+    Every map hands each run's inner code the (count, inner width) reshape
+    of the run's slice and concatenates what comes back.  Nothing is checked
+    or reduced globally: a direct sum of full-column-rank blocks has full
+    column rank, and every inner code checked its own generator when it was
+    built.  The syndrome of the sum is the inner syndromes in block order,
+    which equals applying the block-diagonal parity check.  A block with no
+    message bits reverses any pattern, so the decoder radius is the least
+    radius of the other blocks.
     """
 
     def __init__(self, name: str, runs: list[tuple[LinearCode, int]]) -> None:
@@ -281,49 +294,43 @@ class BlockCode(LinearCode):
                 k_off += c.k
         return GF2Matrix(self.n, self.k, tuple(words))
 
-    def _cut(self, v: BitVec, width: Callable[[LinearCode], int]) -> list[np.ndarray]:
-        """v as one (count, width(inner)) bit array per run."""
-        total = sum(width(c) * count for c, count in self.runs)
-        if v.n != total:
-            raise DimensionError(f"word length {v.n} != {total}")
-        bits, out, off = v.to_array(), [], 0
+    def _cut(self, v: np.ndarray, width: Callable[[LinearCode], int]) -> list[np.ndarray]:
+        """v as one (..., count, width(inner)) bit array per run."""
+        _width(v, sum(width(c) * count for c, count in self.runs))
+        out, off = [], 0
         for c, count in self.runs:
-            out.append(bits[off : off + count * width(c)].reshape(count, width(c)))
+            out.append(v[..., off : off + count * width(c)].reshape(*v.shape[:-1], count, width(c)))
             off += count * width(c)
         return out
 
-    def _map(self, op: str, v: BitVec, width_in, width_out) -> BitVec:
-        runs = zip(self.runs, self._cut(v, width_in))
-        return _lay_out([_run_map(c, op, blocks, width_out(c)) for (c, _), blocks in runs])
+    def _map(self, op: str, v: np.ndarray, width: Callable[[LinearCode], int]) -> np.ndarray:
+        runs = zip(self.runs, self._cut(v, width))
+        return _lay_out([getattr(c, op)(blocks) for (c, _), blocks in runs], v.shape[:-1])
 
-    def encode(self, y: BitVec) -> BitVec:
-        return self._map("encode", y, lambda c: c.k, lambda c: c.n)
+    def encode(self, y: np.ndarray) -> np.ndarray:
+        return self._map("encode", y, lambda c: c.k)
 
-    def coset_key(self, kappa: BitVec) -> BitVec:
-        return self._map("coset_key", kappa, lambda c: c.n, lambda c: c.k)
+    def coset_key(self, kappa: np.ndarray) -> np.ndarray:
+        return self._map("coset_key", kappa, lambda c: c.n)
 
-    def syndrome(self, v: BitVec) -> BitVec:
-        return self._map("syndrome", v, lambda c: c.n, lambda c: c.n - c.k)
+    def syndrome(self, v: np.ndarray) -> np.ndarray:
+        return self._map("syndrome", v, lambda c: c.n)
 
-    def decode(self, v: BitVec) -> BitVec:
+    def _message(self, word: int) -> int:
         # Block by block through the inner decoders: only the exact audits
         # decode, at n <= 4, where cutting the word by shifts costs nothing.
-        if v.n != self.n:
-            raise DimensionError(f"word length {v.n} != {self.n}")
         out = off = k_off = 0
         for c, count in self.runs:
             for _ in range(count):
-                block = (v.value >> off) & ((1 << c.n) - 1)
-                if c.k == c.n:  # every word is a codeword
-                    out |= c._messages[block] << k_off
-                elif c.k:
-                    out |= c.decode(BitVec(c.n, block)).value << k_off
+                out |= c._message((word >> off) & ((1 << c.n) - 1)) << k_off
                 off, k_off = off + c.n, k_off + c.k
-        return BitVec(self.k, out)
+        return out
 
-    def correct_with_syndrome(self, v: BitVec, target: BitVec) -> BitVec:
+    def correct_with_syndrome(self, v: np.ndarray, target: np.ndarray) -> np.ndarray:
         """As LinearCode's, with the DecodingFailure naming the first block
         whose implied error pattern falls outside the decoder radius."""
+        _width(v, self.n, batch=False)
+        _width(target, self.n - self.k, batch=False)
         cuts = zip(self.runs, self._cut(v, lambda c: c.n), self._cut(target, lambda c: c.n - c.k))
         parts, first = [], 0  # first: index of the run's first block
         for (c, count), blocks, targets in cuts:
@@ -333,23 +340,16 @@ class BlockCode(LinearCode):
 
 
 def _bit_array(m: GF2Matrix) -> np.ndarray:
-    return np.array([BitVec(m.cols, w).to_array() for w in m.row_words], np.uint8).reshape(m.rows, m.cols)
+    """m as a rows-by-cols uint8 array."""
+    span = (m.cols + 7) // 8
+    packed = np.frombuffer(b"".join(w.to_bytes(span, "little") for w in m.row_words), np.uint8)
+    return np.unpackbits(packed.reshape(m.rows, span), axis=1, count=m.cols, bitorder="little")
 
 
-def _run_map(c: LinearCode, op: str, blocks: np.ndarray, width: int) -> np.ndarray:
-    """Code c's map `op` on every row of a (count, width_in) bit array, as a
-    (count, width) array."""
-    if c.n > INNER_CACHE_LIMIT:  # block by block on packed words
-        rows = [getattr(c, op)(BitVec.from_array(b)).to_array() for b in blocks]
-        return np.array(rows, dtype=np.uint8).reshape(len(blocks), width)
-    if op == "syndrome":  # one mod-2 matmul with c's cached uint8 matrices
-        return (blocks @ c._check_bits.T) & 1
-    return (blocks @ (c._gen_bits if op == "coset_key" else c._gen_bits.T)) & 1
-
-
-def _lay_out(parts: list[np.ndarray]) -> BitVec:
-    """Per-run (count, width) bit arrays as one word, block 0 lowest."""
-    return BitVec.from_array(np.concatenate([np.zeros(0, np.uint8), *(p.ravel() for p in parts)]))
+def _lay_out(parts: list[np.ndarray], lead: tuple[int, ...] = ()) -> np.ndarray:
+    """Per-run (..., count, width) bit arrays as words, block 0 lowest."""
+    words = (p.reshape(*lead, p.shape[-2] * p.shape[-1]) for p in parts)
+    return np.concatenate([np.zeros((*lead, 0), np.uint8), *words], axis=-1)
 
 
 def _correct_run(c: LinearCode, blocks: np.ndarray, targets: np.ndarray, first: int) -> np.ndarray:
@@ -363,15 +363,15 @@ def _correct_run(c: LinearCode, blocks: np.ndarray, targets: np.ndarray, first: 
         return targets
     if c.n == c.k:  # no redundancy, nothing to correct
         return blocks
-    diffs = _run_map(c, "syndrome", blocks, c.n - c.k) ^ targets
+    diffs = c.syndrome(blocks) ^ targets
     distinct, first_at, which = np.unique(diffs, axis=0, return_index=True, return_inverse=True)
     patterns = np.zeros((len(distinct), c.n), dtype=np.uint8)
+    zero = np.zeros(c.n, dtype=np.uint8)
     for j in np.argsort(first_at):
         try:  # the lightest pattern with syndrome diff corrects the zero word to diff
-            e = c.correct_with_syndrome(BitVec(c.n, 0), BitVec.from_array(distinct[j]))
+            patterns[j] = c.correct_with_syndrome(zero, distinct[j])
         except DecodingFailure as exc:
             raise DecodingFailure(f"block {first + first_at[j]}: {exc}") from exc
-        patterns[j] = e.to_array()
     return blocks ^ patterns[which.reshape(-1)]
 
 
@@ -513,6 +513,8 @@ def _parse_descriptor(desc: str) -> tuple[str, dict[str, int]]:
     if rest:
         for part in rest.split(","):
             key, _, val = part.partition("=")
+            if key in params:
+                raise ValueError(f"descriptor {desc!r} repeats parameter {key!r}")
             params[key] = int(val)
     return family, params
 
@@ -567,10 +569,6 @@ def code_from_descriptor(desc: str) -> LinearCode:
 
 def reversal_holds(code: LinearCode) -> bool:
     """Exhaustively check decode(G y + x) == y over the correctable set."""
-    for y_val in range(1 << code.k):
-        y = BitVec(code.k, y_val)
-        cw = code.encode(y).value
-        for x in code.correctable_set():
-            if code.decode(BitVec(code.n, cw ^ x.value)) != y:
-                return False
-    return True
+    patterns = [x.value for x in code.correctable_set()]
+    codewords = enumerate(code.codewords())
+    return all(code._message(cw ^ x) == y for y, cw in codewords for x in patterns)

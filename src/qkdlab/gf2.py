@@ -6,9 +6,9 @@ leftmost ("110" means v[0]=1, v[1]=1, v[2]=0), and the byte/hex form packs
 component 8*k+j into bit j of byte k (little-endian), so serialization and
 indexing never disagree.
 
-Session bits travel as numpy uint8 arrays, entry j = component j;
-`BitVec.from_array`/`to_array` convert through `np.packbits`/`np.unpackbits`
-in the same little-endian order, in time linear in n.
+Session bits travel as 1-D numpy uint8 arrays, entry j = component j, and
+every code map takes them.  `bits_to_int`/`int_to_bits`, and `BitVec`'s
+`from_array`/`to_array` on top of them, convert in the same order.
 
 Matrices store one packed integer per row.  Elimination always pivots on the
 lowest-index row and column available, so every derived object (rank, kernel
@@ -25,6 +25,17 @@ import numpy as np
 
 class DimensionError(ValueError):
     """Operands have incompatible lengths or shapes."""
+
+
+def bits_to_int(bits: np.ndarray) -> int:
+    """Packed integer of a 0/1 array, bit j = bits[j]."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def int_to_bits(value: int, n: int) -> np.ndarray:
+    """The n low bits of value as a uint8 array, component j at index j."""
+    packed = np.frombuffer(value.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=n, bitorder="little")
 
 
 @dataclass(frozen=True)
@@ -65,20 +76,12 @@ class BitVec:
         a = np.asarray(bits)
         if a.ndim != 1 or ((a != 0) & (a != 1)).any():
             raise ValueError("bits must be a one-dimensional array of 0s and 1s")
-        packed = np.packbits(a.astype(np.uint8), bitorder="little")
-        return cls(a.size, int.from_bytes(packed.tobytes(), "little"))
+        return cls(a.size, bits_to_int(a.astype(np.uint8)))
 
     @classmethod
     def from_str(cls, s: str) -> BitVec:
         """Parse "0110"; leftmost character is component 0."""
         return cls.from_bits(int(c) for c in s)
-
-    @classmethod
-    def from_bytes(cls, data: bytes, n: int) -> BitVec:
-        value = int.from_bytes(data, "little")
-        if value >> n:
-            raise ValueError(f"{len(data)} bytes carry more than {n} bits")
-        return cls(n, value)
 
     @classmethod
     def random(cls, n: int, rng) -> BitVec:
@@ -94,8 +97,7 @@ class BitVec:
 
     def to_array(self) -> np.ndarray:
         """Components as a uint8 array, component i at index i."""
-        packed = np.frombuffer(self.to_bytes(), dtype=np.uint8)
-        return np.unpackbits(packed, count=self.n, bitorder="little")
+        return int_to_bits(self.value, self.n)
 
     def __str__(self) -> str:
         return "".join(str(self[i]) for i in range(self.n))

@@ -14,7 +14,10 @@ echo: it must equal, byte for byte, the HELLO this side would send in the
 peer's role.  Alice derives both codes herself, from the shared config and
 Bob's announced error rate; his CODE and SYNDROME_ENC descriptors are
 echoes she checks byte for byte.  In every waiting phase a party accepts
-one tag; any other message ends the session in phase_order.
+one tag; any other message ends the session in phase_order.  Session bits
+stay uint8 arrays from sifting to the final key: they are packed only by
+the wire's one bit-field codec, which rejects set padding bits, and once
+into the final key's BitVec.
 
 Randomness is split into named streams derived from one master seed
 (emission coins, subset choices, channel noise, detector outcomes, and the
@@ -247,20 +250,21 @@ class SecretPool:
         blocks = []
         for counter in range((nbits + 255) // 256):
             blocks.append(hashlib.sha256(f"{seed}|pool|{counter}".encode()).digest())
-        raw = b"".join(blocks)[: (nbits + 7) // 8]
-        self._value = int.from_bytes(raw, "little") & ((1 << nbits) - 1 if nbits else 0)
+        raw = np.frombuffer(b"".join(blocks), dtype=np.uint8)
+        self._bits = np.unpackbits(raw, count=nbits, bitorder="little")
+        self._bits.flags.writeable = False
         self.capacity = nbits
         self.offset = 0
 
     def remaining(self) -> int:
         return self.capacity - self.offset
 
-    def take(self, nbits: int) -> BitVec:
+    def take(self, nbits: int) -> np.ndarray:
+        """The next nbits pool bits, as a read-only bit array."""
         if nbits > self.remaining():
             raise PoolExhausted(f"need {nbits} bits, {self.remaining()} left")
-        out = (self._value >> self.offset) & ((1 << nbits) - 1 if nbits else 0)
         self.offset += nbits
-        return BitVec(nbits, out)
+        return self._bits[self.offset - nbits : self.offset]
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +632,11 @@ def _pack_bits(bits: np.ndarray) -> bytes:
 
 
 def _unpack_bits(blob: bytes, count: int) -> np.ndarray:
+    """Inverse of `_pack_bits`; a set padding bit is malformed."""
     if len(blob) != (count + 7) // 8:
         raise ProtocolError(f"{len(blob)} bytes do not hold exactly {count} bits")
+    if count % 8 and blob[-1] >> (count % 8):
+        raise ProtocolError(f"padding bits past bit {count} are set")
     arr = np.frombuffer(blob, dtype=np.uint8)
     return np.unpackbits(arr, count=count, bitorder="little")
 
@@ -687,7 +694,7 @@ def decode_bases_a_and_r(payload: bytes) -> tuple[np.ndarray, np.ndarray]:
 
 
 def encode_bits(bits: np.ndarray) -> bytes:
-    """A counted bit string: Bob's key-set mask, Alice's test bits."""
+    """A counted bit string: key-set mask, test bits, encrypted syndrome."""
     return struct.pack(">I", len(bits)) + _pack_bits(bits)
 
 
@@ -717,30 +724,18 @@ def decode_perm(payload: bytes) -> np.ndarray:
     return np.frombuffer(body, dtype=">u2").astype(np.intp)
 
 
-def encode_syndrome(descriptor: str, syndrome_enc: BitVec) -> bytes:
+def encode_syndrome(descriptor: str, syndrome_enc: np.ndarray) -> bytes:
     desc = descriptor.encode()
-    return (
-        struct.pack(">H", len(desc))
-        + desc
-        + struct.pack(">I", syndrome_enc.n)
-        + syndrome_enc.to_bytes()
-    )
+    return struct.pack(">H", len(desc)) + desc + encode_bits(syndrome_enc)
 
 
-def decode_syndrome(payload: bytes) -> tuple[str, BitVec]:
+def decode_syndrome(payload: bytes) -> tuple[str, np.ndarray]:
     (dlen,) = _unpack(">H", payload)
-    (bitlen,) = _unpack(">I", payload, 2 + dlen)
     try:
         desc = payload[2 : 2 + dlen].decode()
     except UnicodeDecodeError:
         raise ProtocolError("syndrome descriptor is not text") from None
-    body = payload[6 + dlen :]
-    if len(body) != (bitlen + 7) // 8:
-        raise ProtocolError("syndrome length mismatch")
-    try:
-        return desc, BitVec.from_bytes(body, bitlen)
-    except ValueError:
-        raise ProtocolError("syndrome padding bits are set") from None
+    return desc, decode_bits(payload[2 + dlen :])
 
 
 def encode_confirm(mac: bytes) -> bytes:
@@ -850,9 +845,8 @@ def estimate_error(sender_bits, receiver_bits) -> float:
         raise ValueError("test records differ in length")
     if len(sender_bits) == 0:
         raise ValueError("cannot estimate an error rate from nothing")
-    sent = np.asarray(sender_bits, dtype=np.int64)
-    mism = int(np.count_nonzero(sent != np.asarray(receiver_bits, dtype=np.int64)))
-    return mism / len(sender_bits)
+    mism = np.count_nonzero(np.asarray(sender_bits) != np.asarray(receiver_bits))
+    return int(mism) / len(sender_bits)
 
 
 def _block_failure(n_block: int, radius: int, p: float, blocks: int) -> float:
@@ -897,16 +891,16 @@ def choose_reconciliation_code(
     return build()
 
 
-def _sifted_word(bits: np.ndarray, key_set: np.ndarray, perm: np.ndarray) -> BitVec:
+def _sifted_word(bits: np.ndarray, key_set: np.ndarray, perm: np.ndarray) -> np.ndarray:
     """The sifted key: bits at the key positions, component i moved to
     position perm[i]."""
     word = np.empty(len(perm), dtype=np.uint8)
     word[perm] = bits[key_set]
-    return BitVec.from_array(word)
+    return word
 
 
-def _confirm_mac(confirm_key: BitVec, kappa: BitVec) -> bytes:
-    material = confirm_key.to_bytes() + kappa.to_bytes()
+def _confirm_mac(confirm_key: np.ndarray, kappa: np.ndarray) -> bytes:
+    material = _pack_bits(confirm_key) + _pack_bits(kappa)
     return hashlib.sha256(material).digest()[:CONFIRM_MAC_BYTES]
 
 
@@ -1075,7 +1069,7 @@ class AliceSession(_Session):
         self.test_set = np.empty(0, dtype=np.intp)
         self.key_set = np.empty(0, dtype=np.intp)
         self.perm: np.ndarray | None = None
-        self.kappa: BitVec | None = None
+        self.kappa: np.ndarray | None = None
 
     def start(self) -> list[WireMessage]:
         if check_basis_independence(self.cfg.source) > SOURCE_TOLERANCE:
@@ -1168,15 +1162,15 @@ class AliceSession(_Session):
         rec = choose_reconciliation_code(
             self.cfg.n, self.stats.delta, self.cfg.epsilon, self.cfg.rec_target_fail
         )
-        if desc != rec.descriptor() or enc.n != rec.n - rec.k:
+        if desc != rec.descriptor() or enc.size != rec.n - rec.k:
             return self._fail(ABORT_PHASE)
         self.stats.rec_descriptor = desc
-        self.stats.tau = enc.n
+        self.stats.tau = enc.size
         try:
-            otp = self.pool.take(enc.n)
+            otp = self.pool.take(enc.size)
         except PoolExhausted:
             return self._fail(ABORT_POOL)
-        target = enc + otp
+        target = enc ^ otp
         word = _sifted_word(self.g_bits, self.key_set, self.perm)
         try:
             self.kappa = rec.correct_with_syndrome(word, target)
@@ -1194,7 +1188,7 @@ class AliceSession(_Session):
         self.stats.confirm_bits = CONFIRM_KEY_BITS
         if _confirm_mac(confirm_key, self.kappa) != their_mac:
             return self._fail(ABORT_CONFIRM)
-        self.final_key = self.cfg.pa_code.coset_key(self.kappa)
+        self.final_key = BitVec.from_array(self.cfg.pa_code.coset_key(self.kappa))
         self.done = True
         self.phase = "finished"
         return [WireMessage(TAG_DONE, b"")]
@@ -1224,7 +1218,7 @@ class BobSession(_Session):
         self.h_bits: np.ndarray | None = None
         self.test_set = np.empty(0, dtype=np.intp)
         self.key_set = np.empty(0, dtype=np.intp)
-        self.kappa: BitVec | None = None
+        self.kappa: np.ndarray | None = None
         # released on DONE: Alice may abort silently on a flipped DELTA_DECISION
         self._pending_key: BitVec | None = None
 
@@ -1308,18 +1302,18 @@ class BobSession(_Session):
         )
         syndrome = rec.syndrome(self.kappa)
         self.stats.rec_descriptor = rec.descriptor()
-        self.stats.tau = syndrome.n
+        self.stats.tau = syndrome.size
         try:
-            otp = self.pool.take(syndrome.n)
+            otp = self.pool.take(syndrome.size)
             confirm_key = self.pool.take(CONFIRM_KEY_BITS)
         except PoolExhausted:
             return out + self._fail(ABORT_POOL)
         self.stats.confirm_bits = CONFIRM_KEY_BITS
         out += [
-            WireMessage(TAG_SYNDROME_ENC, encode_syndrome(rec.descriptor(), syndrome + otp)),
+            WireMessage(TAG_SYNDROME_ENC, encode_syndrome(rec.descriptor(), syndrome ^ otp)),
             WireMessage(TAG_KEY_CONFIRM, encode_confirm(_confirm_mac(confirm_key, self.kappa))),
         ]
-        self._pending_key = pa.coset_key(self.kappa)
+        self._pending_key = BitVec.from_array(pa.coset_key(self.kappa))
         self.phase = "await_done"
         return out
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bounds import binary_entropy
 from .codes import CorrectableSet, LinearCode
-from .gf2 import BitVec
+from .gf2 import BitVec, bits_to_int, int_to_bits
 
 SIM_QUBIT_LIMIT = 12
 _ENTROPY_CUTOFF = 1e-12
@@ -146,7 +146,7 @@ class KeyCircuit:
         cw = np.array(code.codewords(), dtype=np.int64)
         self.perm_u1 = (x ^ cw[y]) | (y << n)
         fvals = np.array(
-            [code.decode(BitVec(n, v)).value for v in range(1 << n)], dtype=np.int64
+            [bits_to_int(code.decode(int_to_bits(v, n))) for v in range(1 << n)], dtype=np.int64
         )
         self.perm_u2 = x | ((y ^ fvals[x]) << n)
         self.perm = self.perm_u2[self.perm_u1]

@@ -95,7 +95,9 @@ def circuit_description_deviation(code) -> float:
 
     # One basis: message y adds its codeword onto the signal register.
     x, y = idx & ((1 << n) - 1), idx >> n
-    cw = np.array([code.encode(BitVec(r, v)).value for v in range(1 << r)])
+    cw = np.array(
+        [BitVec.from_array(code.encode(BitVec(r, v).to_array())).value for v in range(1 << r)]
+    )
     expected = (x ^ cw[y]) | (y << n)
     z_dev = 0.0 if np.array_equal(c.perm_u1, expected) else 1.0
 
@@ -135,7 +137,8 @@ def test_criterion_03_key_extraction():
             kappa = BitVec.random(code.n, rng)
             # extract_final_key itself raises unless the readout has
             # probability one within 1e-10
-            if extract_final_key(circuit, kappa) != code.coset_key(kappa):
+            key = BitVec.from_array(code.coset_key(kappa.to_array()))
+            if extract_final_key(circuit, kappa) != key:
                 mismatches += 1
     report(3, "key extraction", mismatches == 0, f"{mismatches} mismatches in 200")
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,10 +30,17 @@ from qkdlab.codes import (
 from qkdlab.gf2 import BitVec
 from qkdlab.protocol import choose_reconciliation_code
 
+
+def packed(code_map, *words: BitVec) -> BitVec:
+    """A code map applied to packed words: each converted to a bit array on
+    the way in, and the result packed on the way out."""
+    return BitVec.from_array(code_map(*(w.to_array() for w in words)))
+
+
 INNER_CODES = st.one_of(
     st.integers(2, 4).map(hamming),
     st.integers(1, 25).map(repetition),
-    st.integers(26, 40).map(repetition),  # past INNER_CACHE_LIMIT: mapped block by block
+    st.integers(26, 40).map(repetition),  # past INNER_CACHE_LIMIT: built per use, not cached
     st.integers(1, 6).map(identity_code),
     st.integers(1, 6).map(zero_code),
 )
@@ -58,9 +66,21 @@ def test_blockwise_maps_equal_global_matrices(inners, data):
     parity = code.parity_check()
     word = BitVec(code.n, data.draw(st.integers(0, (1 << code.n) - 1)))
     msg = BitVec(code.k, data.draw(st.integers(0, (1 << code.k) - 1)))
-    assert code.encode(msg) == code.gen.apply(msg)
-    assert code.coset_key(word) == code.gen.transpose().apply(word)
-    assert code.syndrome(word) == parity.apply(word)
+    assert packed(code.encode, msg) == code.gen.apply(msg)
+    assert packed(code.coset_key, word) == code.gen.transpose().apply(word)
+    assert packed(code.syndrome, word) == parity.apply(word)
+
+    # a (count, width) batch through a code's map is the map of every row
+    for c in [*inners, code]:
+        count = data.draw(st.integers(0, 4))
+        words = [BitVec(c.n, data.draw(st.integers(0, (1 << c.n) - 1))) for _ in range(count)]
+        msgs = [BitVec(c.k, data.draw(st.integers(0, (1 << c.k) - 1))) for _ in range(count)]
+        cases = [("syndrome", words, c.n), ("coset_key", words, c.n), ("encode", msgs, c.k)]
+        for op, rows, width in cases:
+            batch = np.array([v.to_array() for v in rows], np.uint8).reshape(count, width)
+            got = getattr(c, op)(batch)
+            assert got.shape[0] == count
+            assert [BitVec.from_array(g) for g in got] == [packed(getattr(c, op), v) for v in rows]
 
     # noise within every block's radius is undone exactly
     noise = 0
@@ -71,12 +91,12 @@ def test_blockwise_maps_equal_global_matrices(inners, data):
         noise |= _pattern(c.n, spots) << off
         off += c.n
     noisy = BitVec(code.n, word.value ^ noise)
-    assert code.correct_with_syndrome(noisy, parity.apply(word)) == word
+    assert packed(code.correct_with_syndrome, noisy, parity.apply(word)) == word
 
     # any target: either an abort or a word carrying exactly that syndrome
     target = BitVec(code.n - code.k, data.draw(st.integers(0, (1 << (code.n - code.k)) - 1)))
     try:
-        fixed = code.correct_with_syndrome(word, target)
+        fixed = packed(code.correct_with_syndrome, word, target)
     except DecodingFailure:
         return
     assert parity.apply(fixed) == target
@@ -91,7 +111,7 @@ def _correct_block_by_block(code: BlockCode, v: BitVec, target: BitVec) -> BitVe
         block = BitVec(c.n, (v.value >> off) & ((1 << c.n) - 1))
         t = BitVec(red, (target.value >> t_off) & ((1 << red) - 1))
         try:
-            fixed = c.correct_with_syndrome(block, t)
+            fixed = packed(c.correct_with_syndrome, block, t)
         except DecodingFailure as exc:
             raise DecodingFailure(f"block {i}: {exc}") from exc
         out |= fixed.value << off
@@ -121,7 +141,7 @@ def test_vectorized_correction_equals_block_by_block(code, rng):
         noise = rng.getrandbits(code.n)
         for _ in range(rng.randrange(6)):
             noise &= rng.getrandbits(code.n)
-        target = code.syndrome(BitVec(code.n, word.value ^ noise))
+        target = packed(code.syndrome, BitVec(code.n, word.value ^ noise))
     else:
         # any target: blocks of even repetition codes can fail, and the
         # test checks which block the failure names
@@ -130,10 +150,10 @@ def test_vectorized_correction_equals_block_by_block(code, rng):
         want = _correct_block_by_block(code, word, target)
     except DecodingFailure as exc:
         with pytest.raises(DecodingFailure) as got:
-            code.correct_with_syndrome(word, target)
+            packed(code.correct_with_syndrome, word, target)
         assert str(got.value) == str(exc)
         return
-    assert code.correct_with_syndrome(word, target) == want
+    assert packed(code.correct_with_syndrome, word, target) == want
 
 
 def test_correction_failure_names_the_first_failing_block():
@@ -143,9 +163,9 @@ def test_correction_failure_names_the_first_failing_block():
     for bad in (5, 7, 10):
         # two flips tie in a length-4 block: past its radius of one
         noise = sum(0b11 << (35 + 4 * (i - 5)) for i in {bad, 10})
-        target = code.syndrome(BitVec(code.n, word.value ^ noise))
+        target = packed(code.syndrome, BitVec(code.n, word.value ^ noise))
         with pytest.raises(DecodingFailure, match=f"^block {bad}: ") as got:
-            code.correct_with_syndrome(word, target)
+            packed(code.correct_with_syndrome, word, target)
         with pytest.raises(DecodingFailure) as want:
             _correct_block_by_block(code, word, target)
         assert str(got.value) == str(want.value)
@@ -153,7 +173,7 @@ def test_correction_failure_names_the_first_failing_block():
 
 def _correction_outcome(code, word, target):
     try:
-        return code.correct_with_syndrome(word, target)
+        return packed(code.correct_with_syndrome, word, target)
     except DecodingFailure as exc:
         return f"DecodingFailure: {exc}"
 
@@ -177,7 +197,7 @@ def test_correction_routes_agree(monkeypatch):
     fixed = [(case, out) for case, out in zip(cases, got[0]) if isinstance(out, BitVec)]
     assert 0 < len(fixed) < len(cases)  # both outcomes are compared
     for (code, _, target), out in fixed:
-        assert code.syndrome(out) == target
+        assert packed(code.syndrome, out) == target
 
 
 def test_large_block_code_coset_key_is_blockwise():
@@ -185,12 +205,16 @@ def test_large_block_code_coset_key_is_blockwise():
     assert (code.n, code.k) == (16384, 4 * (16384 // 7) + 16384 % 7)
     rng = random.Random(5)
     word = BitVec.random(code.n, rng)
-    key = code.coset_key(word)
+    key = packed(code.coset_key, word)
     h7 = hamming(3)
     for i in (0, 1, 2339):  # first, second and last whole block
         block = BitVec(7, (word.value >> (7 * i)) & 0x7F)
-        assert (key.value >> (4 * i)) & 0xF == h7.coset_key(block).value
+        assert (key.value >> (4 * i)) & 0xF == packed(h7.coset_key, block).value
     assert key.value >> (4 * 2340) == word.value >> (7 * 2340)  # identity tail
+    # every whole block at once, as one (blocks, 7) batch through the inner code
+    bits = word.to_array()
+    whole = h7.coset_key(bits[: 7 * 2340].reshape(2340, 7))
+    assert np.array_equal(code.coset_key(bits)[: 4 * 2340], whole.ravel())
 
 
 LADDER_GRID = [
@@ -217,4 +241,5 @@ def test_ladder_pick_corrects_every_pattern_within_radius(n, delta, eps):
     for e in patterns:
         word = BitVec.random(n, rng)
         noisy = BitVec(n, word.value ^ e)
-        assert code.correct_with_syndrome(noisy, code.syndrome(word)) == word, code.name
+        target = packed(code.syndrome, word)
+        assert packed(code.correct_with_syndrome, noisy, target) == word, code.name

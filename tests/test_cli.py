@@ -61,7 +61,19 @@ def test_unknown_source_kind_rejected(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "policy", ["hamming", "fountain", "zero", "repetition_blocks", "random:k=30,seed=1"]
+    "policy",
+    [
+        "hamming",
+        "fountain",
+        "zero",
+        "repetition_blocks",
+        "random:k=30,seed=1",
+        # a policy that names its own length repeats the session's n
+        "repetition:n=4",
+        "identity:n=4",
+        "repetition_blocks:inner=3,n=5",
+        "random:k=3,seed=1,n=5",
+    ],
 )
 def test_unbuildable_code_policy_rejected(tmp_path, policy):
     cfg = write_config(tmp_path, n=256, code_policy=policy)

@@ -32,6 +32,12 @@ from qkdlab.codes import (
 from qkdlab.gf2 import BitVec
 
 
+def packed(code_map, *words: BitVec) -> BitVec:
+    """A code map applied to packed words: each converted to a bit array on
+    the way in, and the result packed on the way out."""
+    return BitVec.from_array(code_map(*(w.to_array() for w in words)))
+
+
 def encode_oracle(code: LinearCode, y: BitVec) -> BitVec:
     # Entry-by-entry matrix product, written without the library's apply().
     bits = []
@@ -63,8 +69,8 @@ def decode_oracle(code: LinearCode, v: BitVec) -> BitVec:
 def test_repetition_basics():
     c = repetition(5)
     assert (c.n, c.k, c.decoder_radius) == (5, 1, 2)
-    assert c.encode(BitVec.from_str("1")) == BitVec.from_str("11111")
-    assert c.encode(BitVec.from_str("0")) == BitVec.from_str("00000")
+    assert packed(c.encode, BitVec.from_str("1")) == BitVec.from_str("11111")
+    assert packed(c.encode, BitVec.from_str("0")) == BitVec.from_str("00000")
     assert c.min_distance() == 5
 
 
@@ -90,7 +96,7 @@ def test_decode_matches_oracle_hamming7_exhaustive():
     c = hamming(3)
     for v_val in range(128):
         v = BitVec(7, v_val)
-        assert c.decode(v) == decode_oracle(c, v)
+        assert packed(c.decode, v) == decode_oracle(c, v)
 
 
 def test_decode_routes_agree_on_random_codes(monkeypatch):
@@ -101,7 +107,7 @@ def test_decode_routes_agree_on_random_codes(monkeypatch):
     got = []
     for limit in (codes.LEADER_TABLE_LIMIT, -1):
         monkeypatch.setattr(codes, "LEADER_TABLE_LIMIT", limit)
-        got.append([c.decode(BitVec(c.n, v)) for c in cs for v in range(1 << c.n)])
+        got.append([packed(c.decode, BitVec(c.n, v)) for c in cs for v in range(1 << c.n)])
     assert got[0] == got[1]
     assert got[0][: 1 << 8] == [decode_oracle(cs[0], BitVec(8, v)) for v in range(1 << 8)]
 
@@ -135,8 +141,8 @@ def test_decode_tie_break_is_lexicographic():
     c = repetition(4)
     for v_val in range(16):
         v = BitVec(4, v_val)
-        assert c.decode(v) == decode_oracle(c, v)
-    assert c.decode(BitVec.from_str("0011")) == BitVec.from_str("0")
+        assert packed(c.decode, v) == decode_oracle(c, v)
+    assert packed(c.decode, BitVec.from_str("0011")) == BitVec.from_str("0")
 
 
 # -- coset keys ----------------------------------------------------------------
@@ -145,7 +151,7 @@ def test_decode_tie_break_is_lexicographic():
 def test_coset_key_against_dot_products():
     c = hamming(3)
     kappa = BitVec.from_str("1010101")
-    key = c.coset_key(kappa)
+    key = packed(c.coset_key, kappa)
     for j in range(c.k):
         assert key[j] == c.gen.col(j).dot(kappa)
 
@@ -157,29 +163,30 @@ def test_coset_key_constant_on_dual_cosets():
     # span the whole dual code (8 vectors) and shift a few words through it
     for _ in range(20):
         kappa = BitVec.random(7, rng)
-        base = c.coset_key(kappa)
+        base = packed(c.coset_key, kappa)
         for mask in range(8):
             shift = BitVec(7, 0)
             for i in range(3):
                 if (mask >> i) & 1:
                     shift = shift + duals[i]
-            assert c.coset_key(kappa + shift) == base
+            assert packed(c.coset_key, kappa + shift) == base
 
 
 @pytest.mark.parametrize("build", [repetition, lambda n: repetition_blocks(n, n)])
 def test_long_code_coset_key_stays_packed(build):
     # a dense (n-1)-by-n parity check of this code would take 67 MB; the
     # coset key of a long code, plain or as one block, reads only the
-    # packed generator
+    # n-by-1 generator
     code = build(8191)
     word = BitVec.random(code.n, random.Random(9))
+    bits = word.to_array()
     tracemalloc.start()
     try:
-        key = code.coset_key(word)
+        key = code.coset_key(bits)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert key.value == word.weight() & 1
+    assert BitVec.from_array(key).value == word.weight() & 1
     assert peak < 1 << 20
 
 
@@ -192,15 +199,15 @@ def test_coset_key_separates_nondual_shifts():
             if (mask >> i) & 1:
                 v = v + c.parity_check().row(i)
         dual_values.add(v.value)
-    zero_key = c.coset_key(BitVec(7, 0))
+    zero_key = packed(c.coset_key, BitVec(7, 0))
     for v_val in range(128):
-        shifted = c.coset_key(BitVec(7, v_val))
+        shifted = packed(c.coset_key, BitVec(7, v_val))
         assert (shifted == zero_key) == (v_val in dual_values)
 
 
 def test_parity_kernel_duality():
     c = hamming(3)
-    members = {v for v in range(128) if c.syndrome(BitVec(7, v)).value == 0}
+    members = {v for v in range(128) if packed(c.syndrome, BitVec(7, v)).value == 0}
     assert members == set(c.codewords())
     assert len(members) == 16
 
@@ -211,20 +218,20 @@ def test_parity_kernel_duality():
 def test_zero_code_syndrome_is_word():
     c = zero_code(6)
     v = BitVec.from_str("101100")
-    assert c.syndrome(v) == v
-    assert c.decode(v) == BitVec(0, 0)
+    assert packed(c.syndrome, v) == v
+    assert packed(c.decode, v) == BitVec(0, 0)
     target = BitVec.from_str("010011")
-    assert c.correct_with_syndrome(v, target) == target
+    assert packed(c.correct_with_syndrome, v, target) == target
 
 
 def test_identity_code_is_transparent():
     c = identity_code(4)
     for v_val in range(16):
         v = BitVec(4, v_val)
-        assert c.syndrome(v).n == 0
-        assert c.encode(c.decode(v)) == v
-        assert c.coset_key(v) == v
-        assert c.correct_with_syndrome(v, BitVec(0, 0)) == v
+        assert packed(c.syndrome, v).n == 0
+        assert packed(c.encode, packed(c.decode, v)) == v
+        assert packed(c.coset_key, v) == v
+        assert packed(c.correct_with_syndrome, v, BitVec(0, 0)) == v
 
 
 # -- syndrome correction ---------------------------------------------------------
@@ -237,7 +244,7 @@ def test_correct_with_syndrome_hamming():
         w = BitVec.random(7, rng)
         flip = 1 << rng.randrange(7)
         noisy = BitVec(7, w.value ^ flip)
-        assert c.correct_with_syndrome(noisy, c.syndrome(w)) == w
+        assert packed(c.correct_with_syndrome, noisy, packed(c.syndrome, w)) == w
 
 
 def test_correct_with_syndrome_fails_beyond_radius():
@@ -249,15 +256,15 @@ def test_correct_with_syndrome_fails_beyond_radius():
     w = BitVec(4, 0)
     noisy = BitVec.from_str("1100")
     with pytest.raises(DecodingFailure):
-        c.correct_with_syndrome(noisy, c.syndrome(w))
+        packed(c.correct_with_syndrome, noisy, packed(c.syndrome, w))
 
 
 def test_correct_with_syndrome_perfect_code_is_total():
     c = hamming(3)
     w = BitVec(7, 0)
     noisy = BitVec.from_str("1100000")
-    fixed = c.correct_with_syndrome(noisy, c.syndrome(w))
-    assert c.syndrome(fixed) == c.syndrome(w)
+    fixed = packed(c.correct_with_syndrome, noisy, packed(c.syndrome, w))
+    assert packed(c.syndrome, fixed) == packed(c.syndrome, w)
     assert fixed != w  # miscorrected, but to a valid coset member
 
 
@@ -268,9 +275,9 @@ def test_block_code_layout():
     c = BlockCode("demo", [(repetition(3), 1), (identity_code(2), 1)])
     assert (c.n, c.k) == (5, 3)
     y = BitVec.from_str("101")
-    assert c.encode(y) == BitVec.from_str("11101")
-    assert c.encode(y) == encode_oracle(c, y)
-    assert c.decode(BitVec.from_str("11001")) == BitVec.from_str("101")
+    assert packed(c.encode, y) == BitVec.from_str("11101")
+    assert packed(c.encode, y) == encode_oracle(c, y)
+    assert packed(c.decode, BitVec.from_str("11001")) == BitVec.from_str("101")
 
 
 def test_block_syndrome_is_concatenation():
@@ -280,9 +287,9 @@ def test_block_syndrome_is_concatenation():
         v = BitVec.random(10, rng)
         left = BitVec(7, v.value & 0x7F)
         right = BitVec(3, v.value >> 7)
-        s_left, s_right = hamming(3).syndrome(left), repetition(3).syndrome(right)
+        s_left, s_right = packed(hamming(3).syndrome, left), packed(repetition(3).syndrome, right)
         expect = BitVec(5, s_left.value | s_right.value << 3)
-        assert c.syndrome(v) == expect
+        assert packed(c.syndrome, v) == expect
 
 
 def test_block_correct_with_syndrome():
@@ -295,7 +302,7 @@ def test_block_correct_with_syndrome():
         if rng.random() < 0.5:
             noise |= 1 << (14 + rng.randrange(2))
         noisy = BitVec(16, w.value ^ noise)
-        assert c.correct_with_syndrome(noisy, c.syndrome(w)) == w
+        assert packed(c.correct_with_syndrome, noisy, packed(c.syndrome, w)) == w
 
 
 def test_block_correction_failure_names_block():
@@ -303,7 +310,7 @@ def test_block_correction_failure_names_block():
     w = BitVec(8, 0)
     noisy = BitVec(8, 0b11 << 4)  # two flips inside the second block
     with pytest.raises(DecodingFailure, match="block 1"):
-        c.correct_with_syndrome(noisy, c.syndrome(w))
+        packed(c.correct_with_syndrome, noisy, packed(c.syndrome, w))
 
 
 def test_block_families_cover_length():
@@ -336,7 +343,7 @@ def test_block_radius_skips_blocks_without_message_bits():
         w = BitVec.random(11, rng)
         noise = sum(1 << p for p in rng.sample(range(5), 2) + rng.sample(range(5, 10), 2))
         noisy = BitVec(11, w.value ^ noise ^ rng.getrandbits(1) << 10)
-        assert c.correct_with_syndrome(noisy, c.syndrome(w)) == w
+        assert packed(c.correct_with_syndrome, noisy, packed(c.syndrome, w)) == w
 
 
 # -- correctable sets -----------------------------------------------------------------

@@ -27,14 +27,14 @@ def test_bit_order_packing():
     v = BitVec.from_str("1010")
     assert v.value == 5
     assert v.to_hex() == "05"
-    assert BitVec.from_bytes(bytes.fromhex("05"), 4) == v
+    assert BitVec(4, int.from_bytes(bytes.fromhex("05"), "little")) == v
 
 
 def test_hex_roundtrip_random():
     rng = random.Random(11)
     for n in (0, 1, 7, 8, 9, 63, 64, 100):
         v = BitVec.random(n, rng)
-        assert BitVec.from_bytes(bytes.fromhex(v.to_hex()), n) == v
+        assert BitVec(n, int.from_bytes(bytes.fromhex(v.to_hex()), "little")) == v
 
 
 def test_addition_is_xor():

@@ -18,6 +18,7 @@ import pytest
 
 from qkdlab import netchan
 from qkdlab.codes import code_from_descriptor
+from qkdlab.gf2 import BitVec
 from qkdlab.netchan import (
     eve_proxy,
     open_listener,
@@ -198,9 +199,9 @@ def test_passive_proxy_keeps_run_intact_and_pool_bits_off_the_wire():
     otp = pool.take(stats.tau)
     # the encrypted syndrome crossed the wire; neither the raw syndrome nor
     # the pad itself ever did
-    assert (raw_syndrome + otp).to_bytes() in wire
-    assert raw_syndrome.to_bytes() not in wire
-    assert otp.to_bytes() not in wire
+    assert BitVec.from_array(raw_syndrome ^ otp).to_bytes() in wire
+    assert BitVec.from_array(raw_syndrome).to_bytes() not in wire
+    assert BitVec.from_array(otp).to_bytes() not in wire
 
 
 def test_intercept_proxy_reproduces_in_process_attack_exactly():

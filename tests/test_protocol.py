@@ -299,8 +299,8 @@ def test_stream_seed_values_are_stable():
 
 def test_pool_bits_are_stable_and_ordered():
     pool = SecretPool(stream_seed(0, "pool"), 64)
-    assert pool.take(16).value == 59430
-    assert pool.take(8).value == 238
+    assert BitVec.from_array(pool.take(16)).value == 59430
+    assert BitVec.from_array(pool.take(8)).value == 238
     assert pool.remaining() == 40
 
 
@@ -314,7 +314,7 @@ def test_pool_exhaustion():
 def test_pool_same_seed_same_bits():
     a = SecretPool(42, 300)
     b = SecretPool(42, 300)
-    assert a.take(300).value == b.take(300).value
+    assert np.array_equal(a.take(300), b.take(300))
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +363,8 @@ def test_delta_perm_syndrome_roundtrips():
     perm = [3, 0, 2, 1]
     assert decode_perm(encode_perm(perm)).tolist() == perm
     enc = BitVec.from_str("1011001")
-    desc, back = decode_syndrome(encode_syndrome("rec_hamming:n=14", enc))
-    assert desc == "rec_hamming:n=14" and back == enc
+    desc, back = decode_syndrome(encode_syndrome("rec_hamming:n=14", enc.to_array()))
+    assert desc == "rec_hamming:n=14" and BitVec.from_array(back) == enc
 
 
 def test_codec_length_mismatches_raise():
@@ -558,8 +558,8 @@ def test_transcript_has_every_announcement_once():
 def test_final_key_is_the_coset_label_of_the_sifted_key():
     res = run_protocol(_noiseless_cfg(seed=11))
     pa = code_from_descriptor(res.stats.code_descriptor)
-    assert res.bob_key == pa.coset_key(res.bob.kappa)
-    assert res.alice.kappa == res.bob.kappa
+    assert res.bob_key == BitVec.from_array(pa.coset_key(res.bob.kappa))
+    assert np.array_equal(res.alice.kappa, res.bob.kappa)
 
 
 def test_plain_privacy_code_session_stays_small():
@@ -572,8 +572,34 @@ def test_plain_privacy_code_session_stays_small():
     finally:
         tracemalloc.stop()
     assert res.stats.abort_reason is None
-    assert res.alice_key == res.bob_key == BitVec(1, res.bob.kappa.weight() & 1)
+    assert res.alice_key == res.bob_key == BitVec(1, int(res.bob.kappa.sum()) & 1)
     assert peak < 16 << 20
+
+
+def test_session_bits_are_packed_only_for_the_final_key(monkeypatch):
+    # from sifting on, the key travels as one bit array through every code
+    # map; each party packs it once, into its final key
+    packed, unpacked = [], []
+    from_array, to_array = BitVec.from_array.__func__, BitVec.to_array
+
+    def counted_from_array(cls, bits):
+        packed.append(from_array(cls, bits))
+        return packed[-1]
+
+    def counted_to_array(self):
+        unpacked.append(self)
+        return to_array(self)
+
+    monkeypatch.setattr(BitVec, "from_array", classmethod(counted_from_array))
+    monkeypatch.setattr(BitVec, "to_array", counted_to_array)
+    noisy = SessionConfig(n=256, epsilon=0.05, seed=1, channel=DepolarizingChannel(0.06))
+    for cfg, ladder in [(_noiseless_cfg(n=256, seed=0), "rec_verbatim"), (noisy, "rec_repetition")]:
+        packed.clear()
+        res = run_protocol(cfg)
+        assert res.stats.abort_reason is None
+        assert res.stats.rec_descriptor.startswith(ladder + ":")
+        assert packed == [res.bob_key, res.alice_key]  # Bob's is ready before Alice's
+        assert unpacked == []
 
 
 def test_same_seed_reproduces_everything():
@@ -735,10 +761,10 @@ def test_decoding_failure_surfaces_as_reconcile_abort(monkeypatch):
     assert res.stats.rec_descriptor == "rec_repetition:n=16,inner=4"
     rec4 = rec_repetition(16, 4)
     pattern = BitVec.from_bits([1, 1] + [0] * 14)
-    target = rec4.syndrome(res.bob.kappa + pattern)
+    target = rec4.syndrome(res.bob.kappa ^ pattern.to_array())
     pool = SecretPool(stream_seed(cfg.seed, "pool"), cfg.pool_capacity)
-    otp = pool.take(target.n)
-    forged = encode_syndrome(rec4.descriptor(), target + otp)
+    otp = pool.take(target.size)
+    forged = encode_syndrome(rec4.descriptor(), target ^ otp)
     alice = _drive_alice_from_transcript(
         cfg, res.transcript, swap_step="SYNDROME_ENC", swap_payload=forged
     )
@@ -786,7 +812,7 @@ _HOSTILE_DESCRIPTORS = [
 )
 def test_oversized_descriptor_aborts_before_building(n, step, desc):
     res = _honest_run(n)
-    payload = desc.encode() if step == "CODE" else encode_syndrome(desc, BitVec(8, 0))
+    payload = desc.encode() if step == "CODE" else encode_syndrome(desc, np.zeros(8, np.uint8))
     start = time.perf_counter()
     alice = _drive_alice_from_transcript(
         res.alice.cfg, res.transcript, swap_step=step, swap_payload=payload
@@ -808,11 +834,41 @@ def test_malformed_syndrome_payload_aborts(cut):
     cfg = _noiseless_cfg(n=60, seed=13)  # a 60-bit syndrome: four padding bits
     res = run_protocol(cfg)
     genuine = next(r.payload for r in res.transcript.records if r.step == "SYNDROME_ENC")
-    assert decode_syndrome(genuine)[1].n % 8
+    assert decode_syndrome(genuine)[1].size % 8
     alice = _drive_alice_from_transcript(
         cfg, res.transcript, swap_step="SYNDROME_ENC", swap_payload=cut(genuine)
     )
     assert alice.abort_reason == ABORT_PHASE
+
+
+@pytest.mark.parametrize(
+    "tag, reason",
+    [
+        (TAG_BASES_A_AND_R, ABORT_MALFORMED),
+        (TAG_SUBSET_S, ABORT_MALFORMED),
+        (TAG_TEST_BITS, ABORT_MALFORMED),
+        (TAG_SYNDROME_ENC, ABORT_PHASE),  # Alice's syndrome check ends it
+    ],
+    ids=lambda v: TAG_NAMES.get(v, v) if isinstance(v, int) else v,
+)
+def test_set_padding_bit_aborts(tag, reason):
+    # |Omega| = 324: every bit field of this session ends in a partial byte
+    cfg = _noiseless_cfg(n=60, seed=3)
+    honest = next(m for m in run_protocol(cfg).transcript.records if m.step == TAG_NAMES[tag])
+    if tag == TAG_SYNDROME_ENC:
+        bits = decode_syndrome(honest.payload)[1].size
+    else:  # a counted field, or two; the last one ends the payload
+        (bits,) = struct.unpack_from(">I", honest.payload)
+    assert bits % 8
+
+    def rewrite(i, msg):  # set the top bit of the last byte: a padding bit
+        if msg.tag != tag:
+            return [msg]
+        return [WireMessage(tag, msg.payload[:-1] + bytes([msg.payload[-1] | 0x80]))]
+
+    alice, bob = _pump_with(cfg, rewrite)
+    assert alice.abort_reason == bob.abort_reason == reason
+    assert alice.final_key is None and bob.final_key is None
 
 
 # ---------------------------------------------------------------------------

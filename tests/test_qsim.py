@@ -260,7 +260,7 @@ def reversal_oracle(code, x: BitVec) -> float:
     hits = 0
     for y in range(1 << code.k):
         shifted = BitVec(code.n, x.value ^ code.codewords()[y])
-        if code.decode(shifted).value == y:
+        if BitVec.from_array(code.decode(shifted.to_array())).value == y:
             hits += 1
     return hits / (1 << code.k)
 

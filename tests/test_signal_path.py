@@ -454,7 +454,7 @@ def test_from_bits_and_permute_match_bitwise_definition(n):
     for i, p in enumerate(perm):
         moved[p] = bits[i]
     sifted = protocol._sifted_word(record, key_set, np.array(perm, dtype=np.intp))
-    assert sifted == BitVec.from_bits(moved)
+    assert BitVec.from_array(sifted) == BitVec.from_bits(moved)
 
 
 def test_from_bits_still_rejects_non_bits():
