@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -32,20 +33,45 @@ GRID_EPSILONS = (0.35, 0.05)
 GRID_POLICIES = ("hamming_blocks", "repetition_blocks:inner=3")
 GRID_SEED = 3
 
+# a partial swap of signal and ancilla by 0.2 rad: the custom channel row
+_C, _S = math.cos(0.2), math.sin(0.2)
+_PARTIAL_SWAP = [[1.0, 0.0, 0.0, 0.0], [0.0, _C, -_S, 0.0], [0.0, _S, _C, 0.0], [0.0, 0.0, 0.0, 1.0]]
+# beyond the perfect source and the three channels above: two
+# uncharacterized sources and a custom unitary channel, each at two sizes
+EXTRA_N = (100, 256)
+EXTRA_ROWS = (
+    {"source": {"kind": "rotated_z", "theta": 0.4}, "channel": {"kind": "identity"},
+     "epsilon": 0.35, "code_policy": "hamming_blocks"},
+    {"source": {"kind": "entangled", "phi": 0.3}, "channel": {"kind": "depolarizing", "p": 0.05},
+     "epsilon": 0.05, "code_policy": "repetition_blocks:inner=3"},
+    {"channel": {"kind": "custom", "unitary": _PARTIAL_SWAP},
+     "epsilon": 0.35, "code_policy": "hamming_blocks"},
+)
+
 
 def grid() -> list[dict]:
-    return [
+    plain = [
         {"n": n, "epsilon": eps, "channel": dict(ch), "code_policy": policy, "seed": GRID_SEED}
         for n in GRID_N
         for ch in GRID_CHANNELS
         for eps in GRID_EPSILONS
         for policy in GRID_POLICIES
     ]
+    extra = [{"n": n, **row, "seed": GRID_SEED} for n in EXTRA_N for row in EXTRA_ROWS]
+    return plain + extra
+
+
+def _entry(model: dict) -> str:
+    """A model's config as k=v pairs; a custom unitary is named by its kind."""
+    return ",".join(f"{k}={v}" for k, v in model.items() if k != "unitary")
 
 
 def label(raw: dict) -> str:
-    ch = ",".join(f"{k}={v}" for k, v in raw["channel"].items())
-    return f"n={raw['n']} eps={raw['epsilon']} {ch} {raw['code_policy']} seed={raw['seed']}"
+    src = f"{_entry(raw['source'])} " if "source" in raw else ""
+    return (
+        f"n={raw['n']} eps={raw['epsilon']} {src}{_entry(raw['channel'])} "
+        f"{raw['code_policy']} seed={raw['seed']}"
+    )
 
 
 def digests(raw: dict) -> dict:
