@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
 
@@ -145,7 +146,13 @@ def _csv_text(header, rows: list[list]) -> str:
     return buf.getvalue()
 
 
+def _check_runs(runs: int) -> None:
+    if runs < 1:
+        raise ConfigError(f"--runs must be at least 1, got {runs}")
+
+
 def cmd_simulate(args) -> int:
+    _check_runs(args.runs)
     raw = _read_config_file(args.config)
     cfg = build_session_config(raw, args.seed)
     if args.transcript_out and args.runs != 1:
@@ -184,6 +191,7 @@ def _set_by_path(raw: dict, dotted: str, value) -> None:
 
 
 def cmd_sweep(args) -> int:
+    _check_runs(args.runs)
     raw = _read_config_file(args.config)
     base_seed = resolve_seed(args.seed, raw)
     tokens = [t for t in args.values.split(",") if t.strip()]
@@ -223,6 +231,10 @@ def cmd_bounds(args) -> int:
     for d in deltas:
         if not 0.0 <= d <= 0.5:
             raise ConfigError(f"delta {d} outside [0, 1/2]")
+    if args.n < 1:
+        raise ConfigError(f"--n must be at least 1, got {args.n}")
+    if not (math.isfinite(args.epsilon) and args.epsilon >= 0.0):
+        raise ConfigError(f"--epsilon must be finite and nonnegative, got {args.epsilon}")
 
     rows = [
         [
@@ -250,9 +262,12 @@ def _parse_attack(text: str) -> np.ndarray:
     if params_text:
         for pair in params_text.split(","):
             key, _, value = pair.partition("=")
-            if not value:
+            try:
+                params[key] = float(value)
+            except ValueError:
                 raise ConfigError(f"bad attack parameter {pair!r}")
-            params[key] = float(value)
+            if not math.isfinite(params[key]):
+                raise ConfigError(f"attack parameter {pair!r} is not finite")
     try:
         if name == "identity":
             return qsim.identity_attack(**params)

@@ -38,9 +38,9 @@ from .protocol import (
     ProtocolError,
     SessionConfig,
     WireMessage,
+    channel_rng,
     decode_qburst,
     encode_qburst,
-    stream_seed,
 )
 
 MAX_FRAME = 1 << 24
@@ -196,12 +196,12 @@ def eve_proxy(
     when no sender connects or the receiver cannot be reached within
     `timeout`, it raises `OSError`, with the accepted connection closed.
     Without a `channel` the proxy is passive and forwards every frame as it
-    comes.  The random stream is derived exactly as the in-process run
-    derives its channel stream, so equal master seeds give equal outcomes.
+    comes.  The random stream is `channel_rng(seed)`, the one the in-process
+    run draws from, so equal master seeds give equal outcomes.
     `capture`, if given, collects (direction, tag, payload) for every
     forwarded frame as the downstream side sees it.
     """
-    rng = np.random.default_rng(stream_seed(seed, "eve|channel"))
+    rng = channel_rng(seed)
 
     def relay(
         src: socket.socket,

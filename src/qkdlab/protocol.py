@@ -192,6 +192,12 @@ def stream_seed(master: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def channel_rng(master: int) -> np.random.Generator:
+    """The channel's random stream.  Bob's collect and `eve_proxy` both draw
+    from it, so a proxied run and an in-process run of one seed agree."""
+    return np.random.default_rng(stream_seed(master, "eve|channel"))
+
+
 def _shuffle(rng: random.Random, x: list, stop: int = 1) -> None:
     """`rng.shuffle(x)` with the same `rng.getrandbits` calls, and so the
     same result; with another `stop` the walk ends at position `stop`, as
@@ -270,31 +276,34 @@ class SecretPool:
 # ---------------------------------------------------------------------------
 # source models
 
-_KET = {
-    (0, 0): np.array([1.0, 0.0], dtype=np.complex128),  # |0>
-    (0, 1): np.array([0.0, 1.0], dtype=np.complex128),  # |1>
-    (1, 0): np.array([1.0, 1.0], dtype=np.complex128) / math.sqrt(2),  # |+>
-    (1, 1): np.array([1.0, -1.0], dtype=np.complex128) / math.sqrt(2),  # |->
-}
-
-
-def _bb84_state(a: int, g: int) -> np.ndarray:
-    k = _KET[(a, g)]
-    return np.outer(k, k.conj())
+# |0>, |1>, |+>, |->: the four BB84 states, row 2a + g
+_BB84_PALETTE = np.array(
+    [
+        np.outer(k, k.conj())
+        for k in (
+            np.array([1.0, 0.0], dtype=np.complex128),
+            np.array([0.0, 1.0], dtype=np.complex128),
+            np.array([1.0, 1.0], dtype=np.complex128) / math.sqrt(2),
+            np.array([1.0, -1.0], dtype=np.complex128) / math.sqrt(2),
+        )
+    ]
+)
 
 
 class SourceModel:
-    """Base: a table of emitted states rho(a, g) with joint weights p(a, g).
+    """The paper's source: four emitted states rho(a, g) with joint weights
+    p(a, g), for basis a and key bit g.
 
-    Subclasses fill `probs` (2x2, rows indexed by basis, p[a,0]+p[a,1]=1/2)
-    and `emission` (2x2 object array of density matrices over the emitted
-    space).  The signal the receiver measures is always the first qubit of
-    the emitted space; compliant models emit exactly one qubit.
+    `probs` is 2x2, rows indexed by basis, with p[a,0] + p[a,1] = 1/2.
+    `palette` is one read-only (4, d, d) complex array of density matrices
+    over the emitted space, row 2a + g: the palette a QBURST sends as it is.
+    The signal the receiver measures is always the first qubit of the
+    emitted space; compliant models emit exactly one qubit (d = 2).
     """
 
     kind = "abstract"
 
-    def __init__(self, probs: np.ndarray, emission: list[list[np.ndarray]]) -> None:
+    def __init__(self, probs: np.ndarray, palette: np.ndarray) -> None:
         probs = np.asarray(probs, dtype=float)
         if probs.shape != (2, 2) or np.any(probs < 0):
             raise ValueError("need nonnegative joint weights p[a][g]")
@@ -302,19 +311,13 @@ class SourceModel:
             if abs(probs[a].sum() - 0.5) > 1e-12:
                 raise ValueError("basis choice must be an unbiased coin")
         self.probs = probs
-        self.emission = emission
-
-    def emit(self, a: int, g: int) -> np.ndarray:
-        return self.emission[a][g]
-
-    def key_bit_probability(self, a: int) -> float:
-        """P(g = 1 | sent basis = a)."""
-        return float(2.0 * self.probs[a][1])
+        self.palette = np.array(palette, dtype=np.complex128)
+        self.palette.flags.writeable = False
 
     def averaged_state(self, a: int) -> np.ndarray:
-        acc = np.zeros_like(self.emission[a][0])
+        acc = np.zeros_like(self.palette[2 * a])
         for g in range(2):
-            acc = acc + 2.0 * self.probs[a][g] * self.emission[a][g]
+            acc = acc + 2.0 * self.probs[a][g] * self.palette[2 * a + g]
         return acc
 
 
@@ -327,8 +330,7 @@ class PerfectSource(SourceModel):
         if not 0.0 < bias < 1.0:
             raise ValueError("bias must sit strictly inside (0, 1)")
         probs = np.array([[1 - bias, bias], [1 - bias, bias]]) / 2.0
-        emission = [[_bb84_state(a, g) for g in range(2)] for a in range(2)]
-        super().__init__(probs, emission)
+        super().__init__(probs, _BB84_PALETTE)
         self.bias = bias
 
 
@@ -345,14 +347,9 @@ class RotatedZSource(SourceModel):
     def __init__(self, theta: float, bias: float = 0.5) -> None:
         if not 0.0 < bias < 1.0:
             raise ValueError("bias must sit strictly inside (0, 1)")
-        rz = np.diag(
-            [np.exp(-0.5j * theta), np.exp(0.5j * theta)]
-        ).astype(np.complex128)
+        rz = np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
         probs = np.array([[1 - bias, bias], [1 - bias, bias]]) / 2.0
-        emission = [
-            [rz @ _bb84_state(a, g) @ rz.conj().T for g in range(2)] for a in range(2)
-        ]
-        super().__init__(probs, emission)
+        super().__init__(probs, [rz @ rho @ rz.conj().T for rho in _BB84_PALETTE])
         self.theta = theta
         self.bias = bias
 
@@ -373,33 +370,19 @@ class EntangledSource(SourceModel):
         pair[0b00] = 1 / math.sqrt(2)
         pair[0b11] = 1 / math.sqrt(2)
         rho_pair = np.outer(pair, pair.conj())
-
-        def helper_projector(axis_angle: float, outcome: int) -> np.ndarray:
-            # measurement axis in the x-z plane, tilted off +z by axis_angle
-            v = np.array(
-                [math.cos(axis_angle / 2.0), math.sin(axis_angle / 2.0)],
-                dtype=np.complex128,
-            )
-            if outcome == 1:
-                v = np.array(
-                    [-math.sin(axis_angle / 2.0), math.cos(axis_angle / 2.0)],
-                    dtype=np.complex128,
-                )
-            return np.outer(v, v.conj())
-
         probs = np.zeros((2, 2))
-        emission = [[None, None], [None, None]]
-        angles = {0: 0.0, 1: math.pi / 2.0 + phi}
-        for a in range(2):
-            for g in range(2):
-                proj = np.kron(helper_projector(angles[a], g), np.eye(2))
+        palette = []
+        # the helper's measurement axis lies in the x-z plane, tilted off +z
+        for a, angle in enumerate((0.0, math.pi / 2.0 + phi)):
+            c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+            for g, axis in enumerate(([c, s], [-s, c])):
+                v = np.array(axis, dtype=np.complex128)
+                proj = np.kron(np.outer(v, v.conj()), np.eye(2))
                 sub = proj @ rho_pair @ proj
                 weight = float(np.trace(sub).real)
                 probs[a][g] = 0.5 * weight
-                reduced = sub.reshape(2, 2, 2, 2)
-                collapsed = np.einsum("asat->st", reduced) / weight
-                emission[a][g] = collapsed
-        super().__init__(probs, emission)
+                palette.append(np.einsum("asat->st", sub.reshape(2, 2, 2, 2)) / weight)
+        super().__init__(probs, palette)
         self.phi = phi
 
 
@@ -417,15 +400,11 @@ class LeakyTwoCopySource(SourceModel):
         if not 0.0 <= leak_prob <= 1.0:
             raise ValueError("leak probability must sit in [0, 1]")
         vacuum = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
-        probs = np.full((2, 2), 0.25)
-        emission = [[None, None], [None, None]]
-        for a in range(2):
-            for g in range(2):
-                sig = _bb84_state(a, g)
-                emission[a][g] = (1.0 - leak_prob) * np.kron(vacuum, sig) + (
-                    leak_prob
-                ) * np.kron(sig, sig)
-        super().__init__(probs, emission)
+        palette = [
+            (1.0 - leak_prob) * np.kron(vacuum, sig) + leak_prob * np.kron(sig, sig)
+            for sig in _BB84_PALETTE
+        ]
+        super().__init__(np.full((2, 2), 0.25), palette)
         self.leak_prob = leak_prob
 
 
@@ -486,10 +465,6 @@ class DepolarizingChannel(ChannelModel):
         out = (1.0 - self.p) * palette
         out += self.p * (np.eye(2, dtype=np.complex128) / 2.0)
         return out, index
-
-
-# the four BB84 states, row 2a + g
-_BB84_PALETTE = np.array([_bb84_state(a, g) for a in range(2) for g in range(2)])
 
 
 class InterceptResendChannel(ChannelModel):
@@ -1094,12 +1069,10 @@ class AliceSession(_Session):
         # the basis actually keyed into the source: a for tested positions,
         # its opposite for the rest
         sent_basis = np.where(self.r_mask == 1, self.a_bits, 1 - self.a_bits)
-        p_one = np.array([src.key_bit_probability(0), src.key_bit_probability(1)])
+        p_one = 2.0 * src.probs[:, 1]  # P(g = 1 | sent basis)
         self.g_bits = (rng.random(m) < p_one[sent_basis]).astype(np.uint8)
-        # the palette is the source's four states, row 2a + g
-        palette = np.array([src.emit(a, g) for a in range(2) for g in range(2)])
         self.phase = "await_bases"
-        return [encode_qburst(palette, 2 * sent_basis + self.g_bits)]
+        return [encode_qburst(src.palette, 2 * sent_basis + self.g_bits)]
 
     def _phase_await_bases(self, msg: WireMessage) -> list[WireMessage]:
         b_symbols = decode_bases_b(msg.payload)
@@ -1243,8 +1216,7 @@ class BobSession(_Session):
             return self._fail(ABORT_PHASE)
         if index.size != m:
             return self._fail(ABORT_PHASE)
-        eve_rng = np.random.default_rng(stream_seed(cfg.seed, "eve|channel"))
-        palette, index = cfg.channel.apply_batch(palette, index, eve_rng)
+        palette, index = cfg.channel.apply_batch(palette, index, channel_rng(cfg.seed))
         rng = self._quantum_rng
         bases = rng.integers(0, 2, size=m).astype(np.uint8)
         outcomes, detected = cfg.detector.measure_batch(palette, index, bases, rng)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bounds import binary_entropy
 from .codes import CorrectableSet, LinearCode
-from .gf2 import BitVec, bits_to_int, int_to_bits
+from .gf2 import BitVec
 
 SIM_QUBIT_LIMIT = 12
 _ENTROPY_CUTOFF = 1e-12
@@ -145,9 +145,7 @@ class KeyCircuit:
         y = idx >> n
         cw = np.array(code.codewords(), dtype=np.int64)
         self.perm_u1 = (x ^ cw[y]) | (y << n)
-        fvals = np.array(
-            [bits_to_int(code.decode(int_to_bits(v, n))) for v in range(1 << n)], dtype=np.int64
-        )
+        fvals = np.array([code._message(v) for v in range(1 << n)], dtype=np.int64)
         self.perm_u2 = x | ((y ^ fvals[x]) << n)
         self.perm = self.perm_u2[self.perm_u1]
         self.code = code
@@ -362,6 +360,8 @@ def audit_protocol3(
         raise ValueError(f"code length {code.n} != signal count {n}")
     if n > 4:
         raise ValueError("audit is exact only up to 4 signals")
+    if not math.isfinite(delta_max):
+        raise ValueError(f"delta_max must be finite, got {delta_max}")
     if 2 * n + r > SIM_QUBIT_LIMIT:
         raise ValueError(f"audit needs {2 * n + r} qubits, over the limit")
     attack = np.asarray(attack, dtype=np.complex128)

@@ -234,6 +234,18 @@ def test_identical_seed_gives_identical_csv_and_flag_overrides_config(tmp_path):
     assert csv_a != csv_c
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("runs", ["0", "-1"])
+def test_runs_below_one_is_a_config_error(command, runs, tmp_path, capsys):
+    """No session runs, so there is no abort to report: exit 3, not 2."""
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out.csv"
+    extra = ["--values", "0.1", "--out", str(out)] if command == "sweep" else []
+    assert main([command, "--config", cfg, "--runs", runs, *extra]) == EXIT_CONFIG
+    assert "--runs must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -311,9 +323,21 @@ def test_bounds_table_values(tmp_path):
         assert 0.0 < float(row["sampling_bound"]) < 1.0
 
 
-def test_bounds_rejects_delta_out_of_range(tmp_path):
-    code = main(["bounds", "--deltas", "0.7", "--out", str(tmp_path / "b")])
-    assert code == EXIT_CONFIG
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--deltas", "0.7"],
+        ["--deltas", "0.1", "--n", "0"],
+        ["--deltas", "0.1", "--n", "-5"],
+        ["--deltas", "0.1", "--epsilon", "-1"],
+        ["--deltas", "0.1", "--epsilon", "nan"],
+    ],
+    ids=["delta", "n_zero", "n_negative", "epsilon_negative", "epsilon_nan"],
+)
+def test_bounds_rejects_delta_out_of_range(extra, tmp_path):
+    out = tmp_path / "b"
+    assert main(["bounds", *extra, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +408,12 @@ def test_audit_rejects_bad_attack_and_code(tmp_path, capsys):
             ["--attack", "rotation:theta=3.14159", "--n", "4", "--delta-max", "0.0"],
             "probability numerically zero",
         ),
+        (["--attack", "rotation:theta=inf", "--n", "3"], "is not finite"),
+        (["--attack", "rotation:theta=nan", "--n", "3"], "is not finite"),
+        (["--attack", "entangle:alpha=nan,beta=0"], "is not finite"),
+        (["--attack", "rotation:theta=abc"], "bad attack parameter"),
+        (["--attack", "identity", "--n", "3", "--delta-max", "inf"], "delta_max must be finite"),
+        (["--attack", "identity", "--n", "3", "--delta-max", "nan"], "delta_max must be finite"),
     ],
 )
 def test_audit_outside_its_domain_is_a_config_error(extra, reason, capsys):

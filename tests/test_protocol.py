@@ -121,13 +121,13 @@ def test_entangled_source_untilted_reduces_to_textbook_states():
     for a in range(2):
         for g in range(2):
             assert abs(src.probs[a][g] - 0.25) < 1e-12
-            assert np.max(np.abs(src.emission[a][g] - ref.emission[a][g])) < 1e-12
+            assert np.max(np.abs(src.palette[2 * a + g] - ref.palette[2 * a + g])) < 1e-12
 
 
 def test_entangled_source_tilt_changes_states_not_compliance():
     src = EntangledSource(0.6)
     ref = PerfectSource()
-    assert np.max(np.abs(src.emission[1][0] - ref.emission[1][0])) > 0.01
+    assert np.max(np.abs(src.palette[2] - ref.palette[2])) > 0.01
     assert check_basis_independence(src) < 1e-12
 
 

@@ -38,10 +38,12 @@ from qkdlab.protocol import (
     EntangledSource,
     IdentityChannel,
     InterceptResendChannel,
+    LeakyTwoCopySource,
     PerfectSource,
     RotatedZSource,
     SessionConfig,
     WireMessage,
+    check_basis_independence,
     decode_qburst,
     encode_hello,
     encode_qburst,
@@ -125,6 +127,98 @@ def test_state_blob_round_trip(seed, k, m):
     assert got_index.dtype == np.uint8 and np.array_equal(got_index, index)
 
 
+# ---------------------------------------------------------------------------
+# each source's four states, built here state by state: the reference the
+# source palettes and the burst are held to, bit for bit
+
+
+def _bb84_reference() -> list[np.ndarray]:
+    """|0>, |1>, |+>, |->, each the outer product of its ket."""
+    kets = [np.array([1.0, 0.0], dtype=np.complex128), np.array([0.0, 1.0], dtype=np.complex128)]
+    kets += [np.array(v, dtype=np.complex128) / math.sqrt(2) for v in ([1.0, 1.0], [1.0, -1.0])]
+    return [np.outer(k, k.conj()) for k in kets]
+
+
+def _entangled_reference(phi: float) -> tuple[list[np.ndarray], np.ndarray]:
+    """The signal half of (|00> + |11>)/sqrt2 once the helper is projected
+    on outcome g along an axis tilted 0 (a = 0) or pi/2 + phi (a = 1) off
+    +z, with p(a, g) half the projection's weight."""
+    pair = np.zeros(4, dtype=np.complex128)
+    pair[0b00] = pair[0b11] = 1 / math.sqrt(2)
+    rho_pair = np.outer(pair, pair.conj())
+    states, probs = [], np.zeros((2, 2))
+    for a, angle in enumerate((0.0, math.pi / 2.0 + phi)):
+        c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+        for g, v in enumerate(([c, s], [-s, c])):
+            v = np.array(v, dtype=np.complex128)
+            proj = np.kron(np.outer(v, v.conj()), np.eye(2))
+            sub = proj @ rho_pair @ proj
+            weight = float(np.trace(sub).real)
+            probs[a][g] = 0.5 * weight
+            states.append(np.einsum("asat->st", sub.reshape(2, 2, 2, 2)) / weight)
+    return states, probs
+
+
+def _reference(source) -> tuple[np.ndarray, np.ndarray]:
+    """(states, probs) of a shipped source: states row 2a + g."""
+    bb84 = _bb84_reference()
+    if source.kind == "entangled":
+        states, probs = _entangled_reference(source.phi)
+        return np.array(states), probs
+    if source.kind == "leaky_two_copy":
+        lam, vacuum = source.leak_prob, np.diag([1.0, 0.0]).astype(np.complex128)
+        states = [(1.0 - lam) * np.kron(vacuum, r) + lam * np.kron(r, r) for r in bb84]
+        return np.array(states), np.full((2, 2), 0.25)
+    b = source.bias
+    probs = np.array([[(1 - b) / 2.0, b / 2.0], [(1 - b) / 2.0, b / 2.0]])
+    if source.kind == "rotated_z":
+        rz = np.diag([np.exp(-0.5j * source.theta), np.exp(0.5j * source.theta)])
+        bb84 = [rz @ r @ rz.conj().T for r in bb84]
+    return np.array(bb84), probs
+
+
+def _reference_distance(states: np.ndarray, probs: np.ndarray) -> float:
+    """Trace distance of the two basis-averaged states sum_g 2 p(a,g) rho_ag."""
+    averaged = [sum(2.0 * probs[a][g] * states[2 * a + g] for g in range(2)) for a in range(2)]
+    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(averaged[0] - averaged[1]))))
+
+
+SHIPPED_SOURCES = [
+    PerfectSource(),
+    PerfectSource(bias=0.3),
+    RotatedZSource(0.4),
+    RotatedZSource(-2.1, bias=0.6),
+    EntangledSource(0.0),
+    EntangledSource(0.3),
+    EntangledSource(-1.2),
+    LeakyTwoCopySource(0.25),
+    LeakyTwoCopySource(1.0),
+]
+
+
+@pytest.mark.parametrize(
+    "source",
+    SHIPPED_SOURCES,
+    ids=[
+        "perfect",
+        "perfect_bias",
+        "rotated_z",
+        "rotated_z_bias",
+        "entangled_untilted",
+        "entangled",
+        "entangled_negative",
+        "leaky",
+        "leaky_full",
+    ],
+)
+def test_source_palette_probs_and_distance_match_the_per_state_reference(source):
+    states, probs = _reference(source)
+    assert source.palette.dtype == np.complex128 and not source.palette.flags.writeable
+    assert source.palette.shape == states.shape and source.palette.tobytes() == states.tobytes()
+    assert source.probs.tobytes() == probs.tobytes()
+    assert repr(check_basis_independence(source)) == repr(_reference_distance(states, probs))
+
+
 @pytest.mark.parametrize(
     "source",
     [PerfectSource(bias=0.3), RotatedZSource(0.4), EntangledSource(0.2)],
@@ -139,7 +233,7 @@ def test_burst_is_the_wire_bytes_of_each_sent_state(source):
     alice = AliceSession(cfg)
     (msg,) = alice._emit_signals()
     palette, index = decode_qburst(msg.payload)
-    lut = np.array([[source.emit(a, g) for g in range(2)] for a in range(2)])
+    lut = _reference(source)[0].reshape(2, 2, 2, 2)  # [a][g]
     assert palette.tobytes() == lut.tobytes()
     sent_basis = np.where(alice.r_mask == 1, alice.a_bits, 1 - alice.a_bits)
     assert np.array_equal(index, 2 * sent_basis + alice.g_bits)
@@ -237,7 +331,7 @@ def test_proxy_transform_peaks_under_four_bytes_a_signal():
 # the v2 per-signal path, the oracle for the palette path: the states are
 # gathered first, and the channel and the detector walk every one of them
 
-_BB84 = np.array(PerfectSource().emission)  # [a][g]
+_BB84 = np.array(_bb84_reference()).reshape(2, 2, 2, 2)  # [a][g]
 
 
 def _v2_p_one(states, bases):
