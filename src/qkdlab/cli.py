@@ -71,7 +71,7 @@ def resolve_seed(flag_seed: int | None, raw: dict) -> int:
     if flag_seed is not None:
         return flag_seed
     if "seed" in raw:
-        if not isinstance(raw["seed"], int):
+        if not isinstance(raw["seed"], int) or isinstance(raw["seed"], bool):
             raise ConfigError("seed in config must be an integer")
         return raw["seed"]
     env = os.environ.get(SEED_ENV_VAR)

@@ -347,6 +347,8 @@ class RotatedZSource(SourceModel):
     def __init__(self, theta: float, bias: float = 0.5) -> None:
         if not 0.0 < bias < 1.0:
             raise ValueError("bias must sit strictly inside (0, 1)")
+        if not math.isfinite(theta):
+            raise ValueError("theta must be finite")
         rz = np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
         probs = np.array([[1 - bias, bias], [1 - bias, bias]]) / 2.0
         super().__init__(probs, [rz @ rho @ rz.conj().T for rho in _BB84_PALETTE])
@@ -366,6 +368,8 @@ class EntangledSource(SourceModel):
     kind = "entangled"
 
     def __init__(self, phi: float = 0.0) -> None:
+        if not math.isfinite(phi):
+            raise ValueError("phi must be finite")
         pair = np.zeros(4, dtype=np.complex128)
         pair[0b00] = 1 / math.sqrt(2)
         pair[0b11] = 1 / math.sqrt(2)
@@ -414,19 +418,22 @@ def check_basis_independence(source: SourceModel) -> float:
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
-def source_from_config(cfg: dict) -> SourceModel:
+def _model_from_config(base: type, what: str, cfg: dict, default: str):
+    """The `base` subclass whose `kind` the config names, built with the
+    config's other keys as its constructor's keyword arguments: a key the
+    constructor does not take, or a missing required one, is a TypeError."""
     if not isinstance(cfg, dict):
-        raise TypeError(f"a source is configured by an object, not {cfg!r}")
-    kind = cfg.get("kind", "perfect")
-    if kind == "perfect":
-        return PerfectSource(bias=cfg.get("bias", 0.5))
-    if kind == "rotated_z":
-        return RotatedZSource(cfg["theta"], bias=cfg.get("bias", 0.5))
-    if kind == "entangled":
-        return EntangledSource(phi=cfg.get("phi", 0.0))
-    if kind == "leaky_two_copy":
-        return LeakyTwoCopySource(leak_prob=cfg.get("leak_prob", 0.5))
-    raise ValueError(f"unknown source kind {kind!r}")
+        raise TypeError(f"a {what} is configured by an object, not {cfg!r}")
+    params = dict(cfg)
+    kind = params.pop("kind", default)
+    kinds = {cls.kind: cls for cls in base.__subclasses__()}
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ValueError(f"unknown {what} kind {kind!r}")
+    return kinds[kind](**params)
+
+
+def source_from_config(cfg: dict) -> SourceModel:
+    return _model_from_config(SourceModel, "source", cfg, "perfect")
 
 
 # ---------------------------------------------------------------------------
@@ -451,11 +458,15 @@ class ChannelModel:
 
 
 class IdentityChannel(ChannelModel):
+    kind = "identity"
+
     def apply_batch(self, palette, index, rng):
         return palette, index
 
 
 class DepolarizingChannel(ChannelModel):
+    kind = "depolarizing"
+
     def __init__(self, p: float) -> None:
         if not 0.0 <= p <= 1.0:
             raise ValueError("depolarizing weight must sit in [0, 1]")
@@ -470,6 +481,8 @@ class DepolarizingChannel(ChannelModel):
 class InterceptResendChannel(ChannelModel):
     """Measures every signal in a random basis and forwards the eigenstate."""
 
+    kind = "intercept_resend"
+
     def apply_batch(self, palette, index, rng):
         m = index.size
         eve_basis = rng.integers(0, 2, size=m)
@@ -481,10 +494,16 @@ class CustomUnitaryChannel(ChannelModel):
     """Couples each signal to a fresh ancilla with a fixed 4x4 unitary and
     discards the ancilla (index layout: signal is the low bit)."""
 
+    kind = "custom"
+
     def __init__(self, unitary: np.ndarray) -> None:
         u = np.asarray(unitary, dtype=np.complex128)
-        if u.shape != (4, 4) or np.max(np.abs(u @ u.conj().T - np.eye(4))) > 1e-10:
-            raise ValueError("need a 4x4 unitary")
+        if (
+            u.shape != (4, 4)
+            or not np.isfinite(u).all()
+            or np.max(np.abs(u @ u.conj().T - np.eye(4))) > 1e-10
+        ):
+            raise ValueError("need a 4x4 unitary with finite entries")
         self.unitary = u
 
     def apply_batch(self, palette, index, rng):
@@ -497,18 +516,7 @@ class CustomUnitaryChannel(ChannelModel):
 
 
 def channel_from_config(cfg: dict) -> ChannelModel:
-    if not isinstance(cfg, dict):
-        raise TypeError(f"a channel is configured by an object, not {cfg!r}")
-    kind = cfg.get("kind", "identity")
-    if kind == "identity":
-        return IdentityChannel()
-    if kind == "depolarizing":
-        return DepolarizingChannel(cfg["p"])
-    if kind == "intercept_resend":
-        return InterceptResendChannel()
-    if kind == "custom":
-        return CustomUnitaryChannel(np.asarray(cfg["unitary"], dtype=np.complex128))
-    raise ValueError(f"unknown channel kind {kind!r}")
+    return _model_from_config(ChannelModel, "channel", cfg, "identity")
 
 
 @dataclass(frozen=True)
@@ -553,7 +561,8 @@ class SessionConfig:
     rec_target_fail: float = 1e-4
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        # a JSON true is an int to Python, but not a key size or a pool size
+        if isinstance(self.n, bool) or self.n < 1:
             raise ValueError("need at least one key bit")
         # the burst cap below implies epsilon < 2^18; checking that first
         # keeps omega_size's ceil finite
@@ -567,7 +576,9 @@ class SessionConfig:
         if self.n > 0xFFFF or self.detector.efficiency < 2**-15 or self.omega_size > 1 << 20:
             raise ValueError("key size beyond the wire format or the burst limit")
         if self.pool_bits is not None and (
-            not isinstance(self.pool_bits, int) or self.pool_bits < 0
+            not isinstance(self.pool_bits, int)
+            or isinstance(self.pool_bits, bool)
+            or self.pool_bits < 0
         ):
             raise ValueError("pool_bits must be a non-negative integer")
         if not isinstance(self.rec_target_fail, numbers.Real):
@@ -920,21 +931,17 @@ class RunStats:
         return (self.r - self.tau - self.confirm_bits) / self.n
 
     def as_row(self, run_id) -> list:
-        rate = self.key_rate_net
-        return [
-            run_id,
-            self.n,
-            self.epsilon,
-            self.delta_max,
-            "" if self.delta is None else repr(self.delta),
-            "" if self.t_size is None else self.t_size,
-            "" if self.s_size is None else self.s_size,
-            "" if self.r is None else self.r,
-            "" if self.tau is None else self.tau,
-            "" if self.confirm_bits is None else self.confirm_bits,
-            "" if rate is None else f"{rate:.6f}",
-            self.abort_reason or "",
-        ]
+        """The STATS_FIELDS values: an unset field is empty, the net rate has
+        six decimals, and every other field is written as it is."""
+        row = []
+        for name in STATS_FIELDS:
+            value = run_id if name == "run_id" else getattr(self, name)
+            if value is None:
+                value = ""
+            elif name == "key_rate_net":
+                value = f"{value:.6f}"
+            row.append(value)
+        return row
 
 
 # ---------------------------------------------------------------------------
@@ -944,10 +951,15 @@ class RunStats:
 class _Session:
     """Shared plumbing: phase tracking, transcript, terminal handling.
 
-    Each subclass maps every waiting phase to the one tag it accepts
-    (`expects`).  `on_message` ends any other tag in `phase_order` before a
+    Each subclass lists its waiting phases in protocol order, each with the
+    one tag it accepts (`expects`); that table is the only statement of the
+    phase order.  `on_message` ends any other tag in `phase_order` before a
     handler sees it, records the peer's message, dispatches it to
-    `_phase_<phase>`, and records what this side sends in reply.
+    `_phase_<phase>`, and records what this side sends in reply.  Only the
+    dispatcher moves `phase`: after a handler returns on a session that has
+    not aborted, to the next phase of `expects`, or to "finished" after the
+    last; `_fail` moves it to "dead".  A session is `done` once finished, and
+    only then does `final_key` release the key its handlers derived.
     """
 
     role_name = "?"
@@ -957,12 +969,19 @@ class _Session:
         self.cfg = cfg
         self.transcript = Transcript()
         self.stats = RunStats(n=cfg.n, epsilon=cfg.epsilon, delta_max=cfg.delta_max)
-        self.final_key: BitVec | None = None
         self.abort_reason: str | None = None
         self.abort_detail: str | None = None
-        self.done = False
-        self.phase = "hello"
+        self.phase = next(iter(self.expects))
         self.pool = SecretPool(stream_seed(cfg.seed, "pool"), cfg.pool_capacity)
+        self._key: BitVec | None = None
+
+    @property
+    def done(self) -> bool:
+        return self.phase == "finished"
+
+    @property
+    def final_key(self) -> BitVec | None:
+        return self._key if self.done else None
 
     @property
     def aborted(self) -> bool:
@@ -982,7 +1001,6 @@ class _Session:
     def _fail(self, reason: str, announce: bool = True) -> list[WireMessage]:
         self.abort_reason = reason
         self.stats.abort_reason = reason
-        self.final_key = None
         self.phase = "dead"
         return [WireMessage(TAG_ABORT, reason.encode())] if announce else []
 
@@ -1010,10 +1028,14 @@ class _Session:
                 reason = ABORT_MALFORMED
             return self._fail(reason, announce=False)
         try:
-            return getattr(self, f"_phase_{self.phase}")(msg)
+            out = getattr(self, f"_phase_{self.phase}")(msg)
         except ProtocolError as err:
             self.abort_detail = f"{msg.name()}: {err}"
             return self._fail(ABORT_MALFORMED)
+        if not self.aborted:
+            phases = [*self.expects, "finished"]
+            self.phase = phases[phases.index(self.phase) + 1]
+        return out
 
 
 class AliceSession(_Session):
@@ -1047,9 +1069,11 @@ class AliceSession(_Session):
         self.kappa: np.ndarray | None = None
 
     def start(self) -> list[WireMessage]:
-        if check_basis_independence(self.cfg.source) > SOURCE_TOLERANCE:
+        # admissible: one emitted qubit, and basis-averaged states that agree
+        # (written so that a NaN distance fails)
+        src = self.cfg.source
+        if src.palette.shape != (4, 2, 2) or not check_basis_independence(src) <= SOURCE_TOLERANCE:
             return self._record(self.role_name, self._fail(ABORT_SOURCE))
-        self.phase = "hello"
         return [WireMessage(TAG_HELLO, encode_hello(self.cfg, ROLE_ALICE))]
 
     def _phase_hello(self, msg: WireMessage) -> Sequence[WireMessage]:
@@ -1071,7 +1095,6 @@ class AliceSession(_Session):
         sent_basis = np.where(self.r_mask == 1, self.a_bits, 1 - self.a_bits)
         p_one = 2.0 * src.probs[:, 1]  # P(g = 1 | sent basis)
         self.g_bits = (rng.random(m) < p_one[sent_basis]).astype(np.uint8)
-        self.phase = "await_bases"
         return [encode_qburst(src.palette, 2 * sent_basis + self.g_bits)]
 
     def _phase_await_bases(self, msg: WireMessage) -> list[WireMessage]:
@@ -1082,7 +1105,6 @@ class AliceSession(_Session):
         test_mask, self._key_mask = _sift_masks(self.a_bits, b_symbols, self.r_mask)
         self.test_set = np.flatnonzero(test_mask)
         self.stats.t_size = len(self.test_set)
-        self.phase = "await_subset"
         return [WireMessage(TAG_BASES_A_AND_R, encode_bases_a_and_r(self.a_bits, self.r_mask))]
 
     def _phase_await_subset(self, msg: WireMessage) -> list[WireMessage]:
@@ -1097,7 +1119,6 @@ class AliceSession(_Session):
         self.key_set = key_idx
         self.stats.s_size = len(self.key_set)
         g_test = self.g_bits[self.test_set]
-        self.phase = "await_delta"
         return [WireMessage(TAG_TEST_BITS, encode_bits(g_test))]
 
     def _phase_await_delta(self, msg: WireMessage) -> list[WireMessage]:
@@ -1107,7 +1128,6 @@ class AliceSession(_Session):
             return self._fail(ABORT_DELTA, announce=False)
         if not 0.0 <= delta <= self.cfg.delta_max:  # no verdict Bob could reach
             return self._fail(ABORT_PHASE)
-        self.phase = "await_perm"
         return []
 
     def _phase_await_perm(self, msg: WireMessage) -> list[WireMessage]:
@@ -1115,7 +1135,6 @@ class AliceSession(_Session):
         if not is_permutation(perm, self.cfg.n):
             return self._fail(ABORT_PHASE)
         self.perm = perm
-        self.phase = "await_code"
         return []
 
     def _phase_await_code(self, msg: WireMessage) -> list[WireMessage]:
@@ -1124,7 +1143,6 @@ class AliceSession(_Session):
             return self._fail(ABORT_PHASE)
         self.stats.r = code.k
         self.stats.code_descriptor = code.descriptor()
-        self.phase = "await_syndrome"
         return []
 
     def _phase_await_syndrome(self, msg: WireMessage) -> list[WireMessage]:
@@ -1149,7 +1167,6 @@ class AliceSession(_Session):
             self.kappa = rec.correct_with_syndrome(word, target)
         except DecodingFailure:
             return self._fail(ABORT_RECONCILE)
-        self.phase = "await_confirm"
         return []
 
     def _phase_await_confirm(self, msg: WireMessage) -> list[WireMessage]:
@@ -1161,9 +1178,7 @@ class AliceSession(_Session):
         self.stats.confirm_bits = CONFIRM_KEY_BITS
         if _confirm_mac(confirm_key, self.kappa) != their_mac:
             return self._fail(ABORT_CONFIRM)
-        self.final_key = BitVec.from_array(self.cfg.pa_code.coset_key(self.kappa))
-        self.done = True
-        self.phase = "finished"
+        self._key = BitVec.from_array(self.cfg.pa_code.coset_key(self.kappa))
         return [WireMessage(TAG_DONE, b"")]
 
 
@@ -1192,8 +1207,6 @@ class BobSession(_Session):
         self.test_set = np.empty(0, dtype=np.intp)
         self.key_set = np.empty(0, dtype=np.intp)
         self.kappa: np.ndarray | None = None
-        # released on DONE: Alice may abort silently on a flipped DELTA_DECISION
-        self._pending_key: BitVec | None = None
 
     def start(self) -> list[WireMessage]:
         return []
@@ -1201,7 +1214,6 @@ class BobSession(_Session):
     def _phase_hello(self, msg: WireMessage) -> list[WireMessage]:
         if msg.payload != encode_hello(self.cfg, ROLE_ALICE):
             return self._fail(ABORT_VERSION)
-        self.phase = "collect"
         return [WireMessage(TAG_HELLO, encode_hello(self.cfg, ROLE_BOB))]
 
     def _phase_collect(self, msg: WireMessage) -> list[WireMessage]:
@@ -1222,7 +1234,6 @@ class BobSession(_Session):
         outcomes, detected = cfg.detector.measure_batch(palette, index, bases, rng)
         self.h_bits = outcomes
         self.b_symbols = np.where(detected, bases, np.uint8(2)).astype(np.uint8)
-        self.phase = "await_bases_a"
         return [WireMessage(TAG_BASES_B, encode_bases_b(self.b_symbols))]
 
     def _phase_await_bases_a(self, msg: WireMessage) -> list[WireMessage]:
@@ -1238,7 +1249,6 @@ class BobSession(_Session):
         self.stats.s_size = len(result.key_set)
         mask = np.zeros(self.cfg.omega_size, dtype=np.uint8)
         mask[result.key_set] = 1
-        self.phase = "await_test_bits"
         return [WireMessage(TAG_SUBSET_S, encode_bits(mask))]
 
     def _phase_await_test_bits(self, msg: WireMessage) -> list[WireMessage]:
@@ -1285,14 +1295,13 @@ class BobSession(_Session):
             WireMessage(TAG_SYNDROME_ENC, encode_syndrome(rec.descriptor(), syndrome ^ otp)),
             WireMessage(TAG_KEY_CONFIRM, encode_confirm(_confirm_mac(confirm_key, self.kappa))),
         ]
-        self._pending_key = BitVec.from_array(pa.coset_key(self.kappa))
-        self.phase = "await_done"
+        # released on DONE: Alice may abort silently on a flipped DELTA_DECISION
+        self._key = BitVec.from_array(pa.coset_key(self.kappa))
         return out
 
     def _phase_await_done(self, msg: WireMessage) -> list[WireMessage]:
-        self.final_key = self._pending_key
-        self.done = True
-        self.phase = "finished"
+        """DONE needs no work: the dispatcher's step to "finished" is what
+        releases the key."""
         return []
 
 

@@ -324,12 +324,25 @@ class SecurityReport:
 
 
 def _binomial_tail_at_most(trials: int, p: float, cutoff: int) -> float:
-    """P[Binom(trials, p) <= cutoff], exactly."""
+    """P[Binom(trials, p) <= cutoff].  Each term is taken through its
+    logarithm, so none overflows at any size; p = 0 and p = 1 are point
+    masses, and the sum is clamped to [0, 1] against rounding."""
     p = min(max(p, 0.0), 1.0)
-    total = 0.0
-    for j in range(min(cutoff, trials) + 1):
-        total += math.comb(trials, j) * (p**j) * ((1.0 - p) ** (trials - j))
-    return total
+    if p in (0.0, 1.0):  # all mass at 0 or at `trials`
+        return float(cutoff >= (0 if p == 0.0 else trials))
+    log_p, log_q = math.log(p), math.log1p(-p)
+    lead = math.lgamma(trials + 1)
+    total = math.fsum(
+        math.exp(
+            lead
+            - math.lgamma(j + 1)
+            - math.lgamma(trials - j + 1)
+            + j * log_p
+            + (trials - j) * log_q
+        )
+        for j in range(min(cutoff, trials) + 1)
+    )
+    return min(total, 1.0)
 
 
 def audit_protocol3(
@@ -365,8 +378,12 @@ def audit_protocol3(
     if 2 * n + r > SIM_QUBIT_LIMIT:
         raise ValueError(f"audit needs {2 * n + r} qubits, over the limit")
     attack = np.asarray(attack, dtype=np.complex128)
-    if attack.shape != (4, 4) or np.max(np.abs(attack @ attack.conj().T - np.eye(4))) > 1e-10:
-        raise ValueError("attack must be a 4x4 unitary")
+    if (
+        attack.shape != (4, 4)
+        or not np.isfinite(attack).all()
+        or np.max(np.abs(attack @ attack.conj().T - np.eye(4))) > 1e-10
+    ):
+        raise ValueError("attack must be a 4x4 unitary with finite entries")
 
     chi = attack[:, 0]  # per-signal (signal, ancilla) state, index s + 2e
     p_z = float(abs(chi[1]) ** 2 + abs(chi[3]) ** 2)

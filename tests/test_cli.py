@@ -96,6 +96,19 @@ def test_unbuildable_code_policy_rejected(tmp_path, policy):
         {"n": 16, "channel": [1]},
         {"n": 16, "rec_target_fail": "a"},
         {"n": 16, "rec_target_fail": None},
+        # a JSON true is a Python int, but no size or seed
+        {"n": True},
+        {"n": 16, "pool_bits": True},
+        {"n": 16, "seed": True},
+        # a NaN state passes every `distance > tolerance` test
+        {"n": 16, "source": {"kind": "entangled", "phi": float("nan")}},
+        {"n": 16, "source": {"kind": "rotated_z", "theta": float("nan")}},
+        {"n": 16, "source": {"kind": "rotated_z", "theta": float("inf")}},
+        {"n": 16, "channel": {"kind": "custom", "unitary": [[float("nan")] * 4] * 4}},
+        # a model's config keys are its constructor's parameters
+        {"n": 16, "source": {"kind": "perfect", "bais": 0.7}},
+        {"n": 16, "channel": {"kind": "identity", "p": 0.1}},
+        {"n": 16, "channel": {"kind": "depolarizing"}},
     ],
     ids=[
         "nan_epsilon",
@@ -111,6 +124,16 @@ def test_unbuildable_code_policy_rejected(tmp_path, policy):
         "channel_not_an_object",
         "text_target_fail",
         "null_target_fail",
+        "boolean_n",
+        "boolean_pool",
+        "boolean_seed",
+        "nan_phi",
+        "nan_theta",
+        "inf_theta",
+        "nan_unitary",
+        "misspelt_source_key",
+        "key_on_identity_channel",
+        "missing_depolarizing_weight",
     ],
 )
 def test_out_of_domain_config_is_a_config_error(tmp_path, overrides):
@@ -284,6 +307,17 @@ def test_sweep_depolarizing_delta_is_monotone(tmp_path):
     assert means[0] == 0.0
 
 
+def test_sweep_of_a_key_the_channel_does_not_take_is_a_config_error(tmp_path, capsys):
+    # the default --param channel.p on an identity channel: no model reads p
+    cfg = write_config(tmp_path, channel={"kind": "identity"})
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg, "--values", "0,0.2,0.4", "--out", str(out)]) == (
+        EXIT_CONFIG
+    )
+    assert "takes no arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_rejects_non_numeric_value(tmp_path):
     cfg = write_config(tmp_path)
     code = main(
@@ -419,6 +453,15 @@ def test_audit_rejects_bad_attack_and_code(tmp_path, capsys):
 def test_audit_outside_its_domain_is_a_config_error(extra, reason, capsys):
     assert main(["audit", *extra]) == EXIT_CONFIG
     assert reason in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("test_size", ["3000", "100000"])
+def test_audit_pass_probability_is_finite_at_any_test_size(tmp_path, test_size):
+    code, doc = run_audit(
+        tmp_path, "--attack", "rotation:theta=0.5", "--n", "3", "--test-size", test_size
+    )
+    assert code == EXIT_OK
+    assert 0.0 <= doc["report"]["test_pass_probability"] <= 1.0
 
 
 def test_audit_code_length_must_match_n(capsys):

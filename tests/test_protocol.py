@@ -67,10 +67,12 @@ from qkdlab.protocol import (
     RotatedZSource,
     SecretPool,
     SessionConfig,
+    SourceModel,
     Transcript,
     TranscriptRecord,
     WireMessage,
     _NAME_TAGS,
+    channel_from_config,
     check_basis_independence,
     choose_reconciliation_code,
     decode_bases_a_and_r,
@@ -168,6 +170,78 @@ def test_source_parameter_validation():
         PerfectSource(bias=0.0)
     with pytest.raises(ValueError):
         LeakyTwoCopySource(leak_prob=1.5)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: RotatedZSource(math.nan),
+        lambda: RotatedZSource(math.inf),
+        lambda: EntangledSource(math.nan),
+        lambda: CustomUnitaryChannel(np.where(np.eye(4) == 1, np.nan, 0.0)),
+    ],
+    ids=["nan_theta", "inf_theta", "nan_phi", "nan_unitary"],
+)
+def test_non_finite_model_parameters_are_rejected(build):
+    # a NaN state would slip past every `distance > tolerance` test
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_model_defaults_live_in_the_constructors():
+    assert source_from_config({}).bias == 0.5
+    assert source_from_config({"kind": "rotated_z", "theta": 0.3}).bias == 0.5
+    assert source_from_config({"kind": "entangled"}).phi == 0.0
+    assert channel_from_config({}).kind == "identity"
+    assert channel_from_config({"kind": "depolarizing", "p": 0.2}).p == 0.2
+    with pytest.raises(ValueError):
+        channel_from_config({"kind": "wormhole"})
+
+
+@pytest.mark.parametrize(
+    "build, cfg",
+    [
+        (source_from_config, {"kind": "perfect", "bais": 0.7}),
+        (source_from_config, {"bias": 0.7, "theta": 0.3}),
+        (source_from_config, {"kind": "rotated_z"}),
+        (channel_from_config, {"kind": "identity", "p": 0.1}),
+        (channel_from_config, {"p": 0.1}),
+        (channel_from_config, {"kind": "intercept_resend", "p": 0.1}),
+        (channel_from_config, {"kind": "depolarizing"}),
+        (channel_from_config, {"kind": "custom"}),
+    ],
+    ids=[
+        "misspelt_source_key",
+        "key_the_default_kind_does_not_take",
+        "missing_theta",
+        "key_on_identity",
+        "key_on_default_identity",
+        "key_on_intercept_resend",
+        "missing_p",
+        "missing_unitary",
+    ],
+)
+def test_model_config_keys_are_constructor_parameters(build, cfg):
+    with pytest.raises(TypeError):
+        build(cfg)
+
+
+def _nan_source():
+    return SourceModel(np.full((2, 2), 0.25), np.full((4, 2, 2), np.nan))
+
+
+@pytest.mark.parametrize(
+    "source",
+    [LeakyTwoCopySource(0.5), LeakyTwoCopySource(0.0), PerfectSource(bias=0.6), _nan_source()],
+    ids=["leaky", "leaky_without_leak", "biased", "nan_palette"],
+)
+def test_gate_refuses_a_source_it_cannot_vouch_for(source):
+    # two emitted qubits fail even at distance 0: QBURST carries one; a NaN
+    # distance fails because the gate asks for `distance <= tolerance`
+    res = run_protocol(_noiseless_cfg(source=source))
+    assert res.alice.abort_reason == res.bob.abort_reason == ABORT_SOURCE
+    assert [r.step for r in res.transcript.records] == ["ABORT"]
+    assert res.alice.a_bits is None
 
 
 # ---------------------------------------------------------------------------
@@ -1138,6 +1212,80 @@ def test_hang_up_ends_only_a_waiting_session():
         assert outcome(party) == before
 
 
+def _unchanged(i, msg):
+    return [msg]
+
+
+def _flip_delta_decision(i, msg):
+    if msg.tag != TAG_DELTA_DECISION:
+        return [msg]
+    return [WireMessage(msg.tag, msg.payload[:-1] + bytes([msg.payload[-1] ^ 1]))]
+
+
+def _phase_walks(cfg, rewrite):
+    """{party: its phases}, Alice's first: the phase at the start and after
+    every message delivered to the party while it is not yet terminal, then
+    after `hang_up` as `run_protocol` ends a waiting party.  Every state seen
+    is also checked for `done` and `final_key` against its phase."""
+    alice, bob = AliceSession(cfg), BobSession(cfg)
+    walks = {alice: [alice.phase], bob: [bob.phase]}
+
+    def seen(party):
+        assert party.done == (party.phase == "finished")
+        assert party.final_key is None or party.done
+        walks[party].append(party.phase)
+
+    queue = collections.deque(("alice", m) for m in alice.start())
+    if alice.terminal:
+        seen(alice)
+    index = 0
+    while queue:
+        sender, msg = queue.popleft()
+        receiver = bob if sender == "alice" else alice
+        for out in rewrite(index, msg):
+            if receiver.terminal:
+                continue  # a terminal session takes no message
+            queue.extend((receiver.role_name, m) for m in receiver.on_message(out))
+            seen(receiver)
+        index += 1
+    for party in (alice, bob):
+        if not party.terminal:
+            party.hang_up()
+            seen(party)
+    return walks
+
+
+@pytest.mark.parametrize(
+    "cfg, rewrite, endings",
+    [
+        (_noiseless_cfg(), _unchanged, ("finished", "finished")),
+        (
+            _noiseless_cfg(n=64, channel=DepolarizingChannel(0.05)),
+            _unchanged,
+            ("finished", "finished"),
+        ),
+        (_noiseless_cfg(channel=InterceptResendChannel()), _unchanged, ("dead", "dead")),
+        (SessionConfig(n=64, epsilon=0.35, seed=2, pool_bits=64), _unchanged, ("dead", "dead")),
+        (_noiseless_cfg(seed=3), _flip_delta_decision, ("dead", "dead")),
+    ],
+    ids=["noiseless", "depolarizing", "intercept_resend", "pool_exhausted", "flipped_delta"],
+)
+def test_phases_walk_the_expects_table_in_order(cfg, rewrite, endings):
+    walks = _phase_walks(cfg, rewrite)
+    alice, bob = walks
+    for party, walk in walks.items():
+        order = [*party.expects, "finished"]
+        stepped = walk[:-1] if walk[-1] == "dead" else walk
+        # one step per delivered message: no phase skipped, none repeated
+        assert stepped == order[: len(stepped)], party.role_name
+        assert "dead" not in stepped
+    assert (alice.phase, bob.phase) == endings
+    if endings == ("finished", "finished"):
+        assert alice.final_key == bob.final_key is not None
+    else:
+        assert alice.final_key is None and bob.final_key is None
+
+
 def test_rewritten_code_leaves_nobody_a_key():
     # the confirmation hash covers the reconciled word, not the code: had
     # Alice built the code Bob's CODE names, both would finish, keys unequal
@@ -1276,6 +1424,39 @@ def test_honest_message_retagged_as_abort_ends_in_a_named_reason(index):
     else:  # DONE
         assert receiver.abort_reason == ABORT_TRANSPORT
     assert receiver.final_key is None
+
+
+def _old_row(stats, run_id) -> list:
+    """The row as it was written field by field before `as_row` walked
+    STATS_FIELDS."""
+    rate = stats.key_rate_net
+    return [
+        run_id, stats.n, stats.epsilon, stats.delta_max,
+        "" if stats.delta is None else repr(stats.delta),
+        *("" if v is None else v for v in (
+            stats.t_size, stats.s_size, stats.r, stats.tau, stats.confirm_bits
+        )),
+        "" if rate is None else f"{rate:.6f}",
+        stats.abort_reason or "",
+    ]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        _noiseless_cfg(),
+        _noiseless_cfg(channel=DepolarizingChannel(0.1), n=64),
+        _noiseless_cfg(channel=InterceptResendChannel()),
+        SessionConfig(n=64, epsilon=0.35, seed=2, pool_bits=64),
+        _noiseless_cfg(source=LeakyTwoCopySource(0.5)),
+    ],
+    ids=["done", "depolarizing", "delta_exceeded", "pool_exhausted", "source"],
+)
+def test_stats_row_writes_the_csv_bytes_of_the_field_by_field_row(cfg):
+    from qkdlab.cli import _csv_text
+
+    stats = run_protocol(cfg).stats
+    assert _csv_text([], [stats.as_row("0001")]) == _csv_text([], [_old_row(stats, "0001")])
 
 
 def test_stats_row_matches_field_order():

@@ -521,6 +521,8 @@ def test_audit_error_paths():
     with pytest.raises(ValueError):
         audit_protocol3(np.eye(4) * 2.0, 3, repetition(3))  # not unitary
     with pytest.raises(ValueError):
+        audit_protocol3(np.where(np.eye(4) == 1, np.nan, 0.0), 3, repetition(3))
+    with pytest.raises(ValueError):
         audit_protocol3(identity_attack(), 4, repetition(3))  # length mismatch
     with pytest.raises(ValueError):
         audit_protocol3(identity_attack(), 5, repetition(5))  # too many signals

@@ -193,6 +193,7 @@ SHIPPED_SOURCES = [
     EntangledSource(-1.2),
     LeakyTwoCopySource(0.25),
     LeakyTwoCopySource(1.0),
+    LeakyTwoCopySource(0.0),  # distance 0, but two emitted qubits
 ]
 
 
@@ -209,6 +210,7 @@ SHIPPED_SOURCES = [
         "entangled_negative",
         "leaky",
         "leaky_full",
+        "leaky_without_leak",
     ],
 )
 def test_source_palette_probs_and_distance_match_the_per_state_reference(source):
