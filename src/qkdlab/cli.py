@@ -71,7 +71,7 @@ def resolve_seed(flag_seed: int | None, raw: dict) -> int:
     if flag_seed is not None:
         return flag_seed
     if "seed" in raw:
-        if not isinstance(raw["seed"], int) or isinstance(raw["seed"], bool):
+        if not isinstance(raw["seed"], int):
             raise ConfigError("seed in config must be an integer")
         return raw["seed"]
     env = os.environ.get(SEED_ENV_VAR)
@@ -92,7 +92,21 @@ _MODEL_BUILDERS = {
 }
 
 
+def _reject_booleans(node, where: str) -> None:
+    """A JSON true or false is an int to Python, but no config value is a
+    boolean: refuse one anywhere, nested models and their lists included."""
+    if isinstance(node, bool):
+        raise ConfigError(f"{where} is a boolean, not a number")
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _reject_booleans(value, f"{where}.{key}")
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            _reject_booleans(value, f"{where}[{i}]")
+
+
 def build_session_config(raw: dict, flag_seed: int | None = None) -> SessionConfig:
+    _reject_booleans(raw, "config")
     unknown = set(raw) - set(_CONFIG_FIELDS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")

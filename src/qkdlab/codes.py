@@ -15,8 +15,9 @@ scale (n up to ~25).
 
 Every map takes and returns 1-D uint8 bit arrays, entry i = component i.
 encode, syndrome and coset_key are mod-2 matmuls over the last axis, so a
-(count, n) array maps row by row.  The nearest-pattern search runs on packed
-integers and converts at its own edge.
+(count, n) array maps row by row.  Beneath them, the generator and parity
+check matrices, the codeword table and the nearest-pattern search work on
+packed integers, bit i = component i, and decoding converts at its own edge.
 
 Protocol-size codes are BlockCodes: direct sums of runs of small inner
 codes that are built and checked once per process.  The trivial [n, n] and
@@ -29,6 +30,7 @@ n-by-k generator is assembled only when a caller reads `gen`.
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 import random
 from dataclasses import dataclass
@@ -36,7 +38,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .gf2 import BitVec, DimensionError, GF2Matrix, bits_to_int, int_to_bits
+from .gf2 import DimensionError, GF2Matrix, bits_to_int, int_to_bits
 
 LEADER_TABLE_LIMIT = 14  # build syndrome tables up to 2^14 cosets
 BRUTE_FORCE_LIMIT = 22  # enumerate codewords up to 2^22
@@ -65,7 +67,7 @@ def _lex_key(value: int, k: int) -> int:
 @dataclass(frozen=True)
 class CorrectableSet:
     """Error patterns a decoder promises to reverse: the n-bit patterns of
-    weight at most max_weight, which always include zero."""
+    weight at most max_weight, which always include zero, as packed ints."""
 
     n: int
     max_weight: int
@@ -74,13 +76,10 @@ class CorrectableSet:
         if not 0 <= self.max_weight <= self.n:
             raise ValueError(f"weight bound {self.max_weight} outside [0, {self.n}]")
 
-    def __iter__(self) -> Iterator[BitVec]:
+    def __iter__(self) -> Iterator[int]:
         for w in range(self.max_weight + 1):
             for pos in itertools.combinations(range(self.n), w):
-                v = 0
-                for p in pos:
-                    v |= 1 << p
-                yield BitVec(self.n, v)
+                yield sum(1 << p for p in pos)
 
 
 class LinearCode:
@@ -140,7 +139,7 @@ class LinearCode:
         """(n-k)-by-n matrix whose rows span the dual code."""
         if self._parity is None:
             basis = self._gen_t.kernel_basis()
-            self._parity = GF2Matrix.from_row_vecs(basis, self.n)
+            self._parity = GF2Matrix(len(basis), self.n, tuple(basis))
         return self._parity
 
     def syndrome(self, v: np.ndarray) -> np.ndarray:
@@ -202,7 +201,7 @@ class LinearCode:
                     e = 0
                     for p in pos:
                         e |= 1 << p
-                    s = self.parity_check().apply(BitVec(self.n, e)).value
+                    s = self.parity_check().apply(e)
                     got = table.get(s)
                     if got is None:
                         table[s] = (w, [e])
@@ -233,7 +232,7 @@ class LinearCode:
         by the lightest patterns of its syndrome."""
         if self.k == self.n:  # every word is a codeword
             return self._messages[word]
-        s = self.parity_check().apply(BitVec(self.n, word)).value
+        s = self.parity_check().apply(word)
         found = (self._messages[word ^ e] for e in self._lightest(s))
         return min(found, key=lambda m: _lex_key(m, self.k))
 
@@ -410,8 +409,8 @@ def _hamming(m: int) -> LinearCode:
         for j in range(n):
             word |= (((j + 1) >> i) & 1) << j
         rows.append(word)
-    check = GF2Matrix(m, n, tuple(rows))
-    gen = GF2Matrix.from_col_vecs(check.kernel_basis(), n)
+    basis = GF2Matrix(m, n, tuple(rows)).kernel_basis()
+    gen = GF2Matrix(len(basis), n, tuple(basis)).transpose()
     return LinearCode(f"hamming:n={n}", gen, 1)
 
 
@@ -423,8 +422,8 @@ def hamming(m: int) -> LinearCode:
 
 
 # The one-bit codes every trivial code and block-family tail is a run of.
-_IDENTITY_BIT = LinearCode("identity:n=1", GF2Matrix.identity(1), 0)
-_ZERO_BIT = LinearCode("zero:n=1", GF2Matrix.zeros(1, 0), 1)
+_IDENTITY_BIT = LinearCode("identity:n=1", GF2Matrix(1, 1, (1,)), 0)
+_ZERO_BIT = LinearCode("zero:n=1", GF2Matrix(1, 0, (0,)), 1)
 
 
 def identity_code(n: int) -> BlockCode:
@@ -445,7 +444,7 @@ def random_code(n: int, k: int, seed: int) -> LinearCode:
         raise ValueError("dimension beyond desk-scale enumeration")
     rng = random.Random(seed)
     while True:
-        gen = GF2Matrix.random(n, k, rng)
+        gen = GF2Matrix(n, k, tuple(rng.getrandbits(k) for _ in range(n)))
         if gen.rank() == k:
             break
     code = LinearCode(f"random:n={n},k={k},seed={seed}", gen, 0)
@@ -528,39 +527,41 @@ def descriptor_length(desc: str) -> int:
     return params["n"]
 
 
+def _hamming_of_length(n: int) -> LinearCode:
+    m = (n + 1).bit_length() - 1
+    if (1 << m) - 1 != n:
+        raise ValueError(f"{n} is not a hamming length")
+    return hamming(m)
+
+
+# descriptor family -> builder; a descriptor's parameters are its keywords
+CODE_FAMILIES: dict[str, Callable[..., LinearCode]] = {
+    "repetition": repetition,
+    "hamming": _hamming_of_length,
+    "identity": identity_code,
+    "zero": zero_code,
+    "random": random_code,
+    "hamming_blocks": hamming_blocks,
+    "repetition_blocks": repetition_blocks,
+    "rec_hamming": rec_hamming,
+    "rec_repetition": rec_repetition,
+    "rec_identity": rec_identity,
+    "rec_verbatim": rec_verbatim,
+}
+
+
 def code_from_descriptor(desc: str) -> LinearCode:
-    """Rebuild a shipped code from its wire descriptor string."""
+    """Rebuild a shipped code from its wire descriptor string; a parameter
+    its family's builder does not take, or a missing one, is a ValueError."""
     family, params = _parse_descriptor(desc)
+    build = CODE_FAMILIES.get(family)
+    if build is None:
+        raise ValueError(f"unknown code family in descriptor {desc!r}")
     try:
-        if family == "repetition":
-            return repetition(params["n"])
-        if family == "hamming":
-            n = params["n"]
-            m = (n + 1).bit_length() - 1
-            if (1 << m) - 1 != n:
-                raise ValueError(f"{n} is not a hamming length")
-            return hamming(m)
-        if family == "identity":
-            return identity_code(params["n"])
-        if family == "zero":
-            return zero_code(params["n"])
-        if family == "random":
-            return random_code(params["n"], params["k"], params["seed"])
-        if family == "hamming_blocks":
-            return hamming_blocks(params["n"])
-        if family == "repetition_blocks":
-            return repetition_blocks(params["n"], params["inner"])
-        if family == "rec_hamming":
-            return rec_hamming(params["n"])
-        if family == "rec_repetition":
-            return rec_repetition(params["n"], params["inner"])
-        if family == "rec_identity":
-            return rec_identity(params["n"])
-        if family == "rec_verbatim":
-            return rec_verbatim(params["n"])
-    except KeyError as exc:
-        raise ValueError(f"descriptor {desc!r} missing parameter {exc}") from exc
-    raise ValueError(f"unknown code family in descriptor {desc!r}")
+        inspect.signature(build).bind(**params)
+    except TypeError as exc:
+        raise ValueError(f"descriptor {desc!r} does not fit {family}: {exc}") from exc
+    return build(**params)
 
 
 # ---------------------------------------------------------------------------
@@ -569,6 +570,6 @@ def code_from_descriptor(desc: str) -> LinearCode:
 
 def reversal_holds(code: LinearCode) -> bool:
     """Exhaustively check decode(G y + x) == y over the correctable set."""
-    patterns = [x.value for x in code.correctable_set()]
+    patterns = list(code.correctable_set())
     codewords = enumerate(code.codewords())
     return all(code._message(cw ^ x) == y for y, cw in codewords for x in patterns)

@@ -581,8 +581,10 @@ class SessionConfig:
             or self.pool_bits < 0
         ):
             raise ValueError("pool_bits must be a non-negative integer")
-        if not isinstance(self.rec_target_fail, numbers.Real):
-            raise ValueError("rec_target_fail must be a real number")
+        # written so that a NaN target fails too
+        target = self.rec_target_fail
+        if not (isinstance(target, numbers.Real) and 0.0 < target < 1.0):
+            raise ValueError("rec_target_fail must be a real number in (0, 1)")
         self.pa_code  # a policy that names no buildable code is a config error
 
     @functools.cached_property
@@ -617,14 +619,18 @@ def _pack_bits(bits: np.ndarray) -> bytes:
     return np.packbits(bits.astype(np.uint8), bitorder="little").tobytes()
 
 
-def _unpack_bits(blob: bytes, count: int) -> np.ndarray:
-    """Inverse of `_pack_bits`; a set padding bit is malformed."""
+def _unpack_bits(blob, count: int, expected: int) -> np.ndarray | None:
+    """Inverse of `_pack_bits`, or None when `count` is not the `expected`
+    one.  A blob that does not hold exactly `count` bits, or has a set
+    padding bit, is malformed; both are read off its length and last byte,
+    so nothing is unpacked before the count is compared."""
     if len(blob) != (count + 7) // 8:
         raise ProtocolError(f"{len(blob)} bytes do not hold exactly {count} bits")
     if count % 8 and blob[-1] >> (count % 8):
         raise ProtocolError(f"padding bits past bit {count} are set")
-    arr = np.frombuffer(blob, dtype=np.uint8)
-    return np.unpackbits(arr, count=count, bitorder="little")
+    if count != expected:
+        return None
+    return np.unpackbits(np.frombuffer(blob, dtype=np.uint8), count=count, bitorder="little")
 
 
 def _unpack(fmt: str, payload: bytes, offset: int = 0) -> tuple:
@@ -657,12 +663,16 @@ def encode_bases_b(symbols: np.ndarray) -> bytes:
     return struct.pack(">I", len(symbols)) + symbols.astype(np.uint8).tobytes()
 
 
-def decode_bases_b(payload: bytes) -> np.ndarray:
+# Each counted decoder takes the count its session expects and returns None
+# for any other count, which it compares before it copies or unpacks: what
+# a message costs is bounded by the session's own n, not by the peer.
+
+
+def decode_bases_b(payload: bytes, expected: int) -> np.ndarray | None:
     (count,) = _unpack(">I", payload)
-    body = np.frombuffer(payload[4:], dtype=np.uint8)
-    if body.size != count:
+    if len(payload) - 4 != count:
         raise ProtocolError("basis announcement length mismatch")
-    return body.copy()
+    return np.frombuffer(payload, np.uint8, offset=4).copy() if count == expected else None
 
 
 def encode_bases_a_and_r(a_bits: np.ndarray, r_mask: np.ndarray) -> bytes:
@@ -670,13 +680,15 @@ def encode_bases_a_and_r(a_bits: np.ndarray, r_mask: np.ndarray) -> bytes:
     return struct.pack(">I", count) + _pack_bits(a_bits) + _pack_bits(r_mask)
 
 
-def decode_bases_a_and_r(payload: bytes) -> tuple[np.ndarray, np.ndarray]:
+def decode_bases_a_and_r(payload: bytes, expected: int) -> tuple[np.ndarray, np.ndarray] | None:
     (count,) = _unpack(">I", payload)
     span = (count + 7) // 8
-    body = payload[4:]
+    body = memoryview(payload)[4:]
     if len(body) != 2 * span:
         raise ProtocolError("basis/subset announcement length mismatch")
-    return _unpack_bits(body[:span], count), _unpack_bits(body[span:], count)
+    a_bits = _unpack_bits(body[:span], count, expected)
+    r_mask = _unpack_bits(body[span:], count, expected)
+    return None if a_bits is None else (a_bits, r_mask)
 
 
 def encode_bits(bits: np.ndarray) -> bytes:
@@ -684,9 +696,9 @@ def encode_bits(bits: np.ndarray) -> bytes:
     return struct.pack(">I", len(bits)) + _pack_bits(bits)
 
 
-def decode_bits(payload: bytes) -> np.ndarray:
+def decode_bits(payload: bytes, expected: int) -> np.ndarray | None:
     (count,) = _unpack(">I", payload)
-    return _unpack_bits(payload[4:], count)
+    return _unpack_bits(memoryview(payload)[4:], count, expected)
 
 
 def encode_delta(delta: float, proceed: bool) -> bytes:
@@ -702,12 +714,13 @@ def encode_perm(perm: Sequence[int] | np.ndarray) -> bytes:
     return struct.pack(">I", len(perm)) + np.asarray(perm, dtype=">u2").tobytes()
 
 
-def decode_perm(payload: bytes) -> np.ndarray:
+def decode_perm(payload: bytes, expected: int) -> np.ndarray | None:
     (count,) = _unpack(">I", payload)
-    body = payload[4:]
-    if len(body) != 2 * count:
+    if len(payload) - 4 != 2 * count:
         raise ProtocolError("permutation length mismatch")
-    return np.frombuffer(body, dtype=">u2").astype(np.intp)
+    if count != expected:
+        return None
+    return np.frombuffer(payload, ">u2", offset=4).astype(np.intp)
 
 
 def encode_syndrome(descriptor: str, syndrome_enc: np.ndarray) -> bytes:
@@ -715,13 +728,15 @@ def encode_syndrome(descriptor: str, syndrome_enc: np.ndarray) -> bytes:
     return struct.pack(">H", len(desc)) + desc + encode_bits(syndrome_enc)
 
 
-def decode_syndrome(payload: bytes) -> tuple[str, np.ndarray]:
+def decode_syndrome(payload: bytes, expected: int) -> tuple[str, np.ndarray | None]:
+    """The descriptor and the encrypted syndrome, None unless it holds the
+    `expected` tau bits."""
     (dlen,) = _unpack(">H", payload)
     try:
         desc = payload[2 : 2 + dlen].decode()
     except UnicodeDecodeError:
         raise ProtocolError("syndrome descriptor is not text") from None
-    return desc, decode_bits(payload[2 + dlen :])
+    return desc, decode_bits(memoryview(payload)[2 + dlen :], expected)
 
 
 def encode_confirm(mac: bytes) -> bytes:
@@ -1098,8 +1113,8 @@ class AliceSession(_Session):
         return [encode_qburst(src.palette, 2 * sent_basis + self.g_bits)]
 
     def _phase_await_bases(self, msg: WireMessage) -> list[WireMessage]:
-        b_symbols = decode_bases_b(msg.payload)
-        if b_symbols.size != self.cfg.omega_size:
+        b_symbols = decode_bases_b(msg.payload, self.cfg.omega_size)
+        if b_symbols is None:
             return self._fail(ABORT_PHASE)
         # T is now public knowledge; S arrives from the peer next
         test_mask, self._key_mask = _sift_masks(self.a_bits, b_symbols, self.r_mask)
@@ -1108,12 +1123,9 @@ class AliceSession(_Session):
         return [WireMessage(TAG_BASES_A_AND_R, encode_bases_a_and_r(self.a_bits, self.r_mask))]
 
     def _phase_await_subset(self, msg: WireMessage) -> list[WireMessage]:
-        key_idx = np.flatnonzero(decode_bits(msg.payload))
-        ok = (
-            key_idx.size == self.cfg.n
-            and key_idx[-1] < self._key_mask.size
-            and bool(self._key_mask[key_idx].all())
-        )
+        mask = decode_bits(msg.payload, self._key_mask.size)
+        key_idx = np.empty(0, np.intp) if mask is None else np.flatnonzero(mask)
+        ok = key_idx.size == self.cfg.n and bool(self._key_mask[key_idx].all())
         if len(self.test_set) < self.cfg.n or not ok:
             return self._fail(ABORT_SIFT)
         self.key_set = key_idx
@@ -1131,8 +1143,8 @@ class AliceSession(_Session):
         return []
 
     def _phase_await_perm(self, msg: WireMessage) -> list[WireMessage]:
-        perm = decode_perm(msg.payload)
-        if not is_permutation(perm, self.cfg.n):
+        perm = decode_perm(msg.payload, self.cfg.n)
+        if perm is None or not is_permutation(perm, self.cfg.n):
             return self._fail(ABORT_PHASE)
         self.perm = perm
         return []
@@ -1146,14 +1158,14 @@ class AliceSession(_Session):
         return []
 
     def _phase_await_syndrome(self, msg: WireMessage) -> list[WireMessage]:
-        try:
-            desc, enc = decode_syndrome(msg.payload)
-        except ProtocolError:
-            return self._fail(ABORT_PHASE)
         rec = choose_reconciliation_code(
             self.cfg.n, self.stats.delta, self.cfg.epsilon, self.cfg.rec_target_fail
         )
-        if desc != rec.descriptor() or enc.size != rec.n - rec.k:
+        try:
+            desc, enc = decode_syndrome(msg.payload, rec.n - rec.k)
+        except ProtocolError:
+            return self._fail(ABORT_PHASE)
+        if desc != rec.descriptor() or enc is None:
             return self._fail(ABORT_PHASE)
         self.stats.rec_descriptor = desc
         self.stats.tau = enc.size
@@ -1237,9 +1249,10 @@ class BobSession(_Session):
         return [WireMessage(TAG_BASES_B, encode_bases_b(self.b_symbols))]
 
     def _phase_await_bases_a(self, msg: WireMessage) -> list[WireMessage]:
-        a_bits, r_mask = decode_bases_a_and_r(msg.payload)
-        if a_bits.size != self.cfg.omega_size:
+        decoded = decode_bases_a_and_r(msg.payload, self.cfg.omega_size)
+        if decoded is None:
             return self._fail(ABORT_PHASE)
+        a_bits, r_mask = decoded
         result = sift(a_bits, self.b_symbols, r_mask, self.cfg.n, self._choice_rng)
         self.stats.t_size = len(result.test_set)
         if result.abort_reason:
@@ -1252,8 +1265,8 @@ class BobSession(_Session):
         return [WireMessage(TAG_SUBSET_S, encode_bits(mask))]
 
     def _phase_await_test_bits(self, msg: WireMessage) -> list[WireMessage]:
-        g_test = decode_bits(msg.payload)
-        if g_test.size != len(self.test_set):
+        g_test = decode_bits(msg.payload, len(self.test_set))
+        if g_test is None:
             return self._fail(ABORT_PHASE)
         h_test = self.h_bits[self.test_set]
         delta = estimate_error(g_test, h_test)

@@ -1,7 +1,8 @@
 """Dense quantum simulation of the key-extraction circuit and small audits.
 
 Qubit convention: bit j of a basis-state index is the Z-outcome of qubit j,
-so qubit 0 is the least significant index bit (matching BitVec packing).
+so qubit 0 is the least significant index bit, and a basis-state index is
+the packed int of the Z-outcomes (bit j = component j, as in `gf2`).
 Registers are laid out low-to-high: the N signal qubits S first, then the
 r-qubit key ancilla Q, then (inside the audit) one adversary ancilla per
 signal.
@@ -22,7 +23,6 @@ import numpy as np
 
 from .bounds import binary_entropy
 from .codes import CorrectableSet, LinearCode
-from .gf2 import BitVec
 
 SIM_QUBIT_LIMIT = 12
 _ENTROPY_CUTOFF = 1e-12
@@ -164,18 +164,23 @@ def _walsh_signs(n: int) -> np.ndarray:
     return (1.0 - 2.0 * par).astype(np.float64)
 
 
-def extract_final_key(circuit: KeyCircuit, kappa_sif: BitVec) -> BitVec:
-    """Run the circuit on |kappa>_X (x) |0>_X and read Q in the X basis.
+def _check_pattern(x: int, n: int) -> None:
+    if x < 0 or x >> n:
+        raise ValueError(f"pattern {x:#x} does not fit in {n} signal bits")
+
+
+def extract_final_key(circuit: KeyCircuit, kappa_sif: int) -> int:
+    """Run the circuit on |kappa>_X (x) |0>_X and read Q in the X basis;
+    kappa and the r-bit key are packed ints.
 
     The outcome is deterministic; anything short of probability one within
     1e-10 is an invariant violation and raises.
     """
     n, r = circuit.n_signal, circuit.r
-    if kappa_sif.n != n:
-        raise ValueError(f"key length {kappa_sif.n} != {n}")
+    _check_pattern(kappa_sif, n)
     dim = 1 << (n + r)
     idx = np.arange(dim, dtype=np.int64)
-    signs = 1.0 - 2.0 * (np.bitwise_count(idx & kappa_sif.value).astype(np.int64) & 1)
+    signs = 1.0 - 2.0 * (np.bitwise_count(idx & kappa_sif).astype(np.int64) & 1)
     psi = StateVector(signs.astype(np.complex128) / math.sqrt(dim), validate=False)
     psi = psi.apply_permutation(circuit.perm)
     view = psi.amps.reshape(1 << r, 1 << n)  # axis 0: Q bits, axis 1: S bits
@@ -186,18 +191,18 @@ def extract_final_key(circuit: KeyCircuit, kappa_sif: BitVec) -> BitVec:
         raise RuntimeError(
             f"key readout not deterministic: best outcome has p={probs[winner]!r}"
         )
-    return BitVec(r, winner)
+    return winner
 
 
-def error_reversal_check(circuit: KeyCircuit, x: BitVec) -> float:
-    """Probability that Q lands in |0>_Z after running on |x>_Z (x) |0>_X."""
+def error_reversal_check(circuit: KeyCircuit, x: int) -> float:
+    """Probability that Q lands in |0>_Z after running on |x>_Z (x) |0>_X,
+    for a packed n-bit pattern x."""
     n, r = circuit.n_signal, circuit.r
-    if x.n != n:
-        raise ValueError(f"pattern length {x.n} != {n}")
+    _check_pattern(x, n)
     dim = 1 << (n + r)
     amps = np.zeros(dim, dtype=np.complex128)
     for y in range(1 << r):
-        amps[x.value | (y << n)] = 1.0 / math.sqrt(1 << r)
+        amps[x | (y << n)] = 1.0 / math.sqrt(1 << r)
     psi = StateVector(amps, validate=False).apply_permutation(circuit.perm)
     view = psi.amps.reshape(1 << r, 1 << n)
     return float(np.sum(np.abs(view[0]) ** 2))

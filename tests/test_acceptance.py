@@ -25,7 +25,7 @@ from qkdlab.bounds import (
     sampling_bound,
 )
 from qkdlab.codes import CorrectableSet, hamming, repetition, reversal_holds
-from qkdlab.gf2 import BitVec
+from qkdlab.gf2 import bits_to_int, int_to_bits
 from qkdlab.protocol import (
     ABORT_DELTA,
     ABORT_SOURCE,
@@ -95,9 +95,7 @@ def circuit_description_deviation(code) -> float:
 
     # One basis: message y adds its codeword onto the signal register.
     x, y = idx & ((1 << n) - 1), idx >> n
-    cw = np.array(
-        [BitVec.from_array(code.encode(BitVec(r, v).to_array())).value for v in range(1 << r)]
-    )
+    cw = np.array([bits_to_int(code.encode(int_to_bits(v, r))) for v in range(1 << r)])
     expected = (x ^ cw[y]) | (y << n)
     z_dev = 0.0 if np.array_equal(c.perm_u1, expected) else 1.0
 
@@ -109,8 +107,7 @@ def circuit_description_deviation(code) -> float:
     inv = np.empty(dim, dtype=np.int64)
     inv[c.perm_u1] = idx
     gt = np.zeros(dim, dtype=np.int64)
-    for j in range(r):
-        col = code.gen.col(j).value
+    for j, col in enumerate(code.gen.transpose().row_words):
         gt |= (np.bitwise_count(x & col).astype(np.int64) & 1) << j
     q = x | ((y ^ gt) << n)
     x_dev = float(np.max(np.abs(signs[inv, :] - signs[:, q]))) / math.sqrt(dim)
@@ -134,10 +131,10 @@ def test_criterion_03_key_extraction():
     for code in (repetition(3), hamming(3)):
         circuit = build_key_circuit(code)
         for _ in range(100):
-            kappa = BitVec.random(code.n, rng)
+            kappa = rng.getrandbits(code.n)
             # extract_final_key itself raises unless the readout has
             # probability one within 1e-10
-            key = BitVec.from_array(code.coset_key(kappa.to_array()))
+            key = bits_to_int(code.coset_key(int_to_bits(kappa, code.n)))
             if extract_final_key(circuit, kappa) != key:
                 mismatches += 1
     report(3, "key extraction", mismatches == 0, f"{mismatches} mismatches in 200")

@@ -66,9 +66,9 @@ def test_blockwise_maps_equal_global_matrices(inners, data):
     parity = code.parity_check()
     word = BitVec(code.n, data.draw(st.integers(0, (1 << code.n) - 1)))
     msg = BitVec(code.k, data.draw(st.integers(0, (1 << code.k) - 1)))
-    assert packed(code.encode, msg) == code.gen.apply(msg)
-    assert packed(code.coset_key, word) == code.gen.transpose().apply(word)
-    assert packed(code.syndrome, word) == parity.apply(word)
+    assert packed(code.encode, msg).value == code.gen.apply(msg.value)
+    assert packed(code.coset_key, word).value == code.gen.transpose().apply(word.value)
+    assert packed(code.syndrome, word).value == parity.apply(word.value)
 
     # a (count, width) batch through a code's map is the map of every row
     for c in [*inners, code]:
@@ -91,7 +91,8 @@ def test_blockwise_maps_equal_global_matrices(inners, data):
         noise |= _pattern(c.n, spots) << off
         off += c.n
     noisy = BitVec(code.n, word.value ^ noise)
-    assert packed(code.correct_with_syndrome, noisy, parity.apply(word)) == word
+    syndrome = BitVec(code.n - code.k, parity.apply(word.value))
+    assert packed(code.correct_with_syndrome, noisy, syndrome) == word
 
     # any target: either an abort or a word carrying exactly that syndrome
     target = BitVec(code.n - code.k, data.draw(st.integers(0, (1 << (code.n - code.k)) - 1)))
@@ -99,7 +100,7 @@ def test_blockwise_maps_equal_global_matrices(inners, data):
         fixed = packed(code.correct_with_syndrome, word, target)
     except DecodingFailure:
         return
-    assert parity.apply(fixed) == target
+    assert parity.apply(fixed.value) == target.value
 
 
 def _correct_block_by_block(code: BlockCode, v: BitVec, target: BitVec) -> BitVec:
@@ -135,7 +136,7 @@ CORRECTION_CODES = st.one_of(
 @settings(max_examples=120, deadline=None)
 @given(CORRECTION_CODES, st.randoms(use_true_random=True))
 def test_vectorized_correction_equals_block_by_block(code, rng):
-    word = BitVec.random(code.n, rng)
+    word = BitVec(code.n, rng.getrandbits(code.n))
     if rng.random() < 0.5:
         # noise of density 1/2 to 1/64 decodes in some blocks and not in others
         noise = rng.getrandbits(code.n)
@@ -145,7 +146,7 @@ def test_vectorized_correction_equals_block_by_block(code, rng):
     else:
         # any target: blocks of even repetition codes can fail, and the
         # test checks which block the failure names
-        target = BitVec.random(code.n - code.k, rng)
+        target = BitVec(code.n - code.k, rng.getrandbits(code.n - code.k))
     try:
         want = _correct_block_by_block(code, word, target)
     except DecodingFailure as exc:
@@ -159,7 +160,7 @@ def test_vectorized_correction_equals_block_by_block(code, rng):
 def test_correction_failure_names_the_first_failing_block():
     # runs: five [7,4] blocks, six even repetition blocks, a verbatim tail
     code = BlockCode("mix", [(hamming(3), 5), (repetition(4), 6), (zero_code(3), 1)])
-    word = BitVec.random(code.n, random.Random(3))
+    word = BitVec(code.n, random.Random(3).getrandbits(code.n))
     for bad in (5, 7, 10):
         # two flips tie in a length-4 block: past its radius of one
         noise = sum(0b11 << (35 + 4 * (i - 5)) for i in {bad, 10})
@@ -185,7 +186,11 @@ def test_correction_routes_agree(monkeypatch):
     inner = [repetition(n) for n in range(3, 14)]
     inner += [random_code(n, k, seed=rng.getrandbits(16)) for n, k in [(8, 3), (9, 4), (10, 5)]]
     cases = [
-        (code, BitVec.random(code.n, rng), BitVec.random(code.n - code.k, rng))
+        (
+            code,
+            BitVec(code.n, rng.getrandbits(code.n)),
+            BitVec(code.n - code.k, rng.getrandbits(code.n - code.k)),
+        )
         for code in inner
         for _ in range(60)
     ]
@@ -204,7 +209,7 @@ def test_large_block_code_coset_key_is_blockwise():
     code = hamming_blocks(16384)
     assert (code.n, code.k) == (16384, 4 * (16384 // 7) + 16384 % 7)
     rng = random.Random(5)
-    word = BitVec.random(code.n, rng)
+    word = BitVec(code.n, rng.getrandbits(code.n))
     key = packed(code.coset_key, word)
     h7 = hamming(3)
     for i in (0, 1, 2339):  # first, second and last whole block
@@ -232,14 +237,14 @@ def test_ladder_pick_corrects_every_pattern_within_radius(n, delta, eps):
     radius = code.decoder_radius
     ball = list(itertools.islice(code.correctable_set(), 201))
     if len(ball) <= 200:
-        patterns = [x.value for x in ball]
+        patterns = ball
     else:
         patterns = [_pattern(n, rng.sample(range(n), rng.randint(0, radius))) for _ in range(30)]
         # every flip inside one block is the hardest case of a block code
         width = code.runs[0][0].n
         patterns.append(_pattern(n, range(min(radius, width))))
     for e in patterns:
-        word = BitVec.random(n, rng)
+        word = BitVec(n, rng.getrandbits(n))
         noisy = BitVec(n, word.value ^ e)
         target = packed(code.syndrome, word)
         assert packed(code.correct_with_syndrome, noisy, target) == word, code.name

@@ -18,6 +18,10 @@ from qkdlab.netchan import open_listener, recv_frame, send_frames
 from qkdlab.protocol import TAG_ABORT, Transcript, WireMessage, replay_protocol, run_protocol
 
 
+# the identity, which reads as a unitary when true is taken for 1
+_IDENTITY_WITH_A_TRUE = [[True, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+
+
 def write_config(tmp_path, name="cfg.json", **overrides):
     raw = {"n": 48, "epsilon": 0.35, "delta_max": 0.109, "seed": 0}
     raw.update(overrides)
@@ -73,6 +77,9 @@ def test_unknown_source_kind_rejected(tmp_path):
         "identity:n=4",
         "repetition_blocks:inner=3,n=5",
         "random:k=3,seed=1,n=5",
+        # a parameter the family does not take
+        "hamming_blocks:x=1",
+        "repetition_blocks:inner=3,depth=2",
     ],
 )
 def test_unbuildable_code_policy_rejected(tmp_path, policy):
@@ -109,6 +116,19 @@ def test_unbuildable_code_policy_rejected(tmp_path, policy):
         {"n": 16, "source": {"kind": "perfect", "bais": 0.7}},
         {"n": 16, "channel": {"kind": "identity", "p": 0.1}},
         {"n": 16, "channel": {"kind": "depolarizing"}},
+        # JSON booleans anywhere in a config, nested models included
+        {"n": 16, "epsilon": True},
+        {"n": 16, "detector": {"efficiency": True}},
+        {"n": 16, "rec_target_fail": True},
+        {"n": 16, "channel": {"kind": "depolarizing", "p": True}},
+        {"n": 16, "source": {"kind": "rotated_z", "theta": True}},
+        {"n": 16, "channel": {"kind": "custom", "unitary": _IDENTITY_WITH_A_TRUE}},
+        {"n": 16, "pool_bits": False},
+        # a reconciliation failure target is a probability strictly inside (0, 1)
+        {"n": 16, "rec_target_fail": -1},
+        {"n": 16, "rec_target_fail": float("nan")},
+        {"n": 16, "rec_target_fail": 0},
+        {"n": 16, "rec_target_fail": 1},
     ],
     ids=[
         "nan_epsilon",
@@ -134,6 +154,17 @@ def test_unbuildable_code_policy_rejected(tmp_path, policy):
         "misspelt_source_key",
         "key_on_identity_channel",
         "missing_depolarizing_weight",
+        "boolean_epsilon",
+        "boolean_efficiency",
+        "boolean_target_fail",
+        "boolean_depolarizing_weight",
+        "boolean_theta",
+        "boolean_unitary_entry",
+        "false_pool",
+        "negative_target_fail",
+        "nan_target_fail",
+        "zero_target_fail",
+        "unit_target_fail",
     ],
 )
 def test_out_of_domain_config_is_a_config_error(tmp_path, overrides):
@@ -315,6 +346,13 @@ def test_sweep_of_a_key_the_channel_does_not_take_is_a_config_error(tmp_path, ca
         EXIT_CONFIG
     )
     assert "takes no arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_of_a_boolean_value_is_a_config_error(tmp_path):
+    cfg = write_config(tmp_path, channel={"kind": "depolarizing", "p": 0.0})
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg, "--values", "0,true", "--out", str(out)]) == EXIT_CONFIG
     assert not out.exists()
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import random
 import tracemalloc
 
@@ -32,6 +33,11 @@ from qkdlab.codes import (
 from qkdlab.gf2 import BitVec
 
 
+def bits(s: str) -> BitVec:
+    """A word written component 0 first: "110" has v[0] = v[1] = 1."""
+    return BitVec(len(s), int(s[::-1], 2))
+
+
 def packed(code_map, *words: BitVec) -> BitVec:
     """A code map applied to packed words: each converted to a bit array on
     the way in, and the result packed on the way out."""
@@ -40,13 +46,13 @@ def packed(code_map, *words: BitVec) -> BitVec:
 
 def encode_oracle(code: LinearCode, y: BitVec) -> BitVec:
     # Entry-by-entry matrix product, written without the library's apply().
-    bits = []
-    for i in range(code.n):
+    out = 0
+    for i, row in enumerate(code.gen.row_words):
         acc = 0
         for j in range(code.k):
-            acc ^= code.gen.entry(i, j) & y[j]
-        bits.append(acc)
-    return BitVec.from_bits(bits)
+            acc ^= (row >> j) & (y.value >> j) & 1
+        out |= acc << i
+    return BitVec(code.n, out)
 
 
 def decode_oracle(code: LinearCode, v: BitVec) -> BitVec:
@@ -57,7 +63,7 @@ def decode_oracle(code: LinearCode, v: BitVec) -> BitVec:
         m = BitVec(code.k, m_val)
         cw = encode_oracle(code, m)
         d = (cw.value ^ v.value).bit_count()
-        key = (d, str(m))
+        key = (d, m.to_array().tolist())
         if best is None or key < best[0]:
             best = (key, m)
     return best[1]
@@ -69,8 +75,8 @@ def decode_oracle(code: LinearCode, v: BitVec) -> BitVec:
 def test_repetition_basics():
     c = repetition(5)
     assert (c.n, c.k, c.decoder_radius) == (5, 1, 2)
-    assert packed(c.encode, BitVec.from_str("1")) == BitVec.from_str("11111")
-    assert packed(c.encode, BitVec.from_str("0")) == BitVec.from_str("00000")
+    assert packed(c.encode, bits("1")) == bits("11111")
+    assert packed(c.encode, bits("0")) == bits("00000")
     assert c.min_distance() == 5
 
 
@@ -79,12 +85,11 @@ def test_hamming7_shape_and_duals():
     assert (c.n, c.k) == (7, 4)
     assert c.min_distance() == 3
     # every dual vector is orthogonal to every codeword
-    duals = [c.parity_check().row(i) for i in range(3)]
+    duals = c.parity_check().row_words
     assert c.parity_check().rows == 3
     for cw in c.codewords():
-        w = BitVec(7, cw)
         for d in duals:
-            assert w.dot(d) == 0
+            assert (cw & d).bit_count() % 2 == 0
 
 
 def test_hamming_rejects_bad_parameter():
@@ -142,7 +147,7 @@ def test_decode_tie_break_is_lexicographic():
     for v_val in range(16):
         v = BitVec(4, v_val)
         assert packed(c.decode, v) == decode_oracle(c, v)
-    assert packed(c.decode, BitVec.from_str("0011")) == BitVec.from_str("0")
+    assert packed(c.decode, bits("0011")) == bits("0")
 
 
 # -- coset keys ----------------------------------------------------------------
@@ -150,26 +155,26 @@ def test_decode_tie_break_is_lexicographic():
 
 def test_coset_key_against_dot_products():
     c = hamming(3)
-    kappa = BitVec.from_str("1010101")
+    kappa = bits("1010101")
     key = packed(c.coset_key, kappa)
-    for j in range(c.k):
-        assert key[j] == c.gen.col(j).dot(kappa)
+    for j, col in enumerate(c.gen.transpose().row_words):
+        assert (key.value >> j) & 1 == (col & kappa.value).bit_count() & 1
 
 
 def test_coset_key_constant_on_dual_cosets():
     c = hamming(3)
     rng = random.Random(3)
-    duals = [c.parity_check().row(i) for i in range(3)]
+    duals = c.parity_check().row_words
     # span the whole dual code (8 vectors) and shift a few words through it
     for _ in range(20):
-        kappa = BitVec.random(7, rng)
+        kappa = BitVec(7, rng.getrandbits(7))
         base = packed(c.coset_key, kappa)
         for mask in range(8):
-            shift = BitVec(7, 0)
+            shift = 0
             for i in range(3):
                 if (mask >> i) & 1:
-                    shift = shift + duals[i]
-            assert packed(c.coset_key, kappa + shift) == base
+                    shift ^= duals[i]
+            assert packed(c.coset_key, BitVec(7, kappa.value ^ shift)) == base
 
 
 @pytest.mark.parametrize("build", [repetition, lambda n: repetition_blocks(n, n)])
@@ -178,7 +183,7 @@ def test_long_code_coset_key_stays_packed(build):
     # coset key of a long code, plain or as one block, reads only the
     # n-by-1 generator
     code = build(8191)
-    word = BitVec.random(code.n, random.Random(9))
+    word = BitVec(code.n, random.Random(9).getrandbits(code.n))
     bits = word.to_array()
     tracemalloc.start()
     try:
@@ -186,7 +191,7 @@ def test_long_code_coset_key_stays_packed(build):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert BitVec.from_array(key).value == word.weight() & 1
+    assert BitVec.from_array(key).value == word.value.bit_count() & 1
     assert peak < 1 << 20
 
 
@@ -194,11 +199,11 @@ def test_coset_key_separates_nondual_shifts():
     c = hamming(3)
     dual_values = set()
     for mask in range(8):
-        v = BitVec(7, 0)
+        v = 0
         for i in range(3):
             if (mask >> i) & 1:
-                v = v + c.parity_check().row(i)
-        dual_values.add(v.value)
+                v ^= c.parity_check().row_words[i]
+        dual_values.add(v)
     zero_key = packed(c.coset_key, BitVec(7, 0))
     for v_val in range(128):
         shifted = packed(c.coset_key, BitVec(7, v_val))
@@ -217,10 +222,10 @@ def test_parity_kernel_duality():
 
 def test_zero_code_syndrome_is_word():
     c = zero_code(6)
-    v = BitVec.from_str("101100")
+    v = bits("101100")
     assert packed(c.syndrome, v) == v
     assert packed(c.decode, v) == BitVec(0, 0)
-    target = BitVec.from_str("010011")
+    target = bits("010011")
     assert packed(c.correct_with_syndrome, v, target) == target
 
 
@@ -241,7 +246,7 @@ def test_correct_with_syndrome_hamming():
     c = hamming(3)
     rng = random.Random(17)
     for _ in range(40):
-        w = BitVec.random(7, rng)
+        w = BitVec(7, rng.getrandbits(7))
         flip = 1 << rng.randrange(7)
         noisy = BitVec(7, w.value ^ flip)
         assert packed(c.correct_with_syndrome, noisy, packed(c.syndrome, w)) == w
@@ -254,7 +259,7 @@ def test_correct_with_syndrome_fails_beyond_radius():
     # weight-2 coset leader exceeds its radius of 1.
     c = repetition(4)
     w = BitVec(4, 0)
-    noisy = BitVec.from_str("1100")
+    noisy = bits("1100")
     with pytest.raises(DecodingFailure):
         packed(c.correct_with_syndrome, noisy, packed(c.syndrome, w))
 
@@ -262,7 +267,7 @@ def test_correct_with_syndrome_fails_beyond_radius():
 def test_correct_with_syndrome_perfect_code_is_total():
     c = hamming(3)
     w = BitVec(7, 0)
-    noisy = BitVec.from_str("1100000")
+    noisy = bits("1100000")
     fixed = packed(c.correct_with_syndrome, noisy, packed(c.syndrome, w))
     assert packed(c.syndrome, fixed) == packed(c.syndrome, w)
     assert fixed != w  # miscorrected, but to a valid coset member
@@ -274,17 +279,17 @@ def test_correct_with_syndrome_perfect_code_is_total():
 def test_block_code_layout():
     c = BlockCode("demo", [(repetition(3), 1), (identity_code(2), 1)])
     assert (c.n, c.k) == (5, 3)
-    y = BitVec.from_str("101")
-    assert packed(c.encode, y) == BitVec.from_str("11101")
+    y = bits("101")
+    assert packed(c.encode, y) == bits("11101")
     assert packed(c.encode, y) == encode_oracle(c, y)
-    assert packed(c.decode, BitVec.from_str("11001")) == BitVec.from_str("101")
+    assert packed(c.decode, bits("11001")) == bits("101")
 
 
 def test_block_syndrome_is_concatenation():
     c = BlockCode("demo", [(hamming(3), 1), (repetition(3), 1)])
     rng = random.Random(23)
     for _ in range(30):
-        v = BitVec.random(10, rng)
+        v = BitVec(10, rng.getrandbits(10))
         left = BitVec(7, v.value & 0x7F)
         right = BitVec(3, v.value >> 7)
         s_left, s_right = packed(hamming(3).syndrome, left), packed(repetition(3).syndrome, right)
@@ -296,7 +301,7 @@ def test_block_correct_with_syndrome():
     c = rec_hamming(16)  # two [7,4] blocks plus a verbatim 2-bit tail
     rng = random.Random(29)
     for _ in range(40):
-        w = BitVec.random(16, rng)
+        w = BitVec(16, rng.getrandbits(16))
         noise = 1 << rng.randrange(7)
         noise |= 1 << (7 + rng.randrange(7))
         if rng.random() < 0.5:
@@ -340,7 +345,7 @@ def test_block_radius_skips_blocks_without_message_bits():
     assert reversal_holds(c)
     rng = random.Random(31)
     for _ in range(40):
-        w = BitVec.random(11, rng)
+        w = BitVec(11, rng.getrandbits(11))
         noise = sum(1 << p for p in rng.sample(range(5), 2) + rng.sample(range(5, 10), 2))
         noisy = BitVec(11, w.value ^ noise ^ rng.getrandbits(1) << 10)
         assert packed(c.correct_with_syndrome, noisy, packed(c.syndrome, w)) == w
@@ -351,11 +356,11 @@ def test_block_radius_skips_blocks_without_message_bits():
 
 def test_correctable_set_ball():
     listed = list(CorrectableSet(5, max_weight=2))
-    assert BitVec.from_str("01010") in listed
-    assert BitVec.from_str("01011") not in listed
-    assert listed[0] == BitVec(5, 0)
+    assert bits("01010").value in listed
+    assert bits("01011").value not in listed
+    assert listed[0] == 0
     assert len(listed) == len(set(listed)) == 16  # 1 + 5 + 10
-    weights = [x.weight() for x in listed]
+    weights = [x.bit_count() for x in listed]
     assert weights == sorted(weights)
 
 
@@ -407,3 +412,23 @@ def test_descriptor_rejects_garbage():
         code_from_descriptor("hamming:n=6")
     with pytest.raises(ValueError):
         code_from_descriptor("random:n=10,k=3")
+    # a parameter the family's builder does not take, or one it needs
+    for desc in ("hamming_blocks:n=16,x=1", "repetition:n=5,inner=3", "rec_verbatim"):
+        with pytest.raises(ValueError, match="does not fit"):
+            code_from_descriptor(desc)
+
+
+def test_every_family_builds_from_its_descriptor():
+    params = {"n": 7, "k": 2, "seed": 5, "inner": 3}
+    for family, build in codes.CODE_FAMILIES.items():
+        names = inspect.signature(build).parameters
+        desc = f"{family}:{','.join(f'{p}={params[p]}' for p in names)}"
+        assert code_from_descriptor(desc).descriptor() == desc
+
+
+def test_random_codes_keep_their_generators():
+    # the rows are drawn with one getrandbits(k) each, until full rank
+    assert random_code(10, 3, seed=7).gen.row_words == (2, 7, 1, 3, 5, 0, 0, 6, 4, 0)
+    assert random_code(12, 6, seed=99).gen.row_words == (
+        25, 24, 12, 38, 11, 14, 15, 8, 48, 5, 16, 46,
+    )

@@ -7,25 +7,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkdlab.gf2 import BitVec, DimensionError, GF2Matrix, is_permutation
+from qkdlab.codes import hamming, random_code, repetition
+from qkdlab.gf2 import (
+    BitVec,
+    DimensionError,
+    GF2Matrix,
+    bits_to_int,
+    int_to_bits,
+    is_permutation,
+)
+from qkdlab.protocol import _pack_bits
+
+
+def _matrix(rows: int, cols: int, rng) -> GF2Matrix:
+    """A random matrix, one getrandbits(cols) per row."""
+    return GF2Matrix(rows, cols, tuple(rng.getrandbits(cols) for _ in range(rows)))
+
+
+def _identity(n: int) -> GF2Matrix:
+    return GF2Matrix(n, n, tuple(1 << i for i in range(n)))
+
+
+def _parity(x: int) -> int:
+    return x.bit_count() & 1
 
 
 # ---------------------------------------------------------------------------
-# BitVec basics
-
-
-def test_from_str_roundtrip():
-    v = BitVec.from_str("1101001")
-    assert str(v) == "1101001"
-    assert v.n == 7
-    assert v.weight() == 4
-    assert [v[i] for i in range(7)] == [1, 1, 0, 1, 0, 0, 1]
+# BitVec: the final key
 
 
 def test_bit_order_packing():
-    # Component 0 is the least significant bit: "1010" packs to 0b0101 = 5.
-    v = BitVec.from_str("1010")
-    assert v.value == 5
+    # Component 0 is the least significant bit: [1, 0, 1, 0] packs to 0b0101 = 5.
+    v = BitVec.from_array([1, 0, 1, 0])
+    assert v == BitVec(4, 5)
     assert v.to_hex() == "05"
     assert BitVec(4, int.from_bytes(bytes.fromhex("05"), "little")) == v
 
@@ -33,41 +47,16 @@ def test_bit_order_packing():
 def test_hex_roundtrip_random():
     rng = random.Random(11)
     for n in (0, 1, 7, 8, 9, 63, 64, 100):
-        v = BitVec.random(n, rng)
+        v = BitVec(n, rng.getrandbits(n))
         assert BitVec(n, int.from_bytes(bytes.fromhex(v.to_hex()), "little")) == v
 
 
-def test_addition_is_xor():
-    a = BitVec.from_str("1100")
-    b = BitVec.from_str("1010")
-    assert str(a + b) == "0110"
-
-
-def test_addition_properties_random():
-    rng = random.Random(7)
-    for _ in range(200):
-        n = rng.randrange(1, 40)
-        a, b, c = (BitVec.random(n, rng) for _ in range(3))
-        assert a + b == b + a
-        assert (a + b) + c == a + (b + c)
-        assert a + a == BitVec.zeros(n)
-        assert a + BitVec.zeros(n) == a
-
-
-def test_length_mismatch_rejected():
+def test_value_must_fit_its_length():
     with pytest.raises(DimensionError):
-        BitVec.from_str("10") + BitVec.from_str("100")
-    with pytest.raises(DimensionError):
-        BitVec.from_str("10").dot(BitVec.from_str("100"))
-
-
-def test_dot_and_weight():
-    a = BitVec.from_str("1110")
-    b = BitVec.from_str("0111")
-    assert a.dot(b) == 0  # overlap 11 -> even
-    assert a.dot(BitVec.from_str("0100")) == 1
-    assert BitVec.zeros(5).weight() == 0
-    assert BitVec.ones(5).weight() == 5
+        BitVec(-1, 0)
+    for n, value in ((3, 8), (0, 1), (4, -1)):
+        with pytest.raises(ValueError):
+            BitVec(n, value)
 
 
 # ---------------------------------------------------------------------------
@@ -78,14 +67,17 @@ BITS = st.lists(st.integers(0, 1), max_size=300)
 
 @settings(max_examples=80, deadline=None)
 @given(BITS)
-def test_from_array_round_trips_and_matches_from_bits(bits):
+def test_from_array_round_trips_and_matches_the_wire_packing(bits):
     a = np.array(bits, dtype=np.uint8)
     v = BitVec.from_array(a)
-    assert v == BitVec.from_bits(a.tolist())
     assert v == BitVec(len(bits), sum(b << i for i, b in enumerate(bits)))
+    assert v.value == bits_to_int(a) and np.array_equal(int_to_bits(v.value, v.n), a)
     back = v.to_array()
     assert back.dtype == np.uint8 and np.array_equal(back, a)
     assert BitVec.from_array(a.astype(bool)) == v
+    assert BitVec.from_array(bits) == v
+    # the key file's hex is the bytes the session's bit codec puts on the wire
+    assert v.to_hex() == _pack_bits(a).hex()
 
 
 @settings(max_examples=60, deadline=None)
@@ -100,7 +92,7 @@ def test_entries_outside_zero_one_are_rejected(bits, data, bad):
     with pytest.raises(ValueError):
         BitVec.from_array(a)
     with pytest.raises(ValueError):
-        BitVec.from_bits(a.tolist())
+        BitVec.from_array(a.tolist())
 
 
 def _perm_candidates(n: int):
@@ -128,45 +120,46 @@ def test_permutation_check_matches_sorting(case):
 
 
 def test_zero_length_vector():
-    v = BitVec.zeros(0)
-    assert len(v) == 0
+    v = BitVec(0, 0)
     assert v.to_hex() == ""
-    assert v + v == v
+    assert v.to_array().size == 0
+    assert BitVec.from_array([]) == v
 
 
 # ---------------------------------------------------------------------------
-# GF2Matrix basics
+# GF2Matrix on packed ints
 
 
 def test_apply_hand_example():
-    # Worked by hand: rows (1,1,0) and (0,1,1) against x = 110:
-    # row0 . x = 1+1 = 0, row1 . x = 1+0 = 1.
-    m = GF2Matrix.from_row_vecs([BitVec.from_str("110"), BitVec.from_str("011")])
-    assert str(m.apply(BitVec.from_str("110"))) == "01"
+    # Worked by hand: rows (1,1,0) and (0,1,1) against x = (1,1,0):
+    # row0 . x = 1+1 = 0, row1 . x = 1+0 = 1, so M x = (0,1) = 0b10.
+    m = GF2Matrix(2, 3, (0b011, 0b110))
+    assert m.apply(0b011) == 0b10
 
 
 def test_apply_identity_and_zero():
     rng = random.Random(3)
     for n in (1, 5, 16):
-        x = BitVec.random(n, rng)
-        assert GF2Matrix.identity(n).apply(x) == x
-        assert GF2Matrix.zeros(3, n).apply(x) == BitVec.zeros(3)
+        x = rng.getrandbits(n)
+        assert _identity(n).apply(x) == x
+        assert GF2Matrix(3, n, (0, 0, 0)).apply(x) == 0
 
 
-def test_apply_dimension_mismatch():
-    m = GF2Matrix.identity(2)
-    with pytest.raises(DimensionError):
-        m.apply(BitVec.from_str("101"))
+def test_apply_rejects_a_vector_wider_than_its_columns():
+    m = _identity(2)
+    for x in (0b101, 1 << 2, -1):
+        with pytest.raises(DimensionError):
+            m.apply(x)
 
 
 def test_transpose_involution_and_entries():
     rng = random.Random(5)
-    m = GF2Matrix.random(4, 7, rng)
+    m = _matrix(4, 7, rng)
     t = m.transpose()
     assert t.rows == 7 and t.cols == 4
     for i in range(4):
         for j in range(7):
-            assert m.entry(i, j) == t.entry(j, i)
+            assert (m.row_words[i] >> j) & 1 == (t.row_words[j] >> i) & 1
     assert t.transpose() == m
 
 
@@ -176,33 +169,31 @@ def test_adjoint_identity_exhaustive_small_dims():
     rng = random.Random(17)
     for r in range(1, 9):
         for c in range(1, 9):
-            m = GF2Matrix.random(r, c, rng)
+            m = _matrix(r, c, rng)
             t = m.transpose()
-            for xv in range(1 << r):
-                x = BitVec(r, xv)
+            for x in range(1 << r):
                 tx = t.apply(x)
-                for yv in range(1 << c):
-                    y = BitVec(c, yv)
-                    assert tx.dot(y) == x.dot(m.apply(y))
+                for y in range(1 << c):
+                    assert _parity(tx & y) == _parity(x & m.apply(y))
 
 
 def test_rank_and_transpose_rank_agree():
     rng = random.Random(23)
     for _ in range(50):
-        m = GF2Matrix.random(rng.randrange(1, 9), rng.randrange(1, 9), rng)
+        m = _matrix(rng.randrange(1, 9), rng.randrange(1, 9), rng)
         assert m.rank() == m.transpose().rank()
 
 
 def test_kernel_identity_empty():
-    assert GF2Matrix.identity(4).kernel_basis() == []
+    assert _identity(4).kernel_basis() == []
 
 
 def test_kernel_zero_matrix_full():
-    basis = GF2Matrix.zeros(2, 3).kernel_basis()
+    basis = GF2Matrix(2, 3, (0, 0)).kernel_basis()
     assert len(basis) == 3
     spanned = {0}
     for b in basis:
-        spanned |= {s ^ b.value for s in spanned}
+        spanned |= {s ^ b for s in spanned}
     assert spanned == set(range(8))
 
 
@@ -210,14 +201,14 @@ def test_kernel_members_and_dimension():
     rng = random.Random(31)
     for _ in range(50):
         r, c = rng.randrange(1, 8), rng.randrange(1, 8)
-        m = GF2Matrix.random(r, c, rng)
+        m = _matrix(r, c, rng)
         basis = m.kernel_basis()
         assert len(basis) == c - m.rank()
         for b in basis:
-            assert m.apply(b) == BitVec.zeros(r)
+            assert m.apply(b) == 0
         # basis is linearly independent: stacking it gives full rank
         if basis:
-            assert GF2Matrix.from_row_vecs(basis).rank() == len(basis)
+            assert GF2Matrix(len(basis), c, tuple(basis)).rank() == len(basis)
 
 
 def test_kernel_exhaustive_oracle():
@@ -226,9 +217,45 @@ def test_kernel_exhaustive_oracle():
     rng = random.Random(41)
     for _ in range(20):
         r, c = rng.randrange(1, 6), rng.randrange(1, 9)
-        m = GF2Matrix.random(r, c, rng)
-        truth = {v for v in range(1 << c) if m.apply(BitVec(c, v)).value == 0}
+        m = _matrix(r, c, rng)
+        truth = {v for v in range(1 << c) if m.apply(v) == 0}
         spanned = {0}
         for b in m.kernel_basis():
-            spanned |= {s ^ b.value for s in spanned}
+            spanned |= {s ^ b for s in spanned}
         assert spanned == truth
+
+
+MATRICES = st.tuples(st.integers(0, 12), st.integers(0, 12)).flatmap(
+    lambda shape: st.builds(
+        GF2Matrix,
+        st.just(shape[0]),
+        st.just(shape[1]),
+        st.lists(
+            st.integers(0, (1 << shape[1]) - 1), min_size=shape[0], max_size=shape[0]
+        ).map(tuple),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(MATRICES)
+def test_every_kernel_basis_int_is_annihilated(m):
+    basis = m.kernel_basis()
+    assert len(basis) == m.cols - m.rank()
+    assert all(0 < b < 1 << m.cols and m.apply(b) == 0 for b in basis)
+
+
+INNER_CODES = st.one_of(
+    st.integers(1, 12).flatmap(
+        lambda n: st.builds(random_code, st.just(n), st.integers(1, n), st.integers(0, 2**16))
+    ),
+    st.integers(2, 4).map(hamming),
+    st.integers(1, 12).map(repetition),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(INNER_CODES, st.data())
+def test_parity_check_on_ints_is_the_syndrome_on_arrays(code, data):
+    v = np.array(data.draw(st.lists(st.integers(0, 1), min_size=code.n, max_size=code.n)), np.uint8)
+    assert code.parity_check().apply(bits_to_int(v)) == bits_to_int(code.syndrome(v))

@@ -21,7 +21,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qkdlab.protocol as protocol_module
-from qkdlab.codes import code_from_descriptor, rec_repetition
+from qkdlab.codes import CODE_FAMILIES, code_from_descriptor, rec_repetition
 from qkdlab.gf2 import BitVec
 from qkdlab.protocol import (
     ABORT_CONFIRM,
@@ -77,12 +77,14 @@ from qkdlab.protocol import (
     choose_reconciliation_code,
     decode_bases_a_and_r,
     decode_bases_b,
+    decode_bits,
     decode_delta,
     decode_perm,
     decode_qburst,
     decode_syndrome,
     encode_bases_a_and_r,
     encode_bases_b,
+    encode_bits,
     encode_delta,
     encode_hello,
     encode_perm,
@@ -424,29 +426,39 @@ def test_qburst_roundtrip():
 
 def test_bases_roundtrips():
     syms = np.array([0, 1, 2, 1, 0, 2, 2, 1, 0], dtype=np.uint8)
-    assert np.array_equal(decode_bases_b(encode_bases_b(syms)), syms)
+    assert np.array_equal(decode_bases_b(encode_bases_b(syms), 9), syms)
     a = np.array([0, 1, 1, 0, 1], dtype=np.uint8)
     r = np.array([1, 1, 0, 0, 1], dtype=np.uint8)
-    a2, r2 = decode_bases_a_and_r(encode_bases_a_and_r(a, r))
+    a2, r2 = decode_bases_a_and_r(encode_bases_a_and_r(a, r), 5)
     assert np.array_equal(a2, a) and np.array_equal(r2, r)
+    # a well-formed announcement of another count than the session's
+    assert decode_bases_b(encode_bases_b(syms), 8) is None
+    assert decode_bases_a_and_r(encode_bases_a_and_r(a, r), 6) is None
 
 
 def test_delta_perm_syndrome_roundtrips():
     assert decode_delta(encode_delta(0.25, True)) == (0.25, True)
     assert decode_delta(encode_delta(0.5, False)) == (0.5, False)
     perm = [3, 0, 2, 1]
-    assert decode_perm(encode_perm(perm)).tolist() == perm
-    enc = BitVec.from_str("1011001")
-    desc, back = decode_syndrome(encode_syndrome("rec_hamming:n=14", enc.to_array()))
-    assert desc == "rec_hamming:n=14" and BitVec.from_array(back) == enc
+    assert decode_perm(encode_perm(perm), 4).tolist() == perm
+    assert decode_perm(encode_perm(perm), 5) is None
+    enc = np.array([1, 0, 1, 1, 0, 0, 1], dtype=np.uint8)
+    desc, back = decode_syndrome(encode_syndrome("rec_hamming:n=14", enc), 7)
+    assert desc == "rec_hamming:n=14" and np.array_equal(back, enc)
+    assert decode_syndrome(encode_syndrome("rec_hamming:n=14", enc), 6) == (desc, None)
+    assert decode_bits(encode_bits(enc), 7).tolist() == enc.tolist()
+    assert decode_bits(encode_bits(enc), 8) is None
 
 
 def test_codec_length_mismatches_raise():
     syms = np.array([0, 1], dtype=np.uint8)
     with pytest.raises(ProtocolError):
-        decode_bases_b(encode_bases_b(syms) + b"\x00")
+        decode_bases_b(encode_bases_b(syms) + b"\x00", 2)
     with pytest.raises(ProtocolError):
-        decode_perm(encode_perm([0, 1]) + b"\x00")
+        decode_perm(encode_perm([0, 1]) + b"\x00", 2)
+    # malformed is malformed whatever count the session expects
+    with pytest.raises(ProtocolError):
+        decode_bits(encode_bits(syms) + b"\x00", 3)
 
 
 # ---------------------------------------------------------------------------
@@ -834,8 +846,8 @@ def test_decoding_failure_surfaces_as_reconcile_abort(monkeypatch):
     assert res.stats.abort_reason is None
     assert res.stats.rec_descriptor == "rec_repetition:n=16,inner=4"
     rec4 = rec_repetition(16, 4)
-    pattern = BitVec.from_bits([1, 1] + [0] * 14)
-    target = rec4.syndrome(res.bob.kappa ^ pattern.to_array())
+    pattern = np.array([1, 1] + [0] * 14, dtype=np.uint8)
+    target = rec4.syndrome(res.bob.kappa ^ pattern)
     pool = SecretPool(stream_seed(cfg.seed, "pool"), cfg.pool_capacity)
     otp = pool.take(target.size)
     forged = encode_syndrome(rec4.descriptor(), target ^ otp)
@@ -908,7 +920,8 @@ def test_malformed_syndrome_payload_aborts(cut):
     cfg = _noiseless_cfg(n=60, seed=13)  # a 60-bit syndrome: four padding bits
     res = run_protocol(cfg)
     genuine = next(r.payload for r in res.transcript.records if r.step == "SYNDROME_ENC")
-    assert decode_syndrome(genuine)[1].size % 8
+    assert res.stats.tau % 8
+    assert decode_syndrome(genuine, res.stats.tau)[1] is not None
     alice = _drive_alice_from_transcript(
         cfg, res.transcript, swap_step="SYNDROME_ENC", swap_payload=cut(genuine)
     )
@@ -928,9 +941,10 @@ def test_malformed_syndrome_payload_aborts(cut):
 def test_set_padding_bit_aborts(tag, reason):
     # |Omega| = 324: every bit field of this session ends in a partial byte
     cfg = _noiseless_cfg(n=60, seed=3)
-    honest = next(m for m in run_protocol(cfg).transcript.records if m.step == TAG_NAMES[tag])
+    res = run_protocol(cfg)
+    honest = next(m for m in res.transcript.records if m.step == TAG_NAMES[tag])
     if tag == TAG_SYNDROME_ENC:
-        bits = decode_syndrome(honest.payload)[1].size
+        bits = res.stats.tau
     else:  # a counted field, or two; the last one ends the payload
         (bits,) = struct.unpack_from(">I", honest.payload)
     assert bits % 8
@@ -1299,19 +1313,7 @@ def test_rewritten_code_leaves_nobody_a_key():
     assert alice.final_key is None and bob.final_key is None
 
 
-_CODE_FAMILIES = (
-    "repetition",
-    "hamming",
-    "identity",
-    "zero",
-    "random",
-    "hamming_blocks",
-    "repetition_blocks",
-    "rec_hamming",
-    "rec_repetition",
-    "rec_identity",
-    "rec_verbatim",
-)
+_CODE_FAMILIES = tuple(CODE_FAMILIES)
 
 _descriptors = st.one_of(
     st.builds(
@@ -1475,3 +1477,102 @@ def test_net_rate_accounts_for_syndrome_and_confirmation():
     res = run_protocol(_noiseless_cfg())
     s = res.stats
     assert s.key_rate_net == (s.r - s.tau - s.confirm_bits) / s.n
+
+
+# ---------------------------------------------------------------------------
+# work bounded by the session's own n: a payload near the frame cap whose
+# head is consistent with its length, fed to every phase that waits for one
+
+_BOUND_CFG = _noiseless_cfg(n=256, seed=5)  # |Omega| = 1384
+
+# (role, phase) -> the abort it ends in; None: the message is taken
+_FLOOD_OUTCOME = {
+    ("alice", "hello"): ABORT_VERSION,
+    ("alice", "await_bases"): ABORT_PHASE,
+    ("alice", "await_subset"): ABORT_SIFT,
+    ("alice", "await_delta"): ABORT_MALFORMED,
+    ("alice", "await_perm"): ABORT_PHASE,
+    ("alice", "await_code"): ABORT_PHASE,
+    ("alice", "await_syndrome"): ABORT_PHASE,
+    ("alice", "await_confirm"): ABORT_MALFORMED,
+    ("bob", "hello"): ABORT_VERSION,
+    ("bob", "collect"): ABORT_PHASE,
+    ("bob", "await_bases_a"): ABORT_PHASE,
+    ("bob", "await_test_bits"): ABORT_PHASE,
+    ("bob", "await_done"): None,  # DONE carries nothing the session reads
+}
+
+
+@functools.cache
+def _bound_deliveries() -> tuple[tuple[str, WireMessage], ...]:
+    """Every message of an honest session, as (receiving role, message)."""
+    alice, bob = AliceSession(_BOUND_CFG), BobSession(_BOUND_CFG)
+    queue = collections.deque(("bob", m) for m in alice.start())
+    out = []
+    while queue:
+        to, msg = queue.popleft()
+        out.append((to, msg))
+        receiver, peer = (bob, "alice") if to == "bob" else (alice, "bob")
+        queue.extend((peer, m) for m in receiver.on_message(msg))
+    return tuple(out)
+
+
+def _waiting_in(role: str, phase: str):
+    session = (AliceSession if role == "alice" else BobSession)(_BOUND_CFG)
+    session.start()
+    for to, msg in _bound_deliveries():
+        if session.phase == phase:
+            break
+        if to == role:
+            session.on_message(msg)
+    assert session.phase == phase
+    return session
+
+
+def _flood(tag: int) -> bytes:
+    """A payload of nearly MAX_FRAME bytes whose counts match its length."""
+    from qkdlab.netchan import MAX_FRAME
+    from qkdlab.protocol import STATE_BYTES
+
+    room = MAX_FRAME - 64  # the frame's tag byte and every head fit
+    if tag == TAG_QBURST:
+        total = room - BURST_HEAD.size - STATE_BYTES
+        return BURST_HEAD.pack(total, 1) + bytes(STATE_BYTES + total)
+    if tag == TAG_BASES_B:
+        return struct.pack(">I", room) + bytes(room)
+    if tag == TAG_BASES_A_AND_R:
+        span = room // 2
+        return struct.pack(">I", 8 * span) + bytes(2 * span)
+    if tag in (TAG_SUBSET_S, TAG_TEST_BITS):
+        return struct.pack(">I", 8 * room) + bytes(room)
+    if tag == TAG_PERM:
+        return struct.pack(">I", room // 2) + bytes(2 * (room // 2))
+    if tag == TAG_SYNDROME_ENC:
+        desc = choose_reconciliation_code(_BOUND_CFG.n, 0.0, _BOUND_CFG.epsilon, 1e-4).descriptor()
+        return struct.pack(">H", len(desc)) + desc.encode() + struct.pack(">I", 8 * room) + bytes(room)
+    return bytes(room)
+
+
+@pytest.mark.parametrize("role, phase", list(_FLOOD_OUTCOME), ids="/".join)
+def test_a_flooded_message_costs_work_bounded_by_the_sessions_own_count(role, phase):
+    role_cls = AliceSession if role == "alice" else BobSession
+    assert {(role, p) for p in role_cls.expects} <= set(_FLOOD_OUTCOME)
+    tag = role_cls.expects[phase]
+    msg = WireMessage(tag, _flood(tag))
+    omega = _BOUND_CFG.omega_size
+    times, peaks = [], []
+    for _ in range(3):
+        session = _waiting_in(role, phase)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            session.on_message(msg)
+            times.append(time.perf_counter() - start)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert session.abort_reason == _FLOOD_OUTCOME[role, phase]
+        assert session.terminal
+    # unpacking the flood instead takes 134 M bits and over 100 ms
+    assert min(peaks) < 256 * omega
+    assert min(times) < 20e-6 * omega

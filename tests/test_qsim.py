@@ -11,7 +11,7 @@ import pytest
 
 from qkdlab.bounds import binary_entropy
 from qkdlab.codes import CorrectableSet, code_from_descriptor, hamming, repetition
-from qkdlab.gf2 import BitVec
+from qkdlab.gf2 import bits_to_int, int_to_bits
 from qkdlab.qsim import (
     DensityMatrix,
     StateVector,
@@ -96,7 +96,7 @@ def test_x_basis_orthonormal_n3():
 
 
 def test_x_basis_signs_frozen():
-    assert np.allclose(_walsh_signs(2)[BitVec.from_str("11").value], [1, -1, -1, 1])
+    assert np.allclose(_walsh_signs(2)[0b11], [1, -1, -1, 1])
 
 
 def test_state_validation():
@@ -218,7 +218,7 @@ def test_u1_x_action_exhaustive():
         inv = np.empty(dim, dtype=np.int64)
         inv[c.perm_u1] = idx
         # expected X-label image, via independent per-column dot products
-        cols = [code.gen.col(j).value for j in range(r)]
+        cols = code.gen.transpose().row_words
         xt = idx & ((1 << n) - 1)
         gt = np.zeros(dim, dtype=np.int64)
         for j, col in enumerate(cols):
@@ -230,37 +230,36 @@ def test_u1_x_action_exhaustive():
 def test_extract_final_key_matches_coset_key():
     code = hamming(3)
     c = build_key_circuit(code)
-    cols = [code.gen.col(j) for j in range(4)]
+    cols = code.gen.transpose().row_words
     for w in range(3):
         for pos in itertools.combinations(range(7), w):
-            v = 0
+            kappa = 0
             for p in pos:
-                v |= 1 << p
-            kappa = BitVec(7, v)
-            got = extract_final_key(c, kappa)
-            expect = BitVec.from_bits([col.dot(kappa) for col in cols])
-            assert got == expect
+                kappa |= 1 << p
+            expect = sum(((col & kappa).bit_count() & 1) << j for j, col in enumerate(cols))
+            assert extract_final_key(c, kappa) == expect
 
 
 def test_extract_final_key_zero_and_duals():
     code = repetition(3)
     c = build_key_circuit(code)
-    assert extract_final_key(c, BitVec(3, 0)) == BitVec(1, 0)
-    for kappa_val in range(8):
-        kappa = BitVec(3, kappa_val)
+    assert extract_final_key(c, 0) == 0
+    for kappa in range(8):
         base = extract_final_key(c, kappa)
-        for i in range(code.n - code.k):
-            d = code.parity_check().row(i)
-            assert extract_final_key(c, kappa + d) == base
-    with pytest.raises(ValueError):
-        extract_final_key(c, BitVec(4, 0))
+        for d in code.parity_check().row_words:
+            assert extract_final_key(c, kappa ^ d) == base
+    for wider in (1 << 3, -1):
+        with pytest.raises(ValueError):
+            extract_final_key(c, wider)
+        with pytest.raises(ValueError):
+            error_reversal_check(c, wider)
 
 
-def reversal_oracle(code, x: BitVec) -> float:
+def reversal_oracle(code, x: int) -> float:
     hits = 0
     for y in range(1 << code.k):
-        shifted = BitVec(code.n, x.value ^ code.codewords()[y])
-        if BitVec.from_array(code.decode(shifted.to_array())).value == y:
+        shifted = x ^ code.codewords()[y]
+        if bits_to_int(code.decode(int_to_bits(shifted, code.n))) == y:
             hits += 1
     return hits / (1 << code.k)
 
@@ -268,27 +267,25 @@ def reversal_oracle(code, x: BitVec) -> float:
 def test_error_reversal_correctable():
     code = hamming(3)
     c = build_key_circuit(code)
-    assert abs(error_reversal_check(c, BitVec(7, 0)) - 1.0) < 1e-10
+    assert abs(error_reversal_check(c, 0) - 1.0) < 1e-10
     for i in range(7):
-        assert abs(error_reversal_check(c, BitVec(7, 1 << i)) - 1.0) < 1e-10
+        assert abs(error_reversal_check(c, 1 << i) - 1.0) < 1e-10
 
 
 def test_error_reversal_matches_counting_oracle():
     code = hamming(3)
     c = build_key_circuit(code)
     below_one = 0
-    for v in range(128):
-        x = BitVec(7, v)
+    for x in range(128):
         got = error_reversal_check(c, x)
         assert abs(got - reversal_oracle(code, x)) < 1e-10
-        if x.weight() == 3 and got < 1.0 - 1e-10:
+        if x.bit_count() == 3 and got < 1.0 - 1e-10:
             below_one += 1
     assert below_one > 0  # some uncorrectable pattern really fails
 
     code3 = repetition(3)
     c3 = build_key_circuit(code3)
-    for v in range(8):
-        x = BitVec(3, v)
+    for x in range(8):
         assert abs(error_reversal_check(c3, x) - reversal_oracle(code3, x)) < 1e-10
 
 
@@ -304,7 +301,7 @@ def test_symmetrize_fixed_point():
 
 def test_symmetrize_two_qubit_orbit():
     amps = np.zeros(4)
-    amps[BitVec.from_str("01").value] = 1.0
+    amps[0b10] = 1.0  # qubit 0 in |0>, qubit 1 in |1>
     rho = StateVector(amps).density()
     out = symmetrize(rho, 2)
     expect = np.zeros((4, 4))

@@ -1,7 +1,7 @@
 """The signal path: emission as one QBURST message (a palette of the
 source's four states plus one index byte per signal), the channel and the
-detector working on the palette, vectorized sifting, and the linear-time
-BitVec constructors the key-material steps use.
+detector working on the palette, vectorized sifting, and the sifted word
+the key-material steps use.
 
 Each fast route is checked against the element-by-element definition it
 replaces; the palette path against the v2 per-signal path, kept below as
@@ -20,7 +20,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkdlab import protocol
-from qkdlab.gf2 import BitVec
 from qkdlab.netchan import MAX_FRAME, _transform_burst
 from qkdlab.protocol import (
     BURST_HEAD,
@@ -534,15 +533,11 @@ def test_estimate_error_takes_arrays_and_lists():
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 64, 65, 300])
-def test_from_bits_and_permute_match_bitwise_definition(n):
+def test_sifted_word_matches_bitwise_definition(n):
     rng = random.Random(n)
     record = np.array([rng.randrange(2) for _ in range(3 * n)], dtype=np.uint8)
     key_set = np.array(sorted(rng.sample(range(3 * n), n)), dtype=np.intp)
     bits = [int(record[i]) for i in key_set]
-    v = BitVec.from_bits(bits)
-    assert v == BitVec(n, sum(bit << i for i, bit in enumerate(bits)))
-    assert BitVec.from_bits(np.array(bits, dtype=np.uint8)) == v
-    assert BitVec.from_bits(bool(bit) for bit in bits) == v
     # the sifted key: key bit i of the record moved to position perm[i]
     perm = list(range(n))
     rng.shuffle(perm)
@@ -550,12 +545,7 @@ def test_from_bits_and_permute_match_bitwise_definition(n):
     for i, p in enumerate(perm):
         moved[p] = bits[i]
     sifted = protocol._sifted_word(record, key_set, np.array(perm, dtype=np.intp))
-    assert BitVec.from_array(sifted) == BitVec.from_bits(moved)
-
-
-def test_from_bits_still_rejects_non_bits():
-    with pytest.raises(ValueError):
-        BitVec.from_bits([0, 1, 2])
+    assert sifted.dtype == np.uint8 and sifted.tolist() == moved
 
 
 def test_large_session_agrees_end_to_end():
