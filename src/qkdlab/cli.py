@@ -62,8 +62,11 @@ def _read_config_file(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}:{err.lineno}:{err.colno}: {err.msg}")
+    except RecursionError:
+        raise ConfigError(f"{path}: nested too deep to parse")
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
+    _reject_booleans(raw, "config")  # bounds the depth before sweep copies it
     return raw
 
 
@@ -92,17 +95,26 @@ _MODEL_BUILDERS = {
 }
 
 
-def _reject_booleans(node, where: str) -> None:
+# levels below a config's top; a custom channel's unitary entries sit at 4
+MAX_CONFIG_DEPTH = 32
+
+
+def _reject_booleans(node, where: str, depth: int = 0) -> None:
     """A JSON true or false is an int to Python, but no config value is a
-    boolean: refuse one anywhere, nested models and their lists included."""
+    boolean: refuse one anywhere, nested models and their lists included.
+    Refuse nesting past MAX_CONFIG_DEPTH too, which no model reads and which
+    would otherwise end this walk, or a copy of the config, in a
+    RecursionError."""
+    if depth > MAX_CONFIG_DEPTH:
+        raise ConfigError(f"config nests deeper than {MAX_CONFIG_DEPTH} levels")
     if isinstance(node, bool):
         raise ConfigError(f"{where} is a boolean, not a number")
     if isinstance(node, dict):
         for key, value in node.items():
-            _reject_booleans(value, f"{where}.{key}")
+            _reject_booleans(value, f"{where}.{key}", depth + 1)
     elif isinstance(node, list):
         for i, value in enumerate(node):
-            _reject_booleans(value, f"{where}[{i}]")
+            _reject_booleans(value, f"{where}[{i}]", depth + 1)
 
 
 def build_session_config(raw: dict, flag_seed: int | None = None) -> SessionConfig:

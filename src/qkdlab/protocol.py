@@ -127,6 +127,9 @@ _ABORT_NAMES = {
         ABORT_POOL, ABORT_VERSION, ABORT_PHASE, ABORT_TRANSPORT, ABORT_MALFORMED,
     )
 }
+# one byte past the longest name: an ABORT payload cut there still equals a
+# name only if it is one, and a long payload is never hashed whole
+_ABORT_NAME_CUT = max(map(len, _ABORT_NAMES)) + 1
 ABORT_DETAIL_BYTES = 32  # kept of an ABORT payload that names no reason
 
 SOURCE_TOLERANCE = 1e-10
@@ -166,14 +169,17 @@ def encode_qburst(palette: np.ndarray, index: np.ndarray) -> WireMessage:
     return WireMessage(TAG_QBURST, b"".join((head, wire, index.astype(np.uint8, copy=False))))
 
 
-def decode_qburst(payload: bytes) -> tuple[np.ndarray, np.ndarray]:
+def decode_qburst(payload: bytes, expected: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(palette, index) of a QBURST payload: the palette as a native (k, 2, 2)
-    array and the index as uint8 read in place.  A payload whose length is
-    not the one its head implies, or that names a state outside its palette,
-    is a ProtocolError."""
+    array and the index as uint8 read in place.  A payload whose count is
+    not `expected` (when given), whose length is not the one its head
+    implies, or that names a state outside its palette, is a ProtocolError;
+    the head is checked before any pass over the index."""
     if len(payload) < BURST_HEAD.size:
         raise ProtocolError("burst head cut short")
     total, k = BURST_HEAD.unpack_from(payload)
+    if expected is not None and total != expected:
+        raise ProtocolError(f"burst of {total} signals, expected {expected}")
     if not 1 <= k <= MAX_PALETTE or len(payload) != BURST_HEAD.size + k * STATE_BYTES + total:
         raise ProtocolError(f"burst of {len(payload)} bytes for {total} signals and {k} states")
     index = np.frombuffer(payload, np.uint8, offset=BURST_HEAD.size + k * STATE_BYTES)
@@ -1037,7 +1043,8 @@ class _Session:
         if msg.tag == TAG_ABORT:
             # the peer names a known reason or none; anything else is
             # malformed, so the peer never writes the reason string
-            reason = _ABORT_NAMES.get(msg.payload) if msg.payload else ABORT_TRANSPORT
+            cut = msg.payload[:_ABORT_NAME_CUT]
+            reason = _ABORT_NAMES.get(cut) if cut else ABORT_TRANSPORT
             if reason is None:
                 self.abort_detail = f"{msg.name()}: {msg.payload[:ABORT_DETAIL_BYTES]!r}"
                 reason = ABORT_MALFORMED
@@ -1235,10 +1242,8 @@ class BobSession(_Session):
         cfg = self.cfg
         m = cfg.omega_size
         try:
-            palette, index = decode_qburst(msg.payload)
+            palette, index = decode_qburst(msg.payload, m)
         except ProtocolError:
-            return self._fail(ABORT_PHASE)
-        if index.size != m:
             return self._fail(ABORT_PHASE)
         palette, index = cfg.channel.apply_batch(palette, index, channel_rng(cfg.seed))
         rng = self._quantum_rng
@@ -1313,8 +1318,11 @@ class BobSession(_Session):
         return out
 
     def _phase_await_done(self, msg: WireMessage) -> list[WireMessage]:
-        """DONE needs no work: the dispatcher's step to "finished" is what
-        releases the key."""
+        """DONE carries nothing: the dispatcher's step to "finished" is what
+        releases the key.  Alice's DONE is empty, so one with a payload was
+        rewritten and would leave the two transcripts unequal."""
+        if msg.payload:
+            raise ProtocolError(f"{len(msg.payload)} payload bytes, expected none")
         return []
 
 

@@ -9,12 +9,14 @@ signal.
 
 Everything here is exact dense linear algebra, capped at a size where every
 interesting check can be exhaustive.  The key circuit is a pure Z-basis
-permutation and is stored as one, never as a dense matrix.
+permutation and is stored as one, never as a dense matrix.  The audit's
+adversaries prepare every signal alike and independently, so each
+permutation of the signals gives the same key-side state: the audit
+computes that state once, where the proof averages over all n! of them.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -22,32 +24,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import binary_entropy
-from .codes import CorrectableSet, LinearCode
+from .codes import LinearCode
 
 SIM_QUBIT_LIMIT = 12
 _ENTROPY_CUTOFF = 1e-12
 
 
+def _unit(x: float) -> float:
+    """x clamped to [0, 1]: a probability or fidelity that rounding left
+    just outside."""
+    return min(max(x, 0.0), 1.0)
+
+
 def _shannon_bits(ps) -> float:
+    """Entropy in bits, never below zero (a p of 1 + 2e-16 adds -3e-16)."""
     total = 0.0
     for p in ps:
         if p > _ENTROPY_CUTOFF:
             total -= p * math.log2(p)
-    return total
-
-
-def qubit_map_indices(n: int, mapping) -> np.ndarray:
-    """Index table for the relabeling "qubit j becomes qubit mapping[j]".
-
-    out[i] is the basis index whose bit mapping[j] equals bit j of i.
-    """
-    if sorted(mapping) != list(range(n)):
-        raise ValueError("mapping must be a permutation of all qubits")
-    idx = np.arange(1 << n, dtype=np.int64)
-    out = np.zeros_like(idx)
-    for j, target in enumerate(mapping):
-        out |= ((idx >> j) & 1) << target
-    return out
+    return max(total, 0.0)
 
 
 class StateVector:
@@ -209,45 +204,6 @@ def error_reversal_check(circuit: KeyCircuit, x: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# symmetrization and the correctable projection
-
-
-def _signal_permutation_indices(n_total: int, n_s: int, pi) -> np.ndarray:
-    """qubit_map_indices(n_total, [*pi, n_s, ..., n_total - 1]), from the 2^n_s table."""
-    sig = (1 << n_s) - 1
-    table = qubit_map_indices(n_s, pi)
-    idx = np.arange(1 << n_total, dtype=np.int64)
-    return table[idx & sig] | (idx & ~sig)
-
-
-def _member_table(corr: CorrectableSet) -> np.ndarray:
-    idx = np.arange(1 << corr.n, dtype=np.int64)
-    return np.bitwise_count(idx).astype(np.int64) <= corr.max_weight
-
-
-def project_correctable(
-    rho_s: DensityMatrix, corr: CorrectableSet
-) -> tuple[DensityMatrix, float]:
-    """Project the signal factor onto Z-basis patterns in the correctable set.
-
-    The signal register is the low corr.n qubits; anything above it rides
-    along untouched.  Returns the renormalized state and eta, one minus the
-    weight the projector captured.  The fidelity of the result to the input
-    equals that captured weight exactly.
-    """
-    if corr.n > rho_s.n:
-        raise ValueError("correctable set larger than the state")
-    dim = rho_s.mat.shape[0]
-    mask = _member_table(corr)[np.arange(dim) & ((1 << corr.n) - 1)]
-    kept = float(np.sum(rho_s.mat.diagonal().real[mask]))
-    if kept <= 1e-14:
-        raise ValueError("state has no support on the correctable subspace")
-    cut = np.where(mask, 1.0, 0.0)
-    projected = rho_s.mat * np.outer(cut, cut)
-    return DensityMatrix(projected / kept, validate=False), 1.0 - kept
-
-
-# ---------------------------------------------------------------------------
 # adversary preparations for the audit
 
 
@@ -332,7 +288,7 @@ def _binomial_tail_at_most(trials: int, p: float, cutoff: int) -> float:
     """P[Binom(trials, p) <= cutoff].  Each term is taken through its
     logarithm, so none overflows at any size; p = 0 and p = 1 are point
     masses, and the sum is clamped to [0, 1] against rounding."""
-    p = min(max(p, 0.0), 1.0)
+    p = _unit(p)
     if p in (0.0, 1.0):  # all mass at 0 or at `trials`
         return float(cutoff >= (0 if p == 0.0 else trials))
     log_p, log_q = math.log(p), math.log1p(-p)
@@ -347,7 +303,37 @@ def _binomial_tail_at_most(trials: int, p: float, cutoff: int) -> float:
         )
         for j in range(min(cutoff, trials) + 1)
     )
-    return min(total, 1.0)
+    return _unit(total)
+
+
+def _key_side_states(chi: np.ndarray, code: LinearCode) -> tuple[np.ndarray, np.ndarray, float]:
+    """rho_Q after the key circuit, the same for the part of the prepared
+    state inside the correctable set (not renormalized), and that part's
+    weight.
+
+    Each (signal, ancilla) pair is in chi, index s + 2e; Q starts in
+    |0>_X.  The joint state is a (2^n, 2^(n+r)) array: rows are the
+    adversary's ancillas, columns the basis index of S (low bits) and Q.
+    """
+    n, r = code.n, code.k
+    pair = chi.reshape(2, 2)  # [e, s]
+    prepared = pair  # [ancillas, S]: the product of n pairs
+    for _ in range(n - 1):  # np.kron(prepared, pair), without its overhead
+        prepared = (prepared[:, None, :, None] * pair[None, :, None, :]).reshape(
+            2 * len(prepared), -1
+        )
+    s_weight = np.bitwise_count(np.arange(1 << n))
+    kept = prepared * (s_weight <= code.correctable_set().max_weight)
+    perm = build_key_circuit(code).perm
+    states = []
+    for signals in (prepared, kept):
+        # Q in |0>_X: each ancilla row holds its S amplitudes once per Q value
+        joint = np.repeat(signals, 1 << r, axis=0).reshape(1 << n, -1) * (1 << r) ** -0.5
+        out = np.empty_like(joint)
+        out[:, perm] = joint
+        m = out.reshape(1 << n, 1 << r, 1 << n).transpose(1, 0, 2).reshape(1 << r, -1)
+        states.append(m @ m.conj().T)
+    return states[0], states[1], float(np.vdot(kept, kept).real)
 
 
 def audit_protocol3(
@@ -367,10 +353,19 @@ def audit_protocol3(
     the audit therefore computes the pass probability of the test in closed
     form and proceeds with the key-side state as prepared.
 
-    Pipeline: product state -> permutation symmetrization (classical label,
-    one pure block per permutation) -> correctable projection for eta ->
-    key circuit -> reduce to Q.  Reports the measured fidelities and
-    entropies alongside the bound values they are compared against.
+    The proof averages over permutations of the signals; for this state
+    every permutation block equals the identity block, so the audit
+    computes that one.  Permuting the S qubits of a pairwise product state
+    equals the inverse permutation of the ancilla qubits E.  That
+    permutation commutes with the key circuit, which acts on S and Q only,
+    and it drops out of the trace over E.  The correctable mask depends
+    only on the S weight, so the projected block and its weight are
+    unchanged too.
+
+    Pipeline: prepared state -> correctable projection for eta -> key
+    circuit -> reduce to Q.  Reports the measured fidelities and entropies,
+    each clamped to its range against rounding, alongside the bound values
+    they are compared against.
     """
     n = n_signals
     r = code.k
@@ -391,59 +386,19 @@ def audit_protocol3(
         raise ValueError("attack must be a 4x4 unitary with finite entries")
 
     chi = attack[:, 0]  # per-signal (signal, ancilla) state, index s + 2e
-    p_z = float(abs(chi[1]) ** 2 + abs(chi[3]) ** 2)
+    p_z = _unit(float(abs(chi[1]) ** 2 + abs(chi[3]) ** 2))
     pass_prob = _binomial_tail_at_most(test_size, p_z, int(delta_max * test_size))
     if pass_prob <= 0.0:
         raise ValueError("verification test passes with probability numerically zero")
 
-    # Joint pure state: S bits 0..n-1, Q bits n..n+r-1, ancillas above.
-    total = 2 * n + r
-    idx = np.arange(1 << total, dtype=np.int64)
-    amps = np.full(1 << total, (1 << r) ** -0.5, dtype=np.complex128)
-    for i in range(n):
-        s_bit = (idx >> i) & 1
-        e_bit = (idx >> (n + r + i)) & 1
-        amps = amps * chi[s_bit + 2 * e_bit]
-
-    member = _member_table(code.correctable_set())
-    mask = member[idx & ((1 << n) - 1)]
-    circuit = build_key_circuit(code)
-    low = idx & ((1 << (n + r)) - 1)
-    high_mask = ((1 << total) - 1) ^ ((1 << (n + r)) - 1)
-    ext_perm = circuit.perm[low] | (idx & high_mask)
-
-    rho_q_actual = np.zeros((1 << r, 1 << r), dtype=np.complex128)
-    rho_q_projected = np.zeros_like(rho_q_actual)
-    kept_total = 0.0
-    blocks = list(itertools.permutations(range(n)))
-    for pi in blocks:
-        relabel = _signal_permutation_indices(total, n, pi)
-        block = np.empty_like(amps)
-        block[relabel] = amps
-        kept_vec = block * mask
-        kept_total += float(np.vdot(kept_vec, kept_vec).real)
-
-        for vec, acc in ((block, rho_q_actual), (kept_vec, rho_q_projected)):
-            out = np.empty_like(vec)
-            out[ext_perm] = vec
-            view = out.reshape(1 << n, 1 << r, 1 << n)  # ancillas, Q, S
-            m = view.transpose(1, 0, 2).reshape(1 << r, -1)
-            acc += m @ m.conj().T
-
-    kept_total /= len(blocks)
-    eta = min(max(1.0 - kept_total, 0.0), 1.0)  # rounding can leave it just outside
-    if kept_total <= 1e-14:
+    rho_q_actual, rho_q_projected, kept = _key_side_states(chi, code)
+    if kept <= 1e-14:
         raise ValueError("state has no support on the correctable subspace")
-    rho_q_actual /= len(blocks)
-    rho_q_projected /= len(blocks) * kept_total
+    eta = _unit(1.0 - kept)
+    rho_q_projected /= kept
 
-    rho_q = DensityMatrix(rho_q_actual, validate=False)
-    q0 = float(rho_q_actual[0, 0].real)
-    q0_proj = float(rho_q_projected[0, 0].real)
     walsh = _walsh_signs(r) / math.sqrt(1 << r)
-    p_y = np.clip(np.real(np.diag(walsh @ rho_q_actual @ walsh)), 0.0, None)
-    key_entropy = _shannon_bits(p_y)
-    uniformity = float(np.sum(np.sqrt(p_y)) ** 2) / (1 << r)
+    p_y = np.clip(np.real(np.diag(walsh @ rho_q_actual @ walsh)), 0.0, 1.0)
     bound = binary_entropy(eta) + r * eta if eta <= 0.5 else float("inf")
 
     return SecurityReport(
@@ -456,15 +411,15 @@ def audit_protocol3(
         test_pass_probability=pass_prob,
         abort_expected=p_z > delta_max,
         eta=eta,
-        q0_fidelity=q0,
-        q0_projected=q0_proj,
-        entropy_q=von_neumann_entropy(rho_q),
+        q0_fidelity=_unit(float(rho_q_actual[0, 0].real)),
+        q0_projected=_unit(float(rho_q_projected[0, 0].real)),
+        entropy_q=von_neumann_entropy(DensityMatrix(rho_q_actual, validate=False)),
         entropy_bound=bound,
         entropy_bound_valid=eta <= 0.5,
         key_distribution=tuple(float(p) for p in p_y),
-        key_entropy=key_entropy,
+        key_entropy=_shannon_bits(p_y),
         key_entropy_floor=r * (1.0 - 2.0 * eta),
-        uniformity_fidelity=uniformity,
+        uniformity_fidelity=_unit(float(np.sum(np.sqrt(p_y)) ** 2) / (1 << r)),
         uniformity_floor=1.0 - eta,
         vacuous=(eta > 0.5) or (bound >= r),
         rho_q=rho_q_actual,

@@ -53,6 +53,22 @@ def test_malformed_json_reports_line_and_column(tmp_path, capsys):
     assert f"{path}:3:3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("depth", [33, 987, 5000])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_a_config_nested_too_deep_is_a_config_error(tmp_path, capsys, command, depth):
+    # json.load gives up near 990 levels before Python 3.13 and parses 5000
+    # on 3.13, where the boolean walk and sweep's copy of the config would
+    # end in a RecursionError (exit 4) instead
+    path = tmp_path / "deep.json"
+    unitary = "[" * depth + "]" * depth
+    path.write_text(f'{{"n": 16, "channel": {{"kind": "custom", "unitary": {unitary}}}}}')
+    args = [command, "--config", str(path)]
+    if command == "sweep":
+        args += ["--values", "0", "--out", str(tmp_path / "sweep.csv")]
+    assert main(args) == EXIT_CONFIG
+    assert "deep" in capsys.readouterr().err
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, block_size=7)
     assert main(["simulate", "--config", cfg]) == EXIT_CONFIG

@@ -1313,6 +1313,20 @@ def test_rewritten_code_leaves_nobody_a_key():
     assert alice.final_key is None and bob.final_key is None
 
 
+@pytest.mark.parametrize("payload", [b"\x00", b"DONE", bytes(1 << 16)], ids=["byte", "text", "64k"])
+def test_a_done_with_a_payload_leaves_bob_no_key(payload):
+    # Alice sends DONE empty; had Bob taken a rewritten one, both parties
+    # would end done with unequal transcripts
+    def rewrite(i, msg):
+        return [WireMessage(TAG_DONE, payload)] if msg.tag == TAG_DONE else [msg]
+
+    alice, bob = _pump_with(_FUZZ_CFG, rewrite)
+    assert alice.done and alice.final_key is not None
+    assert bob.abort_reason == bob.stats.abort_reason == ABORT_MALFORMED
+    assert bob.abort_detail == f"DONE: {len(payload)} payload bytes, expected none"
+    assert bob.final_key is None
+
+
 _CODE_FAMILIES = tuple(CODE_FAMILIES)
 
 _descriptors = st.one_of(
@@ -1481,11 +1495,12 @@ def test_net_rate_accounts_for_syndrome_and_confirmation():
 
 # ---------------------------------------------------------------------------
 # work bounded by the session's own n: a payload near the frame cap whose
-# head is consistent with its length, fed to every phase that waits for one
+# head is consistent with its length, fed to every phase that waits for one,
+# and an ABORT of that size to each of them
 
 _BOUND_CFG = _noiseless_cfg(n=256, seed=5)  # |Omega| = 1384
 
-# (role, phase) -> the abort it ends in; None: the message is taken
+# (role, phase) -> the abort a flood of the phase's own tag ends in
 _FLOOD_OUTCOME = {
     ("alice", "hello"): ABORT_VERSION,
     ("alice", "await_bases"): ABORT_PHASE,
@@ -1499,7 +1514,7 @@ _FLOOD_OUTCOME = {
     ("bob", "collect"): ABORT_PHASE,
     ("bob", "await_bases_a"): ABORT_PHASE,
     ("bob", "await_test_bits"): ABORT_PHASE,
-    ("bob", "await_done"): None,  # DONE carries nothing the session reads
+    ("bob", "await_done"): ABORT_MALFORMED,  # DONE carries nothing
 }
 
 
@@ -1553,26 +1568,43 @@ def _flood(tag: int) -> bytes:
     return bytes(room)
 
 
+def _miscounted_burst() -> bytes:
+    """The QBURST flood with every index byte naming a state outside its
+    one-state palette: its count, not |Omega|, must turn it away before
+    any pass over the index."""
+    flood = _flood(TAG_QBURST)
+    index_at = len(flood) - BURST_HEAD.unpack_from(flood)[0]
+    return flood[:index_at] + b"\xff" * (len(flood) - index_at)
+
+
 @pytest.mark.parametrize("role, phase", list(_FLOOD_OUTCOME), ids="/".join)
 def test_a_flooded_message_costs_work_bounded_by_the_sessions_own_count(role, phase):
     role_cls = AliceSession if role == "alice" else BobSession
     assert {(role, p) for p in role_cls.expects} <= set(_FLOOD_OUTCOME)
     tag = role_cls.expects[phase]
-    msg = WireMessage(tag, _flood(tag))
     omega = _BOUND_CFG.omega_size
-    times, peaks = [], []
-    for _ in range(3):
-        session = _waiting_in(role, phase)
-        tracemalloc.start()
-        try:
-            start = time.perf_counter()
-            session.on_message(msg)
-            times.append(time.perf_counter() - start)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        assert session.abort_reason == _FLOOD_OUTCOME[role, phase]
-        assert session.terminal
-    # unpacking the flood instead takes 134 M bits and over 100 ms
-    assert min(peaks) < 256 * omega
-    assert min(times) < 20e-6 * omega
+    floods = [
+        (WireMessage(tag, _flood(tag)), _FLOOD_OUTCOME[role, phase]),
+        (WireMessage(TAG_ABORT, _flood(TAG_ABORT)), ABORT_MALFORMED),
+    ]
+    if tag == TAG_QBURST:
+        floods.append((WireMessage(tag, _miscounted_burst()), ABORT_PHASE))
+        with pytest.raises(ProtocolError, match=f"expected {omega}"):
+            decode_qburst(floods[-1][0].payload, omega)
+    for msg, outcome in floods:
+        times, peaks = [], []
+        for _ in range(3):
+            session = _waiting_in(role, phase)
+            tracemalloc.start()
+            try:
+                start = time.perf_counter()
+                session.on_message(msg)
+                times.append(time.perf_counter() - start)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert session.abort_reason == outcome
+            assert session.terminal
+        # unpacking the flood instead takes 134 M bits and over 100 ms
+        assert min(peaks) < 256 * omega, msg.name()
+        assert min(times) < 20e-6 * omega, msg.name()

@@ -8,14 +8,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qkdlab import qsim
 from qkdlab.bounds import binary_entropy
-from qkdlab.codes import CorrectableSet, code_from_descriptor, hamming, repetition
+from qkdlab.cli import audit_checks
+from qkdlab.codes import (
+    CODE_FAMILIES,
+    CorrectableSet,
+    code_from_descriptor,
+    hamming,
+    repetition,
+)
 from qkdlab.gf2 import bits_to_int, int_to_bits
 from qkdlab.qsim import (
     DensityMatrix,
     StateVector,
-    _signal_permutation_indices,
     _walsh_signs,
     audit_protocol3,
     build_key_circuit,
@@ -24,8 +33,6 @@ from qkdlab.qsim import (
     extract_final_key,
     fidelity,
     identity_attack,
-    project_correctable,
-    qubit_map_indices,
     rotation_attack,
     swap_attack,
     von_neumann_entropy,
@@ -46,8 +53,54 @@ def random_density(n: int, rank: int = 2) -> DensityMatrix:
 
 
 # -- dense oracles -------------------------------------------------------------
-# The audit never builds a density matrix of the signals; these rebuild its
-# pipeline densely so the cross-check below has an independent reference.
+# The audit never builds a density matrix of the signals and computes one
+# permutation block; these rebuild its pipeline densely, and the retired
+# loop over all n! blocks, so the checks below have independent references.
+
+
+def qubit_map_indices(n: int, mapping) -> np.ndarray:
+    """Index table for the relabeling "qubit j becomes qubit mapping[j]".
+
+    out[i] is the basis index whose bit mapping[j] equals bit j of i.
+    """
+    if sorted(mapping) != list(range(n)):
+        raise ValueError("mapping must be a permutation of all qubits")
+    idx = np.arange(1 << n, dtype=np.int64)
+    out = np.zeros_like(idx)
+    for j, target in enumerate(mapping):
+        out |= ((idx >> j) & 1) << target
+    return out
+
+
+def signal_permutation_indices(n_total: int, n_s: int, pi) -> np.ndarray:
+    """qubit_map_indices(n_total, [*pi, n_s, ..., n_total - 1]), from the 2^n_s table."""
+    sig = (1 << n_s) - 1
+    table = qubit_map_indices(n_s, pi)
+    idx = np.arange(1 << n_total, dtype=np.int64)
+    return table[idx & sig] | (idx & ~sig)
+
+
+def project_correctable(
+    rho_s: DensityMatrix, corr: CorrectableSet
+) -> tuple[DensityMatrix, float]:
+    """Project the signal factor onto Z-basis patterns in the correctable set.
+
+    The signal register is the low corr.n qubits; anything above it rides
+    along untouched.  Returns the renormalized state and eta, one minus the
+    weight the projector captured.  The fidelity of the result to the input
+    equals that captured weight exactly.
+    """
+    if corr.n > rho_s.n:
+        raise ValueError("correctable set larger than the state")
+    dim = rho_s.mat.shape[0]
+    weight = np.bitwise_count(np.arange(dim) & ((1 << corr.n) - 1))
+    mask = weight <= corr.max_weight
+    kept = float(np.sum(rho_s.mat.diagonal().real[mask]))
+    if kept <= 1e-14:
+        raise ValueError("state has no support on the correctable subspace")
+    cut = np.where(mask, 1.0, 0.0)
+    projected = rho_s.mat * np.outer(cut, cut)
+    return DensityMatrix(projected / kept, validate=False), 1.0 - kept
 
 
 def apply_permutation(rho: DensityMatrix, perm: np.ndarray) -> DensityMatrix:
@@ -77,8 +130,46 @@ def symmetrize(rho: DensityMatrix, n_s: int) -> DensityMatrix:
     perms = list(itertools.permutations(range(n_s)))
     acc = np.zeros_like(rho.mat)
     for pi in perms:
-        acc += apply_permutation(rho, _signal_permutation_indices(rho.n, n_s, pi)).mat
+        acc += apply_permutation(rho, signal_permutation_indices(rho.n, n_s, pi)).mat
     return DensityMatrix(acc / len(perms), validate=False)
+
+
+def permutation_blocks(chi, code) -> list[tuple[np.ndarray, np.ndarray, float]]:
+    """The blocks of the retired audit loop, one per signal permutation pi
+    in itertools order (the identity first): the prepared state with its
+    signal qubits relabeled by pi, then rho_Q after the key circuit, the
+    same for the correctable part, and that part's weight (none of them
+    renormalized).  The flat state holds S at bits 0..n-1, Q at n..n+r-1
+    in |0>_X and signal i's ancilla at bit n + r + i."""
+    n, r = code.n, code.k
+    total = 2 * n + r
+    idx = np.arange(1 << total, dtype=np.int64)
+    amps = np.full(1 << total, (1 << r) ** -0.5, dtype=np.complex128)
+    for i in range(n):
+        amps = amps * chi[((idx >> i) & 1) + 2 * ((idx >> (n + r + i)) & 1)]
+    mask = np.bitwise_count(idx & ((1 << n) - 1)) <= code.correctable_set().max_weight
+    low = (1 << (n + r)) - 1
+    ext_perm = build_key_circuit(code).perm[idx & low] | (idx & ~low)
+    blocks = []
+    for pi in itertools.permutations(range(n)):
+        block = np.empty_like(amps)
+        block[signal_permutation_indices(total, n, pi)] = amps
+        states = []
+        for vec in (block, block * mask):
+            out = np.empty_like(vec)
+            out[ext_perm] = vec
+            m = out.reshape(1 << n, 1 << r, 1 << n).transpose(1, 0, 2).reshape(1 << r, -1)
+            states.append(m @ m.conj().T)
+        blocks.append((*states, float(np.vdot(block * mask, block * mask).real)))
+    return blocks
+
+
+def retired_key_side_states(chi, code) -> tuple[np.ndarray, np.ndarray, float]:
+    """What qsim._key_side_states returns, averaged over all n! permutation
+    blocks, as the audit computed it before it kept only the identity block."""
+    blocks = permutation_blocks(chi, code)
+    rho_q, projected, kept = (sum(parts) / len(blocks) for parts in zip(*blocks))
+    return rho_q, projected, kept
 
 
 # -- states -----------------------------------------------------------------
@@ -130,7 +221,7 @@ def test_signal_permutation_indices_keep_the_spectators(n_s, spectators):
     rest = list(range(n_s, n_total))
     for pi in itertools.permutations(range(n_s)):
         expect = qubit_map_indices(n_total, list(pi) + rest)
-        assert np.array_equal(_signal_permutation_indices(n_total, n_s, pi), expect)
+        assert np.array_equal(signal_permutation_indices(n_total, n_s, pi), expect)
 
 
 def test_partial_trace_product():
@@ -455,8 +546,19 @@ def test_audit_entropy_floor_fails_only_in_abort_regime():
     assert rep.key_entropy < rep.key_entropy_floor
 
 
+# the eight audits the benchmark's audit_bounds runs
+BENCHMARK_AUDITS = [
+    (name, attack, desc)
+    for name, attack in (
+        ("identity", identity_attack()),
+        ("rotation:theta=0.3", rotation_attack(0.3)),
+        ("swap", swap_attack()),
+        ("entangle:alpha=0.3,beta=0.2", entangle_attack(0.3, 0.2)),
+    )
+    for desc in ("repetition:n=4", "hamming_blocks:n=4")
+]
 # the original hand-checked case, one with complex amplitudes (every shipped
-# attack is real), and the eight audits the benchmark's audit_bounds runs
+# attack is real), and the benchmark's eight
 DENSE_CROSS_CHECK = [
     ("rotation:theta=0.5", rotation_attack(0.5), "repetition:n=3"),
     (
@@ -464,16 +566,7 @@ DENSE_CROSS_CHECK = [
         np.diag(np.exp(1j * np.array([0.0, 0.4, 1.1, 2.0]))) @ entangle_attack(0.6, 0.2),
         "hamming_blocks:n=4",
     ),
-    *(
-        (name, attack, desc)
-        for name, attack in (
-            ("identity", identity_attack()),
-            ("rotation:theta=0.3", rotation_attack(0.3)),
-            ("swap", swap_attack()),
-            ("entangle:alpha=0.3,beta=0.2", entangle_attack(0.3, 0.2)),
-        )
-        for desc in ("repetition:n=4", "hamming_blocks:n=4")
-    ),
+    *BENCHMARK_AUDITS,
 ]
 
 
@@ -512,6 +605,95 @@ def test_audit_dense_pipeline_cross_check(attack, desc):
     rho_out = apply_permutation(rho_s, circuit.perm)
     rho_q = partial_trace(rho_out, range(n, n + r))
     assert np.allclose(rho_q.mat, rep.rho_q, atol=1e-10)
+
+
+# every shipped code of length at most 4; random codes at one seed per shape
+SHORT_CODES = [
+    *(
+        f"{family}:n={n}"
+        for family in (
+            "repetition", "identity", "zero", "hamming_blocks",
+            "rec_hamming", "rec_identity", "rec_verbatim",
+        )
+        for n in range(1, 5)
+    ),
+    "hamming:n=3",
+    *(
+        f"{family}:n={n},inner={inner}"
+        for family in ("repetition_blocks", "rec_repetition")
+        for n in range(1, 5)
+        for inner in range(1, 5)
+    ),
+    *(f"random:n={n},k={k},seed=0" for n in range(1, 5) for k in range(1, n + 1)),
+]
+
+
+def test_short_codes_cover_every_family():
+    assert {desc.partition(":")[0] for desc in SHORT_CODES} == set(CODE_FAMILIES)
+
+
+def random_unitary(seed: int) -> np.ndarray:
+    """A 4x4 unitary with complex entries: Q of a complex Gaussian matrix."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    return q
+
+
+def assert_physical(rep) -> None:
+    """Entropies are nonnegative; probabilities and fidelities lie in [0, 1]."""
+    assert rep.entropy_q >= 0.0 and rep.key_entropy >= 0.0
+    unit = [rep.eta, rep.per_signal_z_error, rep.test_pass_probability, rep.q0_fidelity,
+            rep.q0_projected, rep.uniformity_fidelity, *rep.key_distribution]
+    assert all(0.0 <= v <= 1.0 for v in unit), unit
+
+
+@pytest.mark.parametrize("desc", SHORT_CODES)
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_every_permutation_block_equals_the_identity_block(desc, seed):
+    # the reason the audit computes one block: for a product preparation,
+    # relabeling the signals changes neither rho_Q, nor its correctable
+    # part, nor that part's weight
+    code = code_from_descriptor(desc)
+    attack = random_unitary(seed)
+    identity, *others = permutation_blocks(attack[:, 0], code)
+    for block in others:
+        for got, want in zip(block, identity):
+            assert np.max(np.abs(np.asarray(got) - want)) < 1e-12
+    rep = audit_protocol3(attack, code.n, code)
+    assert np.max(np.abs(rep.rho_q - identity[0])) < 1e-12
+    assert_physical(rep)
+
+
+@pytest.mark.parametrize(
+    "attack,desc",
+    [(identity_attack(), "repetition:n=3")] + [case[1:] for case in BENCHMARK_AUDITS],
+    ids=["identity-repetition:n=3"] + [f"{name}-{desc}" for name, _, desc in BENCHMARK_AUDITS],
+)
+def test_audit_values_stay_physical_under_rounding(attack, desc):
+    # with one block, identity at n=3 once read entropy_q = -3.2e-16 and
+    # q0_fidelity = 1.0000000000000002
+    code = code_from_descriptor(desc)
+    assert_physical(audit_protocol3(attack, code.n, code))
+
+
+@pytest.mark.parametrize(
+    "attack,desc",
+    [case[1:] for case in BENCHMARK_AUDITS],
+    ids=[f"{name}-{desc}" for name, _, desc in BENCHMARK_AUDITS],
+)
+def test_one_block_audit_matches_the_retired_loop(attack, desc, monkeypatch):
+    code = code_from_descriptor(desc)
+    rep = audit_protocol3(attack, code.n, code)
+    monkeypatch.setattr(qsim, "_key_side_states", retired_key_side_states)
+    retired = audit_protocol3(attack, code.n, code)
+    for name, want in vars(retired).items():
+        got = getattr(rep, name)
+        if isinstance(want, (str, bool)):
+            assert got == want, name
+        else:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
+    assert audit_checks(rep) == audit_checks(retired)
 
 
 def test_audit_error_paths():
