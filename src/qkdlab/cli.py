@@ -232,10 +232,11 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"sweep value {token!r} is not a number")
         varied = copy.deepcopy(raw)
         _set_by_path(varied, args.param, value)
+        # built once a value, so its source and code checks run once too
+        cfg = build_session_config(varied, base_seed)
         for i in range(args.runs):
             run_seed = stream_seed(base_seed, f"sweep|{token}|{i}")
-            cfg = build_session_config(varied, run_seed)
-            result = run_protocol(cfg)
+            result = run_protocol(dataclasses.replace(cfg, seed=run_seed))
             rows.append([args.param, token] + result.stats.as_row(f"{token}/{i}"))
 
     _write_text(args.out, _csv_text(["param", "value", *STATS_FIELDS], rows), args.force)

@@ -356,19 +356,23 @@ def _correct_run(c: LinearCode, blocks: np.ndarray, targets: np.ndarray, first: 
 
     Each distinct syndrome difference is resolved once, in the order of the
     block it first appears in, so a failure names the run's first failing
-    block, by its index `first + i` in the whole code.
+    block, by its index `first + i` in the whole code.  Rows are grouped by
+    one key each, their packed bytes read as a single void scalar, so the
+    grouping is a 1-D unique at any redundancy.
     """
     if c.k == 0:  # the target names the word
         return targets
     if c.n == c.k:  # no redundancy, nothing to correct
         return blocks
     diffs = c.syndrome(blocks) ^ targets
-    distinct, first_at, which = np.unique(diffs, axis=0, return_index=True, return_inverse=True)
-    patterns = np.zeros((len(distinct), c.n), dtype=np.uint8)
+    packed = np.packbits(diffs, axis=1, bitorder="little")
+    keys = packed.view(f"V{packed.shape[1]}").reshape(-1)
+    _, first_at, which = np.unique(keys, return_index=True, return_inverse=True)
+    patterns = np.zeros((len(first_at), c.n), dtype=np.uint8)
     zero = np.zeros(c.n, dtype=np.uint8)
     for j in np.argsort(first_at):
         try:  # the lightest pattern with syndrome diff corrects the zero word to diff
-            patterns[j] = c.correct_with_syndrome(zero, distinct[j])
+            patterns[j] = c.correct_with_syndrome(zero, diffs[first_at[j]])
         except DecodingFailure as exc:
             raise DecodingFailure(f"block {first + first_at[j]}: {exc}") from exc
     return blocks ^ patterns[which.reshape(-1)]

@@ -254,17 +254,17 @@ class SecretPool:
     Both parties build the pool from the same seed and must take bits in
     the same sequence; running out is a protocol abort, not an exception
     escaping to the caller.
+
+    Pool bit i is bit i % 256, low bit of each byte first, of block i // 256,
+    the sha256 digest of f"{seed}|pool|{i // 256}".  A take hashes only the
+    blocks its range covers: a session takes tau + 128 bits of a capacity of
+    4n + 512.
     """
 
     def __init__(self, seed: int, nbits: int) -> None:
         if nbits < 0:
             raise ValueError("pool size cannot be negative")
-        blocks = []
-        for counter in range((nbits + 255) // 256):
-            blocks.append(hashlib.sha256(f"{seed}|pool|{counter}".encode()).digest())
-        raw = np.frombuffer(b"".join(blocks), dtype=np.uint8)
-        self._bits = np.unpackbits(raw, count=nbits, bitorder="little")
-        self._bits.flags.writeable = False
+        self._seed = seed
         self.capacity = nbits
         self.offset = 0
 
@@ -275,8 +275,17 @@ class SecretPool:
         """The next nbits pool bits, as a read-only bit array."""
         if nbits > self.remaining():
             raise PoolExhausted(f"need {nbits} bits, {self.remaining()} left")
-        self.offset += nbits
-        return self._bits[self.offset - nbits : self.offset]
+        start, stop = self.offset, self.offset + nbits
+        self.offset = stop
+        first = start // 256
+        blocks = (
+            hashlib.sha256(f"{self._seed}|pool|{counter}".encode()).digest()
+            for counter in range(first, (stop + 255) // 256)
+        )
+        raw = np.frombuffer(b"".join(blocks), dtype=np.uint8)
+        bits = np.unpackbits(raw, count=stop - 256 * first, bitorder="little")
+        bits.flags.writeable = False
+        return bits[start - 256 * first :]
 
 
 # ---------------------------------------------------------------------------
@@ -300,25 +309,32 @@ class SourceModel:
     """The paper's source: four emitted states rho(a, g) with joint weights
     p(a, g), for basis a and key bit g.
 
-    `probs` is 2x2, rows indexed by basis, with p[a,0] + p[a,1] = 1/2.
-    `palette` is one read-only (4, d, d) complex array of density matrices
-    over the emitted space, row 2a + g: the palette a QBURST sends as it is.
-    The signal the receiver measures is always the first qubit of the
-    emitted space; compliant models emit exactly one qubit (d = 2).
+    `probs` is a read-only 2x2 array, rows indexed by basis, with
+    p[a,0] + p[a,1] = 1/2.  `palette` is one read-only (4, d, d) complex
+    array of density matrices over the emitted space, row 2a + g: the
+    palette a QBURST sends as it is.  The signal the receiver measures is
+    always the first qubit of the emitted space; compliant models emit
+    exactly one qubit (d = 2).  Both are copies, so a source cannot change
+    once built, and `basis_distance`, the `check_basis_independence`
+    distance the compliance gate reads, is measured once, here.
     """
 
     kind = "abstract"
 
     def __init__(self, probs: np.ndarray, palette: np.ndarray) -> None:
-        probs = np.asarray(probs, dtype=float)
-        if probs.shape != (2, 2) or np.any(probs < 0):
+        self.probs = np.array(probs, dtype=float)
+        if self.probs.shape != (2, 2) or np.any(self.probs < 0):
             raise ValueError("need nonnegative joint weights p[a][g]")
         for a in range(2):
-            if abs(probs[a].sum() - 0.5) > 1e-12:
+            if abs(self.probs[a].sum() - 0.5) > 1e-12:
                 raise ValueError("basis choice must be an unbiased coin")
-        self.probs = probs
         self.palette = np.array(palette, dtype=np.complex128)
+        shape = self.palette.shape
+        if len(shape) != 3 or shape[0] != 4 or shape[1] != shape[2]:
+            raise ValueError("need four emitted states, each a d x d density matrix")
+        self.probs.flags.writeable = False
         self.palette.flags.writeable = False
+        self.basis_distance = check_basis_independence(self)
 
     def averaged_state(self, a: int) -> np.ndarray:
         acc = np.zeros_like(self.palette[2 * a])
@@ -449,8 +465,13 @@ def source_from_config(cfg: dict) -> SourceModel:
 def _p_one(palette: np.ndarray, index: np.ndarray, bases: np.ndarray) -> np.ndarray:
     """Probability of outcome 1 when each signal, the palette state its index
     names, is measured in sigma_z (basis 0) or sigma_x (basis 1)."""
-    table = np.stack([palette[:, 1, 1].real, 0.5 * (1.0 - 2.0 * palette[:, 0, 1].real)])
-    return table[bases, index]
+    table = np.concatenate([palette[:, 1, 1].real, 0.5 * (1.0 - 2.0 * palette[:, 0, 1].real)])
+    # entry bases * k + index of the flat table, built in place in uint16;
+    # indexing with it casts in buffers, where `take` would copy it to intp
+    flat = bases.astype(np.uint16)
+    flat *= len(palette)
+    flat += index
+    return table[flat]
 
 
 class ChannelModel:
@@ -491,9 +512,9 @@ class InterceptResendChannel(ChannelModel):
 
     def apply_batch(self, palette, index, rng):
         m = index.size
-        eve_basis = rng.integers(0, 2, size=m)
-        outcome = rng.random(m) < _p_one(palette, index, eve_basis)
-        return _BB84_PALETTE, (2 * eve_basis + outcome).astype(np.uint8)
+        eve_basis = rng.integers(0, 2, size=m).astype(np.uint8)
+        p_one = _p_one(palette, index, eve_basis)  # its index is freed before the uniforms exist
+        return _BB84_PALETTE, 2 * eve_basis + (rng.random(m) < p_one)
 
 
 class CustomUnitaryChannel(ChannelModel):
@@ -545,7 +566,8 @@ class DetectorModel:
         first, then outcomes) is part of the determinism contract."""
         m = index.size
         detected = rng.random(m) < self.efficiency
-        outcomes = (rng.random(m) < _p_one(palette, index, bases)).astype(np.uint8)
+        p_one = _p_one(palette, index, bases)  # its index is freed before the uniforms exist
+        outcomes = (rng.random(m) < p_one).astype(np.uint8)
         return outcomes, detected
 
 
@@ -820,11 +842,11 @@ def _sift_masks(a, b, r) -> tuple[np.ndarray, np.ndarray]:
     of the announced one -- that opposite basis being what was actually
     sent there.  Null detections (symbol 2) match nothing.
     """
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
+    a = np.asarray(a)
+    b = np.asarray(b)
     in_r = np.asarray(r, dtype=bool)
     seen = b != 2
-    return in_r & (a == b) & seen, ~in_r & (1 - a == b) & seen
+    return in_r & (a == b) & seen, ~in_r & ((a ^ 1) == b) & seen
 
 
 def sift(a_bits, b_symbols, r_mask, n: int, rng) -> SiftResult:
@@ -974,8 +996,9 @@ class _Session:
 
     Each subclass lists its waiting phases in protocol order, each with the
     one tag it accepts (`expects`); that table is the only statement of the
-    phase order.  `on_message` ends any other tag in `phase_order` before a
-    handler sees it, records the peer's message, dispatches it to
+    phase order, and each class reads its successor table off it once, when
+    the class is created.  `on_message` ends any other tag in `phase_order`
+    before a handler sees it, records the peer's message, dispatches it to
     `_phase_<phase>`, and records what this side sends in reply.  Only the
     dispatcher moves `phase`: after a handler returns on a session that has
     not aborted, to the next phase of `expects`, or to "finished" after the
@@ -985,6 +1008,12 @@ class _Session:
 
     role_name = "?"
     expects: dict[str, int] = {}
+    _next_phase: dict[str, str]  # phase -> the phase after it, read off `expects`
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        phases = [*cls.expects, "finished"]
+        cls._next_phase = dict(zip(phases, phases[1:]))
 
     def __init__(self, cfg: SessionConfig) -> None:
         self.cfg = cfg
@@ -1055,8 +1084,7 @@ class _Session:
             self.abort_detail = f"{msg.name()}: {err}"
             return self._fail(ABORT_MALFORMED)
         if not self.aborted:
-            phases = [*self.expects, "finished"]
-            self.phase = phases[phases.index(self.phase) + 1]
+            self.phase = self._next_phase[self.phase]
         return out
 
 
@@ -1094,7 +1122,7 @@ class AliceSession(_Session):
         # admissible: one emitted qubit, and basis-averaged states that agree
         # (written so that a NaN distance fails)
         src = self.cfg.source
-        if src.palette.shape != (4, 2, 2) or not check_basis_independence(src) <= SOURCE_TOLERANCE:
+        if src.palette.shape != (4, 2, 2) or not src.basis_distance <= SOURCE_TOLERANCE:
             return self._record(self.role_name, self._fail(ABORT_SOURCE))
         return [WireMessage(TAG_HELLO, encode_hello(self.cfg, ROLE_ALICE))]
 
@@ -1114,9 +1142,9 @@ class AliceSession(_Session):
         self.r_mask[r_index] = 1
         # the basis actually keyed into the source: a for tested positions,
         # its opposite for the rest
-        sent_basis = np.where(self.r_mask == 1, self.a_bits, 1 - self.a_bits)
+        sent_basis = self.a_bits ^ self.r_mask ^ 1
         p_one = 2.0 * src.probs[:, 1]  # P(g = 1 | sent basis)
-        self.g_bits = (rng.random(m) < p_one[sent_basis]).astype(np.uint8)
+        self.g_bits = (rng.random(m) < p_one.take(sent_basis)).astype(np.uint8)
         return [encode_qburst(src.palette, 2 * sent_basis + self.g_bits)]
 
     def _phase_await_bases(self, msg: WireMessage) -> list[WireMessage]:

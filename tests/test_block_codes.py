@@ -172,6 +172,45 @@ def test_correction_failure_names_the_first_failing_block():
         assert str(got.value) == str(want.value)
 
 
+SHIPPED_INNER = st.one_of(
+    st.just(hamming(3)),
+    st.integers(1, 25).map(repetition),
+    st.integers(26, 90).map(repetition),  # redundancy past one 64-bit word
+    st.sampled_from([codes._ZERO_BIT, codes._IDENTITY_BIT]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(SHIPPED_INNER, st.integers(0, 10_000), st.data())
+def test_run_correction_equals_per_row_correction(c, first, data):
+    """`_correct_run` groups the rows of a run by their syndrome difference;
+    it must give each row what the inner code's own correction gives it,
+    and fail at the same first block.  Rows are drawn from a few distinct
+    differences, each the syndrome of noise of density 1/2 to 1/64, so
+    groups repeat and some rows decode while others fail."""
+    count = data.draw(st.integers(1, 40))
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    noise = gen.integers(0, 2, size=(data.draw(st.integers(1, count)), c.n), dtype=np.uint8)
+    for _ in range(data.draw(st.integers(0, 5))):
+        noise &= gen.integers(0, 2, size=noise.shape, dtype=np.uint8)
+    blocks = gen.integers(0, 2, size=(count, c.n), dtype=np.uint8)
+    diffs = c.syndrome(noise)[gen.integers(0, len(noise), size=count)]
+    targets = c.syndrome(blocks) ^ diffs
+    want = []
+    try:
+        for i in range(count):
+            try:
+                want.append(c.correct_with_syndrome(blocks[i], targets[i]))
+            except DecodingFailure as exc:
+                raise DecodingFailure(f"block {first + i}: {exc}") from exc
+    except DecodingFailure as exc:
+        with pytest.raises(DecodingFailure) as got:
+            codes._correct_run(c, blocks, targets, first)
+        assert str(got.value) == str(exc)
+        return
+    assert np.array_equal(codes._correct_run(c, blocks, targets, first), np.array(want))
+
+
 def _correction_outcome(code, word, target):
     try:
         return packed(code.correct_with_syndrome, word, target)

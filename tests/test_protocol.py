@@ -9,6 +9,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import functools
+import hashlib
 import math
 import random
 import struct
@@ -246,6 +247,58 @@ def test_gate_refuses_a_source_it_cannot_vouch_for(source):
     assert res.alice.a_bits is None
 
 
+@pytest.mark.parametrize(
+    "source",
+    [PerfectSource(bias=0.6), LeakyTwoCopySource(0.0), LeakyTwoCopySource(0.5)],
+    ids=["biased", "leaky_without_leak", "leaky"],
+)
+def test_gate_ends_alice_at_start(source):
+    alice = AliceSession(_noiseless_cfg(source=source))
+    assert alice.start() == [WireMessage(TAG_ABORT, ABORT_SOURCE.encode())]
+    assert alice.abort_reason == ABORT_SOURCE and alice.phase == "dead"
+
+
+_BB84_STATES = PerfectSource().palette
+
+
+def test_source_keeps_its_own_copy_of_the_callers_weights():
+    probs = np.full((2, 2), 0.25)
+    src = SourceModel(probs, _BB84_STATES)
+    assert src.basis_distance <= protocol_module.SOURCE_TOLERANCE
+    probs[0] = [0.5, 0.0]  # a biased coin, had the source kept the array
+    assert src.probs.tolist() == [[0.25, 0.25], [0.25, 0.25]]
+    assert src.basis_distance == check_basis_independence(src)
+    assert run_protocol(_noiseless_cfg(source=src)).stats.abort_reason is None
+
+
+def test_source_weights_and_states_are_read_only():
+    src = PerfectSource()
+    with pytest.raises(ValueError):
+        src.probs[0, 0] = 0.5
+    with pytest.raises(ValueError):
+        src.palette[0, 0, 0] = 0.5
+
+
+@pytest.mark.parametrize("palette", [np.zeros((2, 2, 2)), np.zeros((4, 2, 3)), np.zeros((4, 2))])
+def test_source_needs_four_square_states(palette):
+    with pytest.raises(ValueError, match="four emitted states"):
+        SourceModel(np.full((2, 2), 0.25), palette)
+
+
+def test_sessions_of_one_config_measure_the_source_once(monkeypatch):
+    calls = []
+    measure = protocol_module.check_basis_independence
+    monkeypatch.setattr(
+        protocol_module, "check_basis_independence", lambda src: calls.append(src) or measure(src)
+    )
+    cfg = _noiseless_cfg(source=RotatedZSource(0.4))
+    assert len(calls) == 1  # when the source was built
+    for seed in range(3):
+        res = run_protocol(dataclasses.replace(cfg, seed=seed))
+        assert res.alice.a_bits is not None  # past the gate: Alice emitted
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # channels and detector
 
@@ -391,6 +444,38 @@ def test_pool_same_seed_same_bits():
     a = SecretPool(42, 300)
     b = SecretPool(42, 300)
     assert np.array_equal(a.take(300), b.take(300))
+
+
+def _eager_pool_bits(seed: int, nbits: int) -> np.ndarray:
+    """All `nbits` pool bits at once: bit i is bit i % 256, low bit of each
+    byte first, of the sha256 digest of f"{seed}|pool|{i // 256}"."""
+    blocks = b"".join(
+        hashlib.sha256(f"{seed}|pool|{c}".encode()).digest() for c in range((nbits + 255) // 256)
+    )
+    return np.unpackbits(np.frombuffer(blocks, np.uint8), count=nbits, bitorder="little")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    capacity=st.integers(0, 1500),
+    takes=st.lists(st.integers(0, 700), max_size=8),
+)
+@example(seed=0, capacity=512, takes=[256, 0, 255, 1, 1])
+def test_pool_takes_the_bits_an_eager_pool_holds(seed, capacity, takes):
+    want = _eager_pool_bits(seed, capacity)
+    pool = SecretPool(seed, capacity)
+    offset = 0
+    for nbits in takes:
+        if nbits > capacity - offset:
+            with pytest.raises(PoolExhausted):
+                pool.take(nbits)
+        else:
+            got = pool.take(nbits)
+            assert got.dtype == np.uint8 and not got.flags.writeable
+            assert np.array_equal(got, want[offset : offset + nbits])
+            offset += nbits
+        assert pool.offset == offset and pool.remaining() == capacity - offset
 
 
 # ---------------------------------------------------------------------------
@@ -1577,7 +1662,9 @@ def _miscounted_burst() -> bytes:
     return flood[:index_at] + b"\xff" * (len(flood) - index_at)
 
 
-@pytest.mark.parametrize("role, phase", list(_FLOOD_OUTCOME), ids="/".join)
+@pytest.mark.parametrize(
+    "role, phase", list(_FLOOD_OUTCOME), ids=[f"{role}/{phase}" for role, phase in _FLOOD_OUTCOME]
+)
 def test_a_flooded_message_costs_work_bounded_by_the_sessions_own_count(role, phase):
     role_cls = AliceSession if role == "alice" else BobSession
     assert {(role, p) for p in role_cls.expects} <= set(_FLOOD_OUTCOME)

@@ -10,6 +10,7 @@ an oracle.  End-to-end byte equality is covered by the golden transcripts.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import tracemalloc
@@ -29,6 +30,7 @@ from qkdlab.protocol import (
     STATE_BYTES,
     TAG_HELLO,
     TAG_QBURST,
+    TAG_SUBSET_S,
     AliceSession,
     BobSession,
     CustomUnitaryChannel,
@@ -326,6 +328,43 @@ def test_proxy_transform_peaks_under_four_bytes_a_signal():
     peak = _peak(lambda: out.append(_transform_burst(burst, _CFG_2048.channel, rng)))
     assert len(out[0].payload) == len(burst.payload) and out[0].payload != burst.payload
     assert peak < 4 * _CFG_2048.omega_size
+
+
+# Per-phase peaks in bytes a signal at n=8192 (|Omega| = 34 408), where
+# numpy's fixed-size cast buffers no longer count.  Measured: emission 48.8
+# (set by the R draw's list pool), collect 19.1 (depolarizing) and 20.1
+# (intercept-resend), Alice's BASES_B handler 7.0 and Bob's sifting 21.7.
+_PHASE_PEAK_BOUNDS = {"emit": 52.0, "collect": 21.5, "alice_bases_b": 8.0, "bob_sift": 24.0}
+
+
+@functools.lru_cache(maxsize=None)
+def _phase_peaks(channel_kind: str) -> dict[str, float]:
+    """One n=8192 session, stepped by hand up to Bob's SUBSET_S, with the
+    `tracemalloc` peak of each of its per-signal steps, per signal."""
+    channel = {
+        "depolarizing": DepolarizingChannel(0.02),
+        "intercept_resend": InterceptResendChannel(),
+    }[channel_kind]
+    cfg = SessionConfig(n=8192, seed=2, channel=channel)
+    alice, hello = _emitting(cfg)
+    bob = _collecting(cfg)
+    peaks, msg = {}, hello
+    steps = [("emit", alice), ("collect", bob), ("alice_bases_b", alice), ("bob_sift", bob)]
+    for step, party in steps:
+        out = []
+        peaks[step] = _peak(lambda: out.extend(party.on_message(msg))) / cfg.omega_size
+        (msg,) = out
+    assert msg.tag == TAG_SUBSET_S
+    return peaks
+
+
+@pytest.mark.parametrize("channel_kind", ["depolarizing", "intercept_resend"])
+@pytest.mark.parametrize("step", list(_PHASE_PEAK_BOUNDS))
+def test_per_signal_phase_peaks_stay_at_their_bounds(step, channel_kind):
+    """Announcements are compared as the uint8 arrays they arrive in, and
+    the detector builds its outcome probabilities before the draws they
+    meet, so no step holds an int64 copy of a per-signal array."""
+    assert _phase_peaks(channel_kind)[step] < _PHASE_PEAK_BOUNDS[step]
 
 
 # ---------------------------------------------------------------------------
