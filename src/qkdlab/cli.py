@@ -45,6 +45,11 @@ EXIT_INTERNAL = 4
 
 SEED_ENV_VAR = "QKDLAB_SEED"
 
+# socket.settimeout overflows near 1e10 s; a day is longer than any session
+MAX_TIMEOUT = 86400.0
+# every --n up to here is an exact float, as sampling_bound computes with it
+MAX_BOUNDS_N = 2**53
+
 
 class ConfigError(Exception):
     pass
@@ -258,8 +263,8 @@ def cmd_bounds(args) -> int:
     for d in deltas:
         if not 0.0 <= d <= 0.5:
             raise ConfigError(f"delta {d} outside [0, 1/2]")
-    if args.n < 1:
-        raise ConfigError(f"--n must be at least 1, got {args.n}")
+    if not 1 <= args.n <= MAX_BOUNDS_N:
+        raise ConfigError(f"--n must sit in [1, 2^53], got {args.n}")
     if not (math.isfinite(args.epsilon) and args.epsilon >= 0.0):
         raise ConfigError(f"--epsilon must be finite and nonnegative, got {args.epsilon}")
 
@@ -289,6 +294,8 @@ def _parse_attack(text: str) -> np.ndarray:
     if params_text:
         for pair in params_text.split(","):
             key, _, value = pair.partition("=")
+            if key in params:
+                raise ConfigError(f"attack {text!r} repeats parameter {key!r}")
             try:
                 params[key] = float(value)
             except ValueError:
@@ -384,7 +391,14 @@ def _write_outcome_files(outcome, args) -> None:
             _write_text(args.key_out, f"{key.n} {key.to_hex()}\n", args.force)
 
 
+def _check_timeout(timeout: float) -> None:
+    # written so that a NaN fails too
+    if not 0.0 < timeout <= MAX_TIMEOUT:
+        raise ConfigError(f"--timeout must sit in (0, {MAX_TIMEOUT:g}] seconds, got {timeout}")
+
+
 def _run_party(args, role: str, endpoint: str) -> int:
+    _check_timeout(args.timeout)
     cfg = load_config(args.config, args.seed)
     host, port = _parse_endpoint(endpoint)
     for path in (args.transcript_out, args.key_out):
@@ -430,6 +444,7 @@ def cmd_eve(args) -> int:
     except ValueError as err:
         raise ConfigError(f"bad proxy channel: {err}")
     seed = resolve_seed(args.seed, {})
+    _check_timeout(args.timeout)
     with open_listener(lhost, lport) as listener:
         print(f"LISTENING {listener.getsockname()[1]}", flush=True)
         try:
@@ -538,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--transcript-out", default=None)
         p.add_argument("--key-out", default=None)
         p.add_argument("--force", action="store_true")
-        p.add_argument("--timeout", type=float, default=30.0)
+        p.add_argument("--timeout", type=float, default=30.0, help="seconds, in (0, 86400]")
 
     ali = sub.add_parser("alice", help="sender over a socket")
     ali.add_argument("--connect", required=True, help="host:port of the receiver")
@@ -558,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     eve.add_argument("--mode", default="passive", help=" | ".join(PROXY_CHANNELS))
     eve.add_argument("--p", type=float, default=0.1, help="depolarize weight")
     eve.add_argument("--seed", type=int, default=None)
-    eve.add_argument("--timeout", type=float, default=30.0)
+    eve.add_argument("--timeout", type=float, default=30.0, help="seconds, in (0, 86400]")
     eve.set_defaults(func=cmd_eve)
 
     return parser

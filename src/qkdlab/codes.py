@@ -20,7 +20,7 @@ check matrices, the codeword table and the nearest-pattern search work on
 packed integers, bit i = component i, and decoding converts at its own edge.
 
 Protocol-size codes are BlockCodes: direct sums of runs of small inner
-codes that are built and checked once per process.  The trivial [n, n] and
+codes that are built once per process.  The trivial [n, n] and
 [n, 0] codes, and the tail of every block family, are runs of n one-bit
 codes.  A BlockCode hands each run's inner code the (count, width) reshape
 of its slice, so building and using one costs time linear in n; the global
@@ -42,6 +42,10 @@ from .gf2 import DimensionError, GF2Matrix, bits_to_int, int_to_bits
 
 LEADER_TABLE_LIMIT = 14  # build syndrome tables up to 2^14 cosets
 BRUTE_FORCE_LIMIT = 22  # enumerate codewords up to 2^22
+# bits in a plain code's one dense table, checked before it is built: the
+# n-by-k generator of `hamming` (held as n * k bytes by encode and
+# coset_key), or the 2^k n-bit codewords `random_code` enumerates
+DENSE_CODE_LIMIT = 1 << 26
 INNER_CACHE_LIMIT = 25  # shipped inner codes up to this length are built once per process
 
 
@@ -88,14 +92,14 @@ class LinearCode:
     Attributes:
         name: short family label used in wire descriptors.
         n, k: length and dimension.
-        gen: n-by-k generator matrix; columns span the code.
+        gen: n-by-k generator matrix; its columns are a basis of the code.
+            The caller builds them independent: every shipped construction
+            is full-rank by construction, and `random_code` checks its own.
         decoder_radius: largest weight t with every weight-<=t pattern
             guaranteed reversible (bounded-distance promise).
     """
 
     def __init__(self, name: str, gen: GF2Matrix, decoder_radius: int) -> None:
-        if gen.rank() != gen.cols:
-            raise ValueError("generator columns must be linearly independent")
         self._setup(name, gen.rows, gen.cols, decoder_radius)
         self.gen = gen
 
@@ -269,8 +273,7 @@ class BlockCode(LinearCode):
     Every map hands each run's inner code the (count, inner width) reshape
     of the run's slice and concatenates what comes back.  Nothing is checked
     or reduced globally: a direct sum of full-column-rank blocks has full
-    column rank, and every inner code checked its own generator when it was
-    built.  The syndrome of the sum is the inner syndromes in block order,
+    column rank.  The syndrome of the sum is the inner syndromes in block order,
     which equals applying the block-diagonal parity check.  A block with no
     message bits reverses any pattern, so the decoder radius is the least
     radius of the other blocks.
@@ -383,7 +386,7 @@ def _correct_run(c: LinearCode, blocks: np.ndarray, targets: np.ndarray, first: 
 
 
 def _inner(build, param: int, n: int) -> LinearCode:
-    """A shipped inner code, built and checked once per process when short."""
+    """A shipped inner code, built once per process when short."""
     if n <= INNER_CACHE_LIMIT:
         return _cached_inner(build, param)
     return build(param)
@@ -422,7 +425,10 @@ def hamming(m: int) -> LinearCode:
     """The [2^m - 1, 2^m - 1 - m] single-error-correcting code."""
     if m < 2:
         raise ValueError("hamming parameter must be at least 2")
-    return _inner(_hamming, m, (1 << m) - 1)
+    n = (1 << m) - 1
+    if n * (n - m) > DENSE_CODE_LIMIT:
+        raise ValueError(f"hamming:n={n} needs a generator beyond {DENSE_CODE_LIMIT} bits")
+    return _inner(_hamming, m, n)
 
 
 # The one-bit codes every trivial code and block-family tail is a run of.
@@ -444,8 +450,8 @@ def random_code(n: int, k: int, seed: int) -> LinearCode:
     """Seeded random [n, k] code with radius from its true minimum distance."""
     if not 0 < k <= n:
         raise ValueError("need 0 < k <= n")
-    if k > BRUTE_FORCE_LIMIT:
-        raise ValueError("dimension beyond desk-scale enumeration")
+    if k > BRUTE_FORCE_LIMIT or n << k > DENSE_CODE_LIMIT:
+        raise ValueError(f"2^{k} codewords of {n} bits is beyond desk-scale enumeration")
     rng = random.Random(seed)
     while True:
         gen = GF2Matrix(n, k, tuple(rng.getrandbits(k) for _ in range(n)))

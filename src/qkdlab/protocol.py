@@ -273,6 +273,8 @@ class SecretPool:
 
     def take(self, nbits: int) -> np.ndarray:
         """The next nbits pool bits, as a read-only bit array."""
+        if nbits < 0:  # a negative take would hand out spent bits again
+            raise ValueError(f"cannot take {nbits} bits")
         if nbits > self.remaining():
             raise PoolExhausted(f"need {nbits} bits, {self.remaining()} left")
         start, stop = self.offset, self.offset + nbits
@@ -992,22 +994,33 @@ class RunStats:
 
 
 class _Session:
-    """Shared plumbing: phase tracking, transcript, terminal handling.
+    """Shared plumbing: phase tracking, transcript, outbox, terminal handling.
 
     Each subclass lists its waiting phases in protocol order, each with the
     one tag it accepts (`expects`); that table is the only statement of the
     phase order, and each class reads its successor table off it once, when
     the class is created.  `on_message` ends any other tag in `phase_order`
-    before a handler sees it, records the peer's message, dispatches it to
-    `_phase_<phase>`, and records what this side sends in reply.  Only the
-    dispatcher moves `phase`: after a handler returns on a session that has
-    not aborted, to the next phase of `expects`, or to "finished" after the
-    last; `_fail` moves it to "dead".  A session is `done` once finished, and
-    only then does `final_key` release the key its handlers derived.
+    before a handler sees it, records the peer's message and dispatches it
+    to `_phase_<phase>`.  Handlers queue replies with `_send`, `_fail` queues
+    the ABORT, and the flush in `on_message` and `start` records them.  The
+    dispatcher alone turns an exception into an abort (`_error_aborts`),
+    with its text as the detail; the abort follows what was queued, which a
+    ProtocolError drops.  Any other exception escapes and drops the queue.
+    Only the dispatcher moves `phase`: after a handler returns on a session
+    that has not aborted, to the next phase of `expects`, or to "finished"
+    after the last; `_fail` moves it to "dead".  A session is `done` once
+    finished, and only then does `final_key` release the key its handlers
+    derived.
     """
 
     role_name = "?"
     expects: dict[str, int] = {}
+    # the exceptions a handler raises to abort, each with the reason it ends in
+    _error_aborts = {
+        ProtocolError: ABORT_MALFORMED,
+        PoolExhausted: ABORT_POOL,
+        DecodingFailure: ABORT_RECONCILE,
+    }
     _next_phase: dict[str, str]  # phase -> the phase after it, read off `expects`
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -1024,6 +1037,7 @@ class _Session:
         self.phase = next(iter(self.expects))
         self.pool = SecretPool(stream_seed(cfg.seed, "pool"), cfg.pool_capacity)
         self._key: BitVec | None = None
+        self._outbox: list[WireMessage] = []
 
     @property
     def done(self) -> bool:
@@ -1041,18 +1055,27 @@ class _Session:
     def terminal(self) -> bool:
         return self.done or self.aborted
 
-    def _record(self, sender: str, msgs: Sequence[WireMessage]) -> Sequence[WireMessage]:
+    def _record(self, sender: str, msgs: Sequence[WireMessage]) -> None:
         """Appends the announcements among `msgs` to the transcript."""
         for msg in msgs:
             if msg.tag in TRANSCRIPT_TAGS:
                 self.transcript.append(TAG_NAMES[msg.tag], sender, msg.payload)
-        return msgs
 
-    def _fail(self, reason: str, announce: bool = True) -> list[WireMessage]:
+    def _send(self, tag: int, payload: bytes = b"") -> None:
+        self._outbox.append(WireMessage(tag, payload))
+
+    def _flush(self) -> list[WireMessage]:
+        """The queued messages, recorded and removed from the queue."""
+        out, self._outbox = self._outbox, []
+        self._record(self.role_name, out)
+        return out
+
+    def _fail(self, reason: str, announce: bool = True) -> None:
         self.abort_reason = reason
         self.stats.abort_reason = reason
         self.phase = "dead"
-        return [WireMessage(TAG_ABORT, reason.encode())] if announce else []
+        if announce:
+            self._send(TAG_ABORT, reason.encode())
 
     def hang_up(self) -> None:
         """Ends a session still waiting for a message that will not come,
@@ -1060,12 +1083,12 @@ class _Session:
         if not self.terminal:
             self._fail(ABORT_TRANSPORT, announce=False)
 
-    def on_message(self, msg: WireMessage) -> Sequence[WireMessage]:
-        if self.terminal:
-            return []
-        return self._record(self.role_name, self._dispatch(msg))
+    def on_message(self, msg: WireMessage) -> list[WireMessage]:
+        if not self.terminal:  # a terminal session has nothing queued
+            self._dispatch(msg)
+        return self._flush()
 
-    def _dispatch(self, msg: WireMessage) -> list[WireMessage]:
+    def _dispatch(self, msg: WireMessage) -> None:
         if msg.tag != TAG_ABORT and msg.tag != self.expects.get(self.phase):
             return self._fail(ABORT_PHASE)
         self._record(self.peer_name, [msg])
@@ -1079,13 +1102,17 @@ class _Session:
                 reason = ABORT_MALFORMED
             return self._fail(reason, announce=False)
         try:
-            out = getattr(self, f"_phase_{self.phase}")(msg)
-        except ProtocolError as err:
+            getattr(self, f"_phase_{self.phase}")(msg)
+        except tuple(self._error_aborts) as err:
+            if isinstance(err, ProtocolError):
+                self._outbox.clear()
             self.abort_detail = f"{msg.name()}: {err}"
-            return self._fail(ABORT_MALFORMED)
+            self._fail(next(r for cls, r in self._error_aborts.items() if isinstance(err, cls)))
+        except BaseException:
+            self._outbox.clear()
+            raise
         if not self.aborted:
             self.phase = self._next_phase[self.phase]
-        return out
 
 
 class AliceSession(_Session):
@@ -1123,15 +1150,17 @@ class AliceSession(_Session):
         # (written so that a NaN distance fails)
         src = self.cfg.source
         if src.palette.shape != (4, 2, 2) or not src.basis_distance <= SOURCE_TOLERANCE:
-            return self._record(self.role_name, self._fail(ABORT_SOURCE))
-        return [WireMessage(TAG_HELLO, encode_hello(self.cfg, ROLE_ALICE))]
+            self._fail(ABORT_SOURCE)
+        else:
+            self._send(TAG_HELLO, encode_hello(self.cfg, ROLE_ALICE))
+        return self._flush()
 
-    def _phase_hello(self, msg: WireMessage) -> Sequence[WireMessage]:
+    def _phase_hello(self, msg: WireMessage) -> None:
         if msg.payload != encode_hello(self.cfg, ROLE_BOB):
             return self._fail(ABORT_VERSION)
-        return self._emit_signals()
+        self._emit_signals()
 
-    def _emit_signals(self) -> list[WireMessage]:
+    def _emit_signals(self) -> None:
         cfg = self.cfg
         m = cfg.omega_size
         src = cfg.source
@@ -1145,9 +1174,9 @@ class AliceSession(_Session):
         sent_basis = self.a_bits ^ self.r_mask ^ 1
         p_one = 2.0 * src.probs[:, 1]  # P(g = 1 | sent basis)
         self.g_bits = (rng.random(m) < p_one.take(sent_basis)).astype(np.uint8)
-        return [encode_qburst(src.palette, 2 * sent_basis + self.g_bits)]
+        self._outbox.append(encode_qburst(src.palette, 2 * sent_basis + self.g_bits))
 
-    def _phase_await_bases(self, msg: WireMessage) -> list[WireMessage]:
+    def _phase_await_bases(self, msg: WireMessage) -> None:
         b_symbols = decode_bases_b(msg.payload, self.cfg.omega_size)
         if b_symbols is None:
             return self._fail(ABORT_PHASE)
@@ -1155,9 +1184,9 @@ class AliceSession(_Session):
         test_mask, self._key_mask = _sift_masks(self.a_bits, b_symbols, self.r_mask)
         self.test_set = np.flatnonzero(test_mask)
         self.stats.t_size = len(self.test_set)
-        return [WireMessage(TAG_BASES_A_AND_R, encode_bases_a_and_r(self.a_bits, self.r_mask))]
+        self._send(TAG_BASES_A_AND_R, encode_bases_a_and_r(self.a_bits, self.r_mask))
 
-    def _phase_await_subset(self, msg: WireMessage) -> list[WireMessage]:
+    def _phase_await_subset(self, msg: WireMessage) -> None:
         mask = decode_bits(msg.payload, self._key_mask.size)
         key_idx = np.empty(0, np.intp) if mask is None else np.flatnonzero(mask)
         ok = key_idx.size == self.cfg.n and bool(self._key_mask[key_idx].all())
@@ -1165,34 +1194,30 @@ class AliceSession(_Session):
             return self._fail(ABORT_SIFT)
         self.key_set = key_idx
         self.stats.s_size = len(self.key_set)
-        g_test = self.g_bits[self.test_set]
-        return [WireMessage(TAG_TEST_BITS, encode_bits(g_test))]
+        self._send(TAG_TEST_BITS, encode_bits(self.g_bits[self.test_set]))
 
-    def _phase_await_delta(self, msg: WireMessage) -> list[WireMessage]:
+    def _phase_await_delta(self, msg: WireMessage) -> None:
         delta, proceed = decode_delta(msg.payload)
         self.stats.delta = delta
         if not proceed:
             return self._fail(ABORT_DELTA, announce=False)
         if not 0.0 <= delta <= self.cfg.delta_max:  # no verdict Bob could reach
             return self._fail(ABORT_PHASE)
-        return []
 
-    def _phase_await_perm(self, msg: WireMessage) -> list[WireMessage]:
+    def _phase_await_perm(self, msg: WireMessage) -> None:
         perm = decode_perm(msg.payload, self.cfg.n)
         if perm is None or not is_permutation(perm, self.cfg.n):
             return self._fail(ABORT_PHASE)
         self.perm = perm
-        return []
 
-    def _phase_await_code(self, msg: WireMessage) -> list[WireMessage]:
+    def _phase_await_code(self, msg: WireMessage) -> None:
         code = self.cfg.pa_code
         if msg.payload != code.descriptor().encode():
             return self._fail(ABORT_PHASE)
         self.stats.r = code.k
         self.stats.code_descriptor = code.descriptor()
-        return []
 
-    def _phase_await_syndrome(self, msg: WireMessage) -> list[WireMessage]:
+    def _phase_await_syndrome(self, msg: WireMessage) -> None:
         rec = choose_reconciliation_code(
             self.cfg.n, self.stats.delta, self.cfg.epsilon, self.cfg.rec_target_fail
         )
@@ -1204,29 +1229,18 @@ class AliceSession(_Session):
             return self._fail(ABORT_PHASE)
         self.stats.rec_descriptor = desc
         self.stats.tau = enc.size
-        try:
-            otp = self.pool.take(enc.size)
-        except PoolExhausted:
-            return self._fail(ABORT_POOL)
-        target = enc ^ otp
+        target = enc ^ self.pool.take(enc.size)
         word = _sifted_word(self.g_bits, self.key_set, self.perm)
-        try:
-            self.kappa = rec.correct_with_syndrome(word, target)
-        except DecodingFailure:
-            return self._fail(ABORT_RECONCILE)
-        return []
+        self.kappa = rec.correct_with_syndrome(word, target)
 
-    def _phase_await_confirm(self, msg: WireMessage) -> list[WireMessage]:
+    def _phase_await_confirm(self, msg: WireMessage) -> None:
         their_mac = decode_confirm(msg.payload)
-        try:
-            confirm_key = self.pool.take(CONFIRM_KEY_BITS)
-        except PoolExhausted:
-            return self._fail(ABORT_POOL)
+        confirm_key = self.pool.take(CONFIRM_KEY_BITS)
         self.stats.confirm_bits = CONFIRM_KEY_BITS
         if _confirm_mac(confirm_key, self.kappa) != their_mac:
             return self._fail(ABORT_CONFIRM)
         self._key = BitVec.from_array(self.cfg.pa_code.coset_key(self.kappa))
-        return [WireMessage(TAG_DONE, b"")]
+        self._send(TAG_DONE)
 
 
 class BobSession(_Session):
@@ -1258,12 +1272,12 @@ class BobSession(_Session):
     def start(self) -> list[WireMessage]:
         return []
 
-    def _phase_hello(self, msg: WireMessage) -> list[WireMessage]:
+    def _phase_hello(self, msg: WireMessage) -> None:
         if msg.payload != encode_hello(self.cfg, ROLE_ALICE):
             return self._fail(ABORT_VERSION)
-        return [WireMessage(TAG_HELLO, encode_hello(self.cfg, ROLE_BOB))]
+        self._send(TAG_HELLO, encode_hello(self.cfg, ROLE_BOB))
 
-    def _phase_collect(self, msg: WireMessage) -> list[WireMessage]:
+    def _phase_collect(self, msg: WireMessage) -> None:
         """Takes the burst, realizes the configured channel on it, then
         measures.  A burst that does not decode, or whose length is not this
         session's |Omega|, is out of order."""
@@ -1279,9 +1293,9 @@ class BobSession(_Session):
         outcomes, detected = cfg.detector.measure_batch(palette, index, bases, rng)
         self.h_bits = outcomes
         self.b_symbols = np.where(detected, bases, np.uint8(2)).astype(np.uint8)
-        return [WireMessage(TAG_BASES_B, encode_bases_b(self.b_symbols))]
+        self._send(TAG_BASES_B, encode_bases_b(self.b_symbols))
 
-    def _phase_await_bases_a(self, msg: WireMessage) -> list[WireMessage]:
+    def _phase_await_bases_a(self, msg: WireMessage) -> None:
         decoded = decode_bases_a_and_r(msg.payload, self.cfg.omega_size)
         if decoded is None:
             return self._fail(ABORT_PHASE)
@@ -1295,9 +1309,9 @@ class BobSession(_Session):
         self.stats.s_size = len(result.key_set)
         mask = np.zeros(self.cfg.omega_size, dtype=np.uint8)
         mask[result.key_set] = 1
-        return [WireMessage(TAG_SUBSET_S, encode_bits(mask))]
+        self._send(TAG_SUBSET_S, encode_bits(mask))
 
-    def _phase_await_test_bits(self, msg: WireMessage) -> list[WireMessage]:
+    def _phase_await_test_bits(self, msg: WireMessage) -> None:
         g_test = decode_bits(msg.payload, len(self.test_set))
         if g_test is None:
             return self._fail(ABORT_PHASE)
@@ -1305,13 +1319,12 @@ class BobSession(_Session):
         delta = estimate_error(g_test, h_test)
         self.stats.delta = delta
         proceed = delta <= self.cfg.delta_max
-        out = [WireMessage(TAG_DELTA_DECISION, encode_delta(delta, proceed))]
+        self._send(TAG_DELTA_DECISION, encode_delta(delta, proceed))
         if not proceed:
-            self._fail(ABORT_DELTA, announce=False)
-            return out
-        return out + self._announce_key_material(delta)
+            return self._fail(ABORT_DELTA, announce=False)
+        self._announce_key_material(delta)
 
-    def _announce_key_material(self, delta: float) -> list[WireMessage]:
+    def _announce_key_material(self, delta: float) -> None:
         cfg = self.cfg
         perm = list(range(cfg.n))
         _shuffle(self._choice_rng, perm)
@@ -1319,39 +1332,27 @@ class BobSession(_Session):
         pa = cfg.pa_code
         self.stats.r = pa.k
         self.stats.code_descriptor = pa.descriptor()
-        out = [
-            WireMessage(TAG_PERM, encode_perm(perm)),
-            WireMessage(TAG_CODE, pa.descriptor().encode()),
-        ]
-
+        self._send(TAG_PERM, encode_perm(perm))
+        self._send(TAG_CODE, pa.descriptor().encode())
         self.kappa = _sifted_word(self.h_bits, self.key_set, perm)
-        rec = choose_reconciliation_code(
-            cfg.n, delta, cfg.epsilon, cfg.rec_target_fail
-        )
+        rec = choose_reconciliation_code(cfg.n, delta, cfg.epsilon, cfg.rec_target_fail)
         syndrome = rec.syndrome(self.kappa)
         self.stats.rec_descriptor = rec.descriptor()
         self.stats.tau = syndrome.size
-        try:
-            otp = self.pool.take(syndrome.size)
-            confirm_key = self.pool.take(CONFIRM_KEY_BITS)
-        except PoolExhausted:
-            return out + self._fail(ABORT_POOL)
+        otp = self.pool.take(syndrome.size)
+        confirm_key = self.pool.take(CONFIRM_KEY_BITS)
         self.stats.confirm_bits = CONFIRM_KEY_BITS
-        out += [
-            WireMessage(TAG_SYNDROME_ENC, encode_syndrome(rec.descriptor(), syndrome ^ otp)),
-            WireMessage(TAG_KEY_CONFIRM, encode_confirm(_confirm_mac(confirm_key, self.kappa))),
-        ]
+        self._send(TAG_SYNDROME_ENC, encode_syndrome(rec.descriptor(), syndrome ^ otp))
+        self._send(TAG_KEY_CONFIRM, encode_confirm(_confirm_mac(confirm_key, self.kappa)))
         # released on DONE: Alice may abort silently on a flipped DELTA_DECISION
         self._key = BitVec.from_array(pa.coset_key(self.kappa))
-        return out
 
-    def _phase_await_done(self, msg: WireMessage) -> list[WireMessage]:
+    def _phase_await_done(self, msg: WireMessage) -> None:
         """DONE carries nothing: the dispatcher's step to "finished" is what
         releases the key.  Alice's DONE is empty, so one with a payload was
         rewritten and would leave the two transcripts unequal."""
         if msg.payload:
             raise ProtocolError(f"{len(msg.payload)} payload bytes, expected none")
-        return []
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .bounds import binary_entropy
 from .codes import LinearCode
 
 SIM_QUBIT_LIMIT = 12
+MAX_TEST_SIZE = 1 << 24  # the test's pass probability sums up to this many terms
 _ENTROPY_CUTOFF = 1e-12
 
 
@@ -373,6 +374,8 @@ def audit_protocol3(
         raise ValueError(f"code length {code.n} != signal count {n}")
     if n > 4:
         raise ValueError("audit is exact only up to 4 signals")
+    if not 1 <= test_size <= MAX_TEST_SIZE:
+        raise ValueError(f"test_size must sit in [1, 2^24], got {test_size}")
     if not math.isfinite(delta_max):
         raise ValueError(f"delta_max must be finite, got {delta_max}")
     if 2 * n + r > SIM_QUBIT_LIMIT:

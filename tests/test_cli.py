@@ -145,6 +145,10 @@ def test_unbuildable_code_policy_rejected(tmp_path, policy):
         {"n": 16, "rec_target_fail": float("nan")},
         {"n": 16, "rec_target_fail": 0},
         {"n": 16, "rec_target_fail": 1},
+        # plain codes past codes.DENSE_CODE_LIMIT: a 4.3 GiB generator, and
+        # 2^22 codewords of 65535 bits
+        {"n": 65535, "code_policy": "hamming"},
+        {"n": 65535, "code_policy": "random:k=22,seed=1"},
     ],
     ids=[
         "nan_epsilon",
@@ -181,6 +185,8 @@ def test_unbuildable_code_policy_rejected(tmp_path, policy):
         "nan_target_fail",
         "zero_target_fail",
         "unit_target_fail",
+        "hamming_at_wire_cap",
+        "random_at_wire_cap",
     ],
 )
 def test_out_of_domain_config_is_a_config_error(tmp_path, overrides):
@@ -419,8 +425,10 @@ def test_bounds_table_values(tmp_path):
         ["--deltas", "0.1", "--n", "-5"],
         ["--deltas", "0.1", "--epsilon", "-1"],
         ["--deltas", "0.1", "--epsilon", "nan"],
+        ["--deltas", "0.1", "--n", str(10**400)],  # no float holds it
+        ["--deltas", "0.1", "--n", str(2**53 + 1)],
     ],
-    ids=["delta", "n_zero", "n_negative", "epsilon_negative", "epsilon_nan"],
+    ids=["delta", "n_zero", "n_negative", "epsilon_negative", "epsilon_nan", "n_huge", "n_past_cap"],
 )
 def test_bounds_rejects_delta_out_of_range(extra, tmp_path):
     out = tmp_path / "b"
@@ -502,6 +510,13 @@ def test_audit_rejects_bad_attack_and_code(tmp_path, capsys):
         (["--attack", "rotation:theta=abc"], "bad attack parameter"),
         (["--attack", "identity", "--n", "3", "--delta-max", "inf"], "delta_max must be finite"),
         (["--attack", "identity", "--n", "3", "--delta-max", "nan"], "delta_max must be finite"),
+        (["--attack", "identity", "--n", "3", "--test-size", "0"], "test_size must sit in"),
+        (["--attack", "identity", "--n", "3", "--test-size", "-5"], "test_size must sit in"),
+        # past the cap, and past any float, which int(delta_max * size) needs
+        (["--attack", "rotation:theta=0.5", "--test-size", str(2**24 + 1)], "test_size must sit"),
+        (["--attack", "identity", "--test-size", str(10**400)], "test_size must sit in"),
+        (["--attack", "rotation:theta=0.1,theta=3"], "repeats parameter 'theta'"),
+        (["--attack", "entangle:alpha=0.1,beta=0,alpha=0.1"], "repeats parameter 'alpha'"),
     ],
 )
 def test_audit_outside_its_domain_is_a_config_error(extra, reason, capsys):
@@ -631,6 +646,24 @@ def test_bad_proxy_channel_is_a_config_error_before_binding(capsys, mode_args):
     argv = ["eve", "--listen", "127.0.0.1:0", "--connect", "127.0.0.1:9", *mode_args]
     assert main(argv) == EXIT_CONFIG
     assert "LISTENING" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf", "1e10", "86400.5"])
+@pytest.mark.parametrize("role", ["alice", "bob", "eve"])
+def test_a_timeout_outside_its_domain_is_a_config_error_before_binding(
+    tmp_path, capsys, role, timeout
+):
+    # socket timeouts must be positive and finite, and settimeout overflows
+    # near 1e10 s; none of these may reach a socket, or print LISTENING
+    argv = {
+        "alice": ["alice", "--connect", "127.0.0.1:9", "--config", write_config(tmp_path)],
+        "bob": ["bob", "--listen", "127.0.0.1:0", "--config", write_config(tmp_path)],
+        "eve": ["eve", "--listen", "127.0.0.1:0", "--connect", "127.0.0.1:9"],
+    }[role]
+    assert main([*argv, "--timeout", timeout]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert "LISTENING" not in out
+    assert "--timeout must sit in (0, 86400] seconds" in err
 
 
 def test_proxy_seed_resolves_like_the_parties(monkeypatch):

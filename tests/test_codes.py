@@ -426,6 +426,65 @@ def test_every_family_builds_from_its_descriptor():
         assert code_from_descriptor(desc).descriptor() == desc
 
 
+# per family, lengths that cover its shapes: whole blocks with and without a
+# tail, an inner code longer than the word, every hamming length up to 63
+_FULL_RANK_CASES = {
+    "repetition": [{"n": n} for n in (1, 2, 5, 24)],
+    "hamming": [{"n": (1 << m) - 1} for m in range(2, 7)],
+    "identity": [{"n": n} for n in (1, 9)],
+    "zero": [{"n": n} for n in (1, 9)],
+    "random": [{"n": n, "k": k, "seed": s} for n, k, s in ((1, 1, 0), (10, 3, 7), (20, 12, 4))],
+    "hamming_blocks": [{"n": n} for n in (3, 7, 30)],
+    "repetition_blocks": [{"n": n, "inner": i} for n, i in ((20, 3), (5, 9), (26, 25))],
+    "rec_hamming": [{"n": n} for n in (3, 14, 16)],
+    "rec_repetition": [{"n": n, "inner": i} for n, i in ((22, 5), (60, 17), (4, 9))],
+    "rec_identity": [{"n": n} for n in (1, 9)],
+    "rec_verbatim": [{"n": n} for n in (1, 6)],
+}
+
+
+def test_full_rank_cases_cover_every_family():
+    assert set(_FULL_RANK_CASES) == set(codes.CODE_FAMILIES)
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        f"{family}:{','.join(f'{k}={v}' for k, v in params.items())}"
+        for family, cases in _FULL_RANK_CASES.items()
+        for params in cases
+    ],
+)
+def test_every_shipped_family_has_full_column_rank(desc):
+    # LinearCode does not check its generator: each construction is
+    # full-rank by construction, or, as random_code, checks its own draw
+    code = code_from_descriptor(desc)
+    assert code.gen.rank() == code.gen.cols == code.k
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: hamming(14), "hamming:n=16383 needs a generator beyond"),
+        (lambda: code_from_descriptor("hamming:n=65535"), "hamming:n=65535 needs"),
+        (lambda: random_code(65535, 22, 1), "2^22 codewords of 65535 bits"),
+        (lambda: random_code(65535, 11, 1), "2^11 codewords of 65535 bits"),
+        (lambda: random_code(256, 19, 1), "2^19 codewords of 256 bits"),
+    ],
+    ids=["hamming_14", "hamming_descriptor", "random_wire_cap", "random_k11", "random_256"],
+)
+def test_plain_codes_past_the_dense_limit_are_refused_before_building(build, message):
+    with pytest.raises(ValueError, match=message.replace("^", r"\^")):
+        build()
+
+
+def test_the_largest_plain_codes_within_the_dense_limit_build():
+    # hamming(13) is the longest plain hamming code; with no rank check on
+    # its generator it builds in about a tenth of a second
+    assert hamming(13).k == 8178
+    assert random_code(256, 18, 1).k == 18
+
+
 def test_random_codes_keep_their_generators():
     # the rows are drawn with one getrandbits(k) each, until full rank
     assert random_code(10, 3, seed=7).gen.row_words == (2, 7, 1, 3, 5, 0, 0, 6, 4, 0)

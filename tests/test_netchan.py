@@ -66,8 +66,10 @@ def test_frame_roundtrip_and_eof():
 
 
 def _burst():
-    """The signal burst of an n=16 session."""
-    return AliceSession(SessionConfig(n=16, epsilon=0.35, seed=4))._emit_signals()
+    """The signal burst of an n=16 session, as Alice's flushed outbox."""
+    alice = AliceSession(SessionConfig(n=16, epsilon=0.35, seed=4))
+    alice._emit_signals()
+    return alice._flush()
 
 
 def test_frames_round_trip_empty_short_and_burst_payloads():

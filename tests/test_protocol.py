@@ -440,6 +440,16 @@ def test_pool_exhaustion():
         pool.take(1)
 
 
+def test_pool_refuses_a_negative_take():
+    pool = SecretPool(1, 64)
+    pool.take(10)
+    with pytest.raises(ValueError, match="cannot take -3 bits"):
+        pool.take(-3)
+    assert pool.offset == 10 and pool.remaining() == 54
+    # the next take starts past the spent bits, not 3 bits back among them
+    assert np.array_equal(pool.take(10), _eager_pool_bits(1, 64)[10:20])
+
+
 def test_pool_same_seed_same_bits():
     a = SecretPool(42, 300)
     b = SecretPool(42, 300)
@@ -940,6 +950,77 @@ def test_decoding_failure_surfaces_as_reconcile_abort(monkeypatch):
         cfg, res.transcript, swap_step="SYNDROME_ENC", swap_payload=forged
     )
     assert alice.abort_reason == ABORT_RECONCILE
+    assert alice.abort_detail == "SYNDROME_ENC: block 0: nearest pattern weight 2 exceeds radius 1"
+
+
+@pytest.mark.parametrize("take", ["syndrome", "confirm"])
+def test_alice_pool_running_out_ends_in_pool_exhausted(take):
+    # Bob's honest messages replayed against an Alice whose pool is one bit
+    # short of her one-time pad take (tau bits) or of the confirmation key
+    # take after it (128 bits); the pool size is not on the wire
+    res = run_protocol(_noiseless_cfg(seed=13))
+    tau = res.stats.tau
+    assert res.stats.abort_reason is None and tau > 0
+    step, pool_bits, need = {
+        "syndrome": ("SYNDROME_ENC", tau - 1, tau),
+        "confirm": ("KEY_CONFIRM", tau + 127, 128),
+    }[take]
+    alice = _drive_alice_from_transcript(
+        dataclasses.replace(res.alice.cfg, pool_bits=pool_bits), res.transcript
+    )
+    assert alice.abort_reason == alice.stats.abort_reason == ABORT_POOL
+    assert alice.abort_detail == f"{step}: need {need} bits, {need - 1} left"
+    # the honest transcript up to Bob's message, then Alice's announced abort
+    records = alice.transcript.records
+    upto = [r.step for r in res.transcript.records].index(step) + 1
+    assert records[:-1] == res.transcript.records[:upto]
+    assert records[-1] == TranscriptRecord("ABORT", "alice", ABORT_POOL.encode())
+    assert alice.final_key is None
+
+
+def test_bob_pool_running_out_sends_perm_and_code_before_the_abort():
+    res = run_protocol(SessionConfig(n=64, epsilon=0.35, seed=2, pool_bits=64))
+    bob = res.bob
+    assert bob.abort_reason == ABORT_POOL and res.alice.abort_reason == ABORT_POOL
+    tail = [(r.step, r.sender) for r in res.transcript.records[-5:]]
+    assert tail == [
+        ("TEST_BITS", "alice"),
+        ("DELTA_DECISION", "bob"),
+        ("PERM", "bob"),
+        ("CODE", "bob"),
+        ("ABORT", "bob"),
+    ]
+    assert res.transcript.records[-1].payload == ABORT_POOL.encode()
+    assert bob.transcript == res.alice.transcript
+    # the one-time pad take or the confirmation take, whichever ran out
+    tau = bob.stats.tau
+    need, left = (tau, 64) if tau > 64 else (128, 64 - tau)
+    assert bob.abort_detail == f"TEST_BITS: need {need} bits, {left} left"
+    assert bob.stats.confirm_bits is None and bob.final_key is None
+
+
+def test_a_handler_that_raises_another_error_sends_and_records_nothing(monkeypatch):
+    # Bob's TEST_BITS handler raises after his DELTA_DECISION, PERM and CODE
+    # are decided: none of them is sent or recorded, and no later call
+    # sends them either
+    def broken_ladder(*args):
+        raise ArithmeticError("ladder broke")
+
+    monkeypatch.setattr(protocol_module, "choose_reconciliation_code", broken_ladder)
+    alice, bob = AliceSession(_FUZZ_CFG), BobSession(_FUZZ_CFG)
+    queue = collections.deque(("alice", m) for m in alice.start())
+    with pytest.raises(ArithmeticError, match="ladder broke"):
+        while queue:
+            sender, msg = queue.popleft()
+            receiver = bob if sender == "alice" else alice
+            queue.extend((receiver.role_name, m) for m in receiver.on_message(msg))
+    assert msg.tag == TAG_TEST_BITS and bob.phase == "await_test_bits"
+    assert bob.transcript.records[-1].step == "TEST_BITS"
+    assert not getattr(bob, "_outbox", [])
+    assert bob.on_message(WireMessage(TAG_HELLO, b"")) == [
+        WireMessage(TAG_ABORT, ABORT_PHASE.encode())
+    ]
+    assert bob.transcript.records[-1] == TranscriptRecord("ABORT", "bob", ABORT_PHASE.encode())
 
 
 def test_ladder_codes_beyond_the_leader_table_reconcile():

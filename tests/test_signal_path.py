@@ -234,7 +234,8 @@ def test_burst_is_the_wire_bytes_of_each_sent_state(source):
     compliance gate, but its skewed key bits still exercise the index."""
     cfg = SessionConfig(n=64, epsilon=0.35, seed=8, source=source)
     alice = AliceSession(cfg)
-    (msg,) = alice._emit_signals()
+    alice._emit_signals()
+    (msg,) = alice._flush()
     palette, index = decode_qburst(msg.payload)
     lut = _reference(source)[0].reshape(2, 2, 2, 2)  # [a][g]
     assert palette.tobytes() == lut.tobytes()
@@ -461,7 +462,9 @@ def test_palette_path_equals_the_v2_per_signal_path(source, channel, efficiency,
         n=n, epsilon=0.35, seed=seed, source=source, channel=channel,
         detector=DetectorModel(efficiency),
     )
-    (burst,) = AliceSession(cfg)._emit_signals()
+    alice = AliceSession(cfg)
+    alice._emit_signals()
+    (burst,) = alice._flush()
     _assert_collect_matches_v2(cfg, burst)
 
 
